@@ -39,7 +39,10 @@ class ConfigError(ValueError):
 
 def load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as e:
+        raise ConfigError(f"cannot parse {path}: {e}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     if "task" not in parser:
@@ -121,24 +124,25 @@ def build_task(cfg: configparser.ConfigParser, seed: int):
     raise ConfigError(f"invalid value for key kind: {kind!r}")
 
 
+# [solver] keys and their casts; a key left out takes the SolverConfig
+# default
+_SOLVER_KEYS = {
+    "algorithm": str, "eta_primal": float, "eta_dual": float,
+    "gamma": float, "weight": float, "batch_size": int, "steps": int,
+    "hidden": int, "loss_bound": float, "dual_mode": str,
+}
+
+
 def build_solver_config(cfg: configparser.ConfigParser,
                         seed: int) -> solvers.SolverConfig:
     s = cfg["solver"] if "solver" in cfg else {}
+    for key in s:
+        if key not in _SOLVER_KEYS:
+            raise ConfigError(f"unknown key in section solver: {key}")
+    values = {key: _get(s, key, cast) for key, cast in _SOLVER_KEYS.items()
+              if key in s}
     try:
-        return solvers.SolverConfig(
-            algorithm=str(s.get("algorithm", "mbdg")),
-            eta_primal=float(s.get("eta_primal", 0.1)),
-            eta_dual=float(s.get("eta_dual", 0.05)),
-            gamma=float(s.get("gamma", 0.025)),
-            weight=float(s.get("weight", 1.0)),
-            batch_size=int(s.get("batch_size", 128)),
-            steps=int(s.get("steps", 2000)),
-            seed=seed,
-            hidden=int(s.get("hidden", 16)),
-            loss_bound=float(s.get("loss_bound", 20.0)),
-            constraint_mode=str(
-                s.get("constraint_mode", "pair-G-samples")),
-            dual_mode=str(s.get("dual_mode", "single")))
+        return solvers.SolverConfig(seed=seed, **values)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -270,14 +274,14 @@ def run_compare(args) -> int:
     out = _resolve_out(args, configs[0])
     out.mkdir(parents=True, exist_ok=True)
 
-    data0, _, _ = build_task(configs[0], seed)
-    envs = sorted(d.env for d in data0)
     rows = []
     for cfg in configs:
         scfg = build_solver_config(cfg, seed)
+        # the [task] sections match, so every config yields the same envs
+        data, G, _ = build_task(cfg, seed)
+        envs = sorted(d.env for d in data)
         accs = []
         for holdout in envs:
-            data, G, _ = build_task(cfg, seed)
             train_data = [d for d in data if d.env != holdout]
             p, _ = solvers.train(scfg, train_data, G)
             held = next(d for d in data if d.env == holdout)

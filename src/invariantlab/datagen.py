@@ -22,13 +22,6 @@ from .transforms import EnvironmentCode
 
 
 @dataclass(frozen=True)
-class LabeledExample:
-    x: np.ndarray
-    y: int
-    env: str
-
-
-@dataclass(frozen=True)
 class EnvironmentDataset:
     env: str
     X: np.ndarray  # (n, d)
@@ -40,10 +33,6 @@ class EnvironmentDataset:
 
     def __len__(self):
         return len(self.y)
-
-    def examples(self):
-        return [LabeledExample(self.X[i], int(self.y[i]), self.env)
-                for i in range(len(self.y))]
 
 
 @dataclass(frozen=True)

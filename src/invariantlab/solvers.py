@@ -1,20 +1,30 @@
 """Training procedures: plain risk minimization, the primal-dual
 constrained method, and its data-augmentation / fixed-weight variants.
 
-All variants share one minibatch loop.  Per step the objective graph is
+Every algorithm is one step function (`primal_step`) read through a
+preset of three switches.  Per step the objective graph is
 
-    loss(theta) + <dual weights, distReg(theta)>
+    CE(x) + sum of augmented CE terms + <dual weights, distReg(theta)>
 
-where the distance regularizer pairs each example with a transformed
-counterpart.  The dual weights are updated by projected ascent
-(lambda <- [lambda + eta_d * (distReg - gamma)]_+), held fixed for the
-regularized variant, and absent for the unconstrained ones.
+where distReg compares the predictions on each constraint pair.  The
+presets (G(x) is a fresh draw from the transformation model):
+
+    preset    constraint pairs   augmented CE batches       dual
+    erm       none               none                       off (0)
+    mbda      none               G(x)                       off (0)
+    mbdg      (G(x), G(x'))      none                       ascent
+    mbdg-da   (x, G(x))          G(x''), the pair's G(x)    ascent
+    mbdg-reg  (x, G(x))          the pair's G(x)            fixed at weight
+
+Ascent is projected: lambda <- [lambda + eta_d * (distReg - gamma)]_+.
+With `dual_mode = "per-env"` a preset that has a constraint samples one
+batch and keeps one dual weight per environment.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +33,26 @@ from . import constraints as cons
 from . import predictors as pred
 from . import transforms
 
-ALGORITHMS = ("erm", "mbdg", "mbda", "mbdg-da", "mbdg-reg")
+
+@dataclass(frozen=True)
+class Preset:
+    """The switches that tell one training algorithm from another."""
+
+    pairing: str | None  # constraint pairs: None, "g-g" or "x-g"
+    # augmented CE batches in loss order: "fresh" is a new G(x) per
+    # batch, "pair" reuses the transformed member of the batch's pair
+    augment: tuple
+    dual: str  # "off" (lambda = 0), "ascent" or "fixed" (lambda = weight)
+
+
+PRESETS = {
+    "erm": Preset(None, (), "off"),
+    "mbdg": Preset("g-g", (), "ascent"),
+    "mbda": Preset(None, ("fresh",), "off"),
+    "mbdg-da": Preset("x-g", ("fresh", "pair"), "ascent"),
+    "mbdg-reg": Preset("x-g", ("pair",), "fixed"),
+}
+ALGORITHMS = tuple(PRESETS)
 
 
 class TrainingFailure(RuntimeError):
@@ -65,25 +94,29 @@ class SolverConfig:
     seed: int = 0
     hidden: int = 16
     loss_bound: float = 20.0
-    constraint_mode: str = "pair-G-samples"  # | "against-clean"
     dual_mode: str = "single"  # | "per-env"
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in PRESETS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.eta_primal <= 0.0:
-            raise ValueError("primal step size must be positive")
+            raise ValueError("primal step size eta_primal must be positive")
+        if self.eta_dual < 0.0:
+            raise ValueError("dual step size eta_dual must be non-negative")
         if self.gamma <= 0.0:
             raise ValueError("margin gamma must be positive")
         if self.weight < 0.0:
             raise ValueError("regularization weight must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.steps < 1:
-            raise ValueError("need at least one step")
-        if self.constraint_mode not in ("pair-G-samples", "against-clean"):
-            raise ValueError(
-                f"unknown constraint mode {self.constraint_mode!r}")
+            raise ValueError("steps must be at least 1")
+        if self.hidden < 1:
+            raise ValueError("hidden must be at least 1")
+        if self.loss_bound <= 0.0:
+            raise ValueError("loss_bound must be positive")
         if self.dual_mode not in ("single", "per-env"):
-            raise ValueError(f"unknown dual mode {self.dual_mode!r}")
+            raise ValueError(f"unknown dual_mode {self.dual_mode!r}")
 
 
 @dataclass
@@ -137,62 +170,67 @@ def dual_step(lam: np.ndarray, distreg_value, gamma: float,
     return np.maximum(lam + eta_dual * step, 0.0)
 
 
-def _objective_graph(arch, params, X, y, pairs, lam, loss_spec, metric,
-                     extra_loss_batches=()):
-    """loss + <lam, distReg> over one minibatch, as (node, loss, distreg)."""
-    logp = pred.log_probs_graph(arch, params, X)
-    loss = pred.cross_entropy_graph(logp, y, loss_spec)
-    for Xe, ye in extra_loss_batches:
-        logpe = pred.log_probs_graph(arch, params, Xe)
-        loss = loss + pred.cross_entropy_graph(logpe, ye, loss_spec)
-    if pairs is None:
-        return loss, loss, None
-    dist_nodes = [cons.dist_reg_graph(arch, params, Xa, Xb, metric)
-                  for Xa, Xb in pairs]
-    lam = np.atleast_1d(lam)
-    total = loss
-    scale = 1.0 / len(dist_nodes)
-    for lam_e, node in zip(lam, dist_nodes):
-        if lam_e != 0.0:
-            total = total + (float(lam_e) * scale) * node
-    return total, loss, dist_nodes
+def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
+                rng: np.random.Generator, metric: cons.DistanceMetric):
+    """One SGD step of the config's preset on loss + <lam, distReg>.
 
-
-def primal_step(p: pred.Predictor, lam, minibatch, G,
-                config: SolverConfig, rng=None,
-                metric: cons.DistanceMetric | None = None) -> pred.Predictor:
-    """One SGD step on loss + lambda * distReg over the minibatch."""
-    X, y = minibatch
-    metric = metric or cons.DistanceMetric(bound=config.loss_bound)
+    `batches` lists (X, y) minibatches, one per environment under a
+    per-env dual and one otherwise; the clean CE is taken over their
+    stack, and each gets its own constraint pair and augmented batches.
+    Transformed batches are drawn from `rng`: first every batch's
+    constraint pair, then the fresh augmented batches.  Returns (updated
+    predictor, minibatch loss, distReg per pair); the distReg is zero
+    when the preset has no constraint.
+    """
+    preset = PRESETS[config.algorithm]
     loss_spec = pred.LossSpec(config.loss_bound)
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    pairs = None
-    if G is not None and np.any(lam != 0.0):
-        rng = rng or np.random.default_rng(config.seed)
-        pairs = [_constraint_pair(X, G, rng, config.constraint_mode)]
+
+    def draw(X):
+        return transforms.generate_batch(G, X, rng)
+
+    if preset.pairing == "g-g":
+        pairs = [(draw(bX), draw(bX)) for bX, _ in batches]
+    elif preset.pairing == "x-g":
+        pairs = [(bX, draw(bX)) for bX, _ in batches]
+    else:
+        pairs = []
+    augmented = []
+    for source in preset.augment:
+        if source == "fresh":
+            augmented += [(draw(bX), by) for bX, by in batches]
+        else:
+            augmented += [(Xt, by) for (_, Xt), (_, by) in zip(pairs, batches)]
+
     params = {name: ad.Node(arr) for name, arr in
               p.params.layout.unflatten(p.params.values).items()}
-    total, _, _ = _objective_graph(
-        p.arch, params, X, y, pairs, lam, loss_spec, metric)
+    X = np.vstack([bX for bX, _ in batches])
+    y = np.concatenate([by for _, by in batches])
+    loss = pred.cross_entropy_graph(
+        pred.log_probs_graph(p.arch, params, X), y, loss_spec)
+    for Xa, ya in augmented:
+        loss = loss + pred.cross_entropy_graph(
+            pred.log_probs_graph(p.arch, params, Xa), ya, loss_spec)
+    dist_nodes = [cons.dist_reg_graph(p.arch, params, Xa, Xb, metric)
+                  for Xa, Xb in pairs]
+    total = loss
+    # a zero weight adds no node, so the gradient equals the bare loss's
+    for lam_e, node in zip(lam, dist_nodes):
+        if lam_e != 0.0:
+            total = total + (float(lam_e) * (1.0 / len(dist_nodes))) * node
     grads = ad.backward(total)
-    return _sgd_update(p, params, grads, config.eta_primal)
 
-
-def _sgd_update(p, params, grads, eta):
-    arrays = {name: node.value - eta * grads.get(id(node),
-                                                 np.zeros(node.shape))
+    arrays = {name: node.value - config.eta_primal
+              * grads.get(id(node), np.zeros(node.shape))
               for name, node in params.items()}
     flat = p.params.layout.flatten(arrays)
     if not np.all(np.isfinite(flat)):
         raise ad.NonFiniteError("non-finite parameter update")
-    return pred.with_params(p, flat)
-
-
-def _constraint_pair(X, G, rng, mode):
-    if mode == "pair-G-samples":
-        return (transforms.generate_batch(G, X, rng),
-                transforms.generate_batch(G, X, rng))
-    return (X, transforms.generate_batch(G, X, rng))
+    if dist_nodes:
+        distreg = np.array([float(n.value) for n in dist_nodes])
+    else:
+        distreg = np.zeros(lam.size)
+    return pred.with_params(p, flat), float(loss.value), distreg
 
 
 def empirical_lagrangian(p: pred.Predictor, dual: DualState, datasets,
@@ -231,9 +269,8 @@ def train(config: SolverConfig, datasets, G,
     """Train a predictor on the given environments; returns (p, trace)."""
     if not datasets:
         raise ValueError("need at least one training environment")
-    algo = config.algorithm
+    preset = PRESETS[config.algorithm]
     metric = metric or cons.DistanceMetric(bound=config.loss_bound)
-    loss_spec = pred.LossSpec(config.loss_bound)
     env_ids = [d.env for d in datasets]
 
     input_dim = datasets[0].X.shape[1]
@@ -244,13 +281,9 @@ def train(config: SolverConfig, datasets, G,
     batch_rng = np.random.default_rng([config.seed, 1])
     gen_rng = np.random.default_rng([config.seed, 2])
 
-    per_env = config.dual_mode == "per-env" and algo in (
-        "mbdg", "mbdg-da", "mbdg-reg")
-    n_lam = len(datasets) if per_env else 1
-    if algo == "mbdg-reg":
-        lam = np.full(n_lam, config.weight)
-    else:
-        lam = np.zeros(n_lam)
+    per_env = config.dual_mode == "per-env" and preset.pairing is not None
+    lam = np.full(len(datasets) if per_env else 1,
+                  config.weight if preset.dual == "fixed" else 0.0)
 
     X_all = np.vstack([d.X for d in datasets])
     y_all = np.concatenate([d.y for d in datasets])
@@ -264,65 +297,19 @@ def train(config: SolverConfig, datasets, G,
 
     for step in range(config.steps):
         if per_env:
-            batches = []
-            for sl in env_slices:
-                idx = batch_rng.integers(sl.start, sl.stop,
-                                         size=config.batch_size)
-                batches.append((X_all[idx], y_all[idx]))
-            X = np.vstack([b[0] for b in batches])
-            y = np.concatenate([b[1] for b in batches])
+            idxs = [batch_rng.integers(sl.start, sl.stop,
+                                       size=config.batch_size)
+                    for sl in env_slices]
         else:
-            idx = batch_rng.integers(0, len(y_all), size=config.batch_size)
-            X, y = X_all[idx], y_all[idx]
-            batches = [(X, y)]
-
-        pairs = None
-        extra = ()
-        if algo != "erm":
-            if algo == "mbdg" and config.constraint_mode == "pair-G-samples":
-                pairs = [(transforms.generate_batch(G, bX, gen_rng),
-                          transforms.generate_batch(G, bX, gen_rng))
-                         for bX, _ in batches]
-            elif algo in ("mbdg", "mbdg-da", "mbdg-reg", "mbda"):
-                gen = [(bX, transforms.generate_batch(G, bX, gen_rng))
-                       for bX, _ in batches]
-                pairs = gen
-            if algo == "mbda":
-                extra = tuple((Xt, by) for (_, Xt), (_, by)
-                              in zip(pairs, batches))
-                pairs = None
-            elif algo == "mbdg-da":
-                extra = tuple(
-                    [(transforms.generate_batch(G, bX, gen_rng), by)
-                     for bX, by in batches]
-                    + [(Xt, by) for (_, Xt), (_, by) in zip(pairs, batches)])
-            elif algo == "mbdg-reg":
-                extra = tuple((Xt, by) for (_, Xt), (_, by)
-                              in zip(pairs, batches))
-
-        params = {name: ad.Node(arr) for name, arr in
-                  p.params.layout.unflatten(p.params.values).items()}
+            idxs = [batch_rng.integers(0, len(y_all), size=config.batch_size)]
+        batches = [(X_all[idx], y_all[idx]) for idx in idxs]
         try:
-            total, loss_node, dist_nodes = _objective_graph(
-                arch, params, X, y, pairs, lam, loss_spec, metric,
-                extra_loss_batches=extra)
-            # always evaluate the constraint for the trace and dual
-            # update, even while all dual weights are zero
-            if pairs is not None and dist_nodes is None:
-                dist_nodes = [cons.dist_reg_graph(arch, params, Xa, Xb,
-                                                  metric)
-                              for Xa, Xb in pairs]
-            grads = ad.backward(total)
-            p = _sgd_update(p, params, grads, config.eta_primal)
+            p, loss, distreg = primal_step(p, lam, batches, G, config,
+                                           gen_rng, metric)
         except ad.NonFiniteError as e:
             raise TrainingFailure(f"step {step}: {e}", trace) from e
-
-        if dist_nodes is not None:
-            distreg = np.array([float(n.value) for n in dist_nodes])
-        else:
-            distreg = np.zeros(n_lam)
-        if algo in ("mbdg", "mbdg-da"):
+        if preset.dual == "ascent":
             lam = dual_step(lam, distreg, config.gamma, config.eta_dual)
-        trace.append(step, float(loss_node.value), lam, distreg)
+        trace.append(step, loss, lam, distreg)
 
     return p, trace

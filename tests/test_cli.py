@@ -80,6 +80,52 @@ def test_train_rejects_nonpositive_margin(tmp_path, capsys):
     assert "config error" in err and "margin" in err
 
 
+@pytest.mark.parametrize("line,key", [
+    ("batch_size = 0", "batch_size"),
+    ("hidden = 0", "hidden"),
+    ("eta_dual = -1", "eta_dual"),
+    ("loss_bound = 0", "loss_bound"),
+    ("algoritm = erm", "algoritm"),
+    ("constraint_mode = against-clean", "constraint_mode"),
+])
+def test_train_rejects_invalid_solver_key(tmp_path, capsys, line, key):
+    # SMALL_TASK sets batch_size and hidden: drop the line a probe replaces
+    body = "\n".join(l for l in SMALL_TASK.format(algorithm="mbdg")
+                     .splitlines() if not l.startswith(key + " "))
+    cfg = _write_config(tmp_path, body=body + "\n" + line + "\n")
+    code = cli.main(["train", "--config", cfg, "--out",
+                     str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_train_cast_error_names_key(tmp_path, capsys):
+    body = SMALL_TASK.format(algorithm="mbdg").replace(
+        "steps = 40", "steps = 2.5")
+    cfg = _write_config(tmp_path, body=body)
+    assert cli.main(["train", "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "steps" in err
+
+
+def test_duplicate_key_is_config_error(tmp_path, capsys):
+    body = SMALL_TASK.format(algorithm="mbdg") + "steps = 5\n"
+    cfg = _write_config(tmp_path, body=body)
+    assert cli.main(["train", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "steps" in err
+
+
+def test_missing_section_header_is_config_error(tmp_path, capsys):
+    body = "steps = 5\n" + SMALL_TASK.format(algorithm="mbdg")
+    cfg = _write_config(tmp_path, body=body)
+    assert cli.main(["train", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "section header" in err
+
+
 def test_train_rejects_unknown_holdout(tmp_path):
     cfg = _write_config(tmp_path)
     assert cli.main(["train", "--config", cfg, "--out",

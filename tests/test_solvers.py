@@ -42,11 +42,17 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         _small_config(steps=0)
     with pytest.raises(ValueError):
-        _small_config(constraint_mode="both")
-    with pytest.raises(ValueError):
         _small_config(dual_mode="global")
     with pytest.raises(ValueError):
         _small_config(weight=-0.5)
+    with pytest.raises(ValueError, match="batch_size"):
+        _small_config(batch_size=0)
+    with pytest.raises(ValueError, match="hidden"):
+        _small_config(hidden=0)
+    with pytest.raises(ValueError, match="eta_dual"):
+        _small_config(eta_dual=-1.0)
+    with pytest.raises(ValueError, match="loss_bound"):
+        _small_config(loss_bound=0.0)
 
 
 # -- dual step --------------------------------------------------------------------
@@ -154,15 +160,22 @@ def test_worst_domain_risk_picks_max_and_breaks_ties_low():
 
 # -- primal step -------------------------------------------------------------------
 
+def _primal_step(p, X, y, G, config):
+    return solvers.primal_step(p, np.array([0.0]), [(X, y)], G, config,
+                               np.random.default_rng(0),
+                               cons.DistanceMetric())
+
+
 def test_primal_step_zero_dual_ignores_transform():
     spec, data = _concept(n=64)
     G = datagen.concept_shift_transform(spec)
     X, y = data[0].X[:32], data[0].y[:32]
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    config = _small_config()
-    with_G = solvers.primal_step(p, np.array([0.0]), (X, y), G, config,
-                                 rng=np.random.default_rng(0))
-    without = solvers.primal_step(p, np.array([0.0]), (X, y), None, config)
+    with_G, _, distreg = _primal_step(p, X, y, G,
+                                      _small_config(algorithm="mbdg"))
+    without, _, _ = _primal_step(p, X, y, None,
+                                 _small_config(algorithm="erm"))
+    assert distreg[0] > 0.0
     assert np.array_equal(with_G.params.values, without.params.values)
 
 
@@ -172,8 +185,8 @@ def test_primal_step_decreases_minibatch_loss():
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
     batch = datagen.EnvironmentDataset("b", X, y)
     before = pred.empirical_risk(p, batch, pred.LossSpec())
-    q = solvers.primal_step(p, np.array([0.0]), (X, y), None,
-                            _small_config(eta_primal=0.05))
+    q, _, _ = _primal_step(p, X, y, None,
+                           _small_config(algorithm="erm", eta_primal=0.05))
     after = pred.empirical_risk(q, batch, pred.LossSpec())
     assert after < before
 
@@ -182,9 +195,52 @@ def test_primal_step_with_tiny_rate_barely_moves():
     spec, data = _concept(n=32)
     X, y = data[0].X[:32], data[0].y[:32]
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    q = solvers.primal_step(p, np.array([0.0]), (X, y), None,
-                            _small_config(eta_primal=1e-12))
+    q, _, _ = _primal_step(p, X, y, None,
+                           _small_config(algorithm="erm", eta_primal=1e-12))
     assert np.max(np.abs(q.params.values - p.params.values)) < 1e-9
+
+
+# Work per step at batch 32 on two environments: (transformed rows,
+# forward rows including distReg's, distReg calls, dual ascent calls).
+PRESET_WORK = {
+    ("erm", "single"): (0, 32, 0, 0),
+    ("mbda", "single"): (32, 64, 0, 0),
+    ("mbdg", "single"): (64, 96, 1, 1),
+    ("mbdg-da", "single"): (64, 160, 1, 1),
+    ("mbdg-reg", "single"): (32, 128, 1, 0),
+    ("erm", "per-env"): (0, 32, 0, 0),
+    ("mbda", "per-env"): (32, 64, 0, 0),
+    ("mbdg", "per-env"): (128, 192, 2, 1),
+    ("mbdg-da", "per-env"): (128, 320, 2, 1),
+    ("mbdg-reg", "per-env"): (64, 256, 2, 0),
+}
+
+
+@pytest.mark.parametrize("algorithm,dual_mode", sorted(PRESET_WORK))
+def test_preset_work_per_step(algorithm, dual_mode, monkeypatch):
+    spec, data = _concept(n=200)
+    G = datagen.concept_shift_transform(spec)
+    counts = [0, 0, 0, 0]
+
+    def counting(fn, slot, rows):
+        def wrapper(*args, **kwargs):
+            counts[slot] += rows(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tr, "generate_batch", counting(
+        tr.generate_batch, 0, lambda a: a[1].shape[0]))
+    monkeypatch.setattr(pred, "log_probs_graph", counting(
+        pred.log_probs_graph, 1, lambda a: a[2].shape[0]))
+    monkeypatch.setattr(cons, "dist_reg_graph", counting(
+        cons.dist_reg_graph, 2, lambda a: 1))
+    monkeypatch.setattr(solvers, "dual_step", counting(
+        solvers.dual_step, 3, lambda a: 1))
+    steps = 3
+    solvers.train(_small_config(algorithm=algorithm, dual_mode=dual_mode,
+                                steps=steps), data, G)
+    assert tuple(c / steps for c in counts) == \
+        PRESET_WORK[algorithm, dual_mode]
 
 
 # -- training loop -----------------------------------------------------------------
