@@ -8,6 +8,7 @@ instead of propagating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +238,7 @@ class ParameterLayout:
 
     @property
     def size(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.entries)
+        return sum(math.prod(shape) for _, shape in self.entries)
 
     def unflatten(self, flat: np.ndarray) -> dict:
         flat = np.asarray(flat, dtype=np.float64)
@@ -248,7 +249,7 @@ class ParameterLayout:
         out = {}
         offset = 0
         for name, shape in self.entries:
-            n = int(np.prod(shape))
+            n = math.prod(shape)
             out[name] = flat[offset:offset + n].reshape(shape)
             offset += n
         return out

@@ -37,8 +37,29 @@ class ConfigError(ValueError):
 
 # -- config parsing -----------------------------------------------------------
 
+# keys each section accepts; [task] keys depend on its kind, [solver]
+# keys are _SOLVER_KEYS
+_TASK_KEYS = {
+    "concept-shift": ("kind", "rho_shape", "agreements", "n_per_env",
+                      "shape_mean", "shape_sigma", "color_scale"),
+    "covariate-shift": ("kind", "mean0", "mean1", "train_envs",
+                        "test_envs", "sigma", "noise_dims", "n_per_env"),
+}
+_SECTION_KEYS = {
+    "transform": ("plane", "angle_range"),
+    "output": ("seed", "dir", "holdout"),
+}
+
+
+def _check_keys(section, name: str, allowed) -> None:
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"unknown key in section {name}: {key}")
+
+
 def load_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value is read as itself
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as e:
@@ -47,6 +68,9 @@ def load_config(path) -> configparser.ConfigParser:
         raise ConfigError(f"config file not found: {path}")
     if "task" not in parser:
         raise ConfigError("missing section: task")
+    for name, allowed in _SECTION_KEYS.items():
+        if name in parser:
+            _check_keys(parser[name], name, allowed)
     return parser
 
 
@@ -77,6 +101,8 @@ def build_task(cfg: configparser.ConfigParser, seed: int):
     """Returns (datasets, transform model, task spec) for the config."""
     task = cfg["task"]
     kind = _get(task, "kind", str)
+    if kind in _TASK_KEYS:
+        _check_keys(task, "task", _TASK_KEYS[kind])
     if kind == "concept-shift":
         spec = datagen.ConceptShiftSpec(
             rho_shape=_get(task, "rho_shape", float, 0.75),
@@ -136,9 +162,7 @@ _SOLVER_KEYS = {
 def build_solver_config(cfg: configparser.ConfigParser,
                         seed: int) -> solvers.SolverConfig:
     s = cfg["solver"] if "solver" in cfg else {}
-    for key in s:
-        if key not in _SOLVER_KEYS:
-            raise ConfigError(f"unknown key in section solver: {key}")
+    _check_keys(s, "solver", _SOLVER_KEYS)
     values = {key: _get(s, key, cast) for key, cast in _SOLVER_KEYS.items()
               if key in s}
     try:

@@ -1,9 +1,11 @@
 """Parameterized classifiers producing label distributions, with losses.
 
-A predictor is a small feed-forward net `x -> softmax(logits)`.  The
-forward pass exists twice: a plain numpy path for evaluation and a
-graph-building path (`log_probs_graph`) for gradients through the
-training objectives and invariance constraints.
+A predictor is a small feed-forward net `x -> softmax(logits)`.  One
+numpy forward pass (`forward`) serves evaluation and training; training
+keeps its activations and runs the closed-form `backward` through them.
+The graph-building `log_probs_graph` and `cross_entropy_graph` give the
+same quantities through `autodiff` and serve as the tests' gradient
+oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DimensionError, ParameterLayout, ParameterVector
 
-_ACTIVATIONS = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0)}
+# applied in place to the fresh pre-activation array, so a wide batch
+# holds one array per layer
+_ACTIVATIONS = {"tanh": lambda z: np.tanh(z, out=z),
+                "relu": lambda z: np.maximum(z, 0.0, out=z)}
+# each activation's derivative, written in terms of its output
+_DERIVATIVES = {"tanh": lambda h: 1.0 - h ** 2, "relu": lambda h: h > 0.0}
 _GRAPH_ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
 
 
@@ -85,20 +92,44 @@ def with_params(p: Predictor, values: np.ndarray) -> Predictor:
 
 # -- forward passes ---------------------------------------------------------
 
+def forward(arch: Architecture, params: dict, X: np.ndarray) -> list:
+    """Every layer's output for the rows of X: [X, hidden..., logits]."""
+    act = _ACTIVATIONS[arch.activation]
+    acts = [X]
+    n_layers = len(arch.layer_sizes) - 1
+    for i in range(n_layers):
+        z = acts[-1] @ params[f"W{i}"]
+        z += params[f"b{i}"]
+        acts.append(act(z) if i < n_layers - 1 else z)
+    return acts
+
+
+def backward(arch: Architecture, params: dict, acts: list,
+             g: np.ndarray) -> dict:
+    """Gradient of sum(g * logits) per parameter, from `forward`'s acts."""
+    deriv = _DERIVATIVES[arch.activation]
+    grads = {}
+    for i in reversed(range(len(acts) - 1)):
+        grads[f"W{i}"] = acts[i].T @ g
+        grads[f"b{i}"] = g.sum(axis=0)
+        if i > 0:
+            g = (g @ params[f"W{i}"].T) * deriv(acts[i])
+    return grads
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Rows of log-softmax(z), shifted by each row's max."""
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def logits_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != p.arch.input_dim:
         raise DimensionError(
             f"input dim {X.shape[1]}, predictor expects {p.arch.input_dim}")
     params = p.params.layout.unflatten(p.params.values)
-    act = _ACTIVATIONS[p.arch.activation]
-    h = X
-    n_layers = len(p.arch.layer_sizes) - 1
-    for i in range(n_layers):
-        h = h @ params[f"W{i}"] + params[f"b{i}"]
-        if i < n_layers - 1:
-            h = act(h)
-    return h
+    return forward(p.arch, params, X)[-1]
 
 
 def predict_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
@@ -155,6 +186,22 @@ def empirical_risk(p: Predictor, data, spec: LossSpec) -> float:
 def accuracy(p: Predictor, data) -> float:
     q = predict_batch(p, data.X)
     return float(np.mean(q.argmax(axis=1) == data.y))
+
+
+def cross_entropy_vjp(logp: np.ndarray, y: np.ndarray,
+                      spec: LossSpec) -> tuple:
+    """Mean clamped cross-entropy of log-prob rows, and its gradient.
+
+    The gradient with respect to `logp` is -1/n on each row's label
+    entry, and zero on rows whose loss sits at the clamp.
+    """
+    rows = np.arange(y.size)
+    nll = -logp[rows, y]
+    live = nll <= spec.bound
+    value = float(np.minimum(nll, spec.bound).sum() * (1.0 / y.size))
+    grad = np.zeros_like(logp)
+    grad[rows, y] = np.where(live, -(1.0 / y.size), 0.0)
+    return value, grad
 
 
 def cross_entropy_graph(log_probs: ad.Node, y: np.ndarray,

@@ -2,12 +2,14 @@
 constrained method, and its data-augmentation / fixed-weight variants.
 
 Every algorithm is one step function (`primal_step`) read through a
-preset of three switches.  Per step the objective graph is
+preset of three switches.  Per step the objective is
 
     CE(x) + sum of augmented CE terms + <dual weights, distReg(theta)>
 
-where distReg compares the predictions on each constraint pair.  The
-presets (G(x) is a fresh draw from the transformation model):
+where distReg compares the predictions on each constraint pair.  Its
+gradient comes from one numpy forward pass over every row the step
+needs and closed-form vector-Jacobian products (`objective_gradient`).
+The presets (G(x) is a fresh draw from the transformation model):
 
     preset    constraint pairs   augmented CE batches       dual
     erm       none               none                       off (0)
@@ -24,6 +26,7 @@ batch and keeps one dual weight per environment.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +102,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in PRESETS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("eta_primal", "eta_dual", "gamma", "weight",
+                     "loss_bound"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.eta_primal <= 0.0:
             raise ValueError("primal step size eta_primal must be positive")
         if self.eta_dual < 0.0:
@@ -170,6 +177,39 @@ def dual_step(lam: np.ndarray, distreg_value, gamma: float,
     return np.maximum(lam + eta_dual * step, 0.0)
 
 
+def objective_gradient(p: pred.Predictor, X: np.ndarray, ce_terms, pairs,
+                       lam, loss_spec: pred.LossSpec,
+                       metric: cons.DistanceMetric):
+    """The step objective and its gradient from one forward pass over X.
+
+    The objective is the sum of the clamped CE over `ce_terms`, a list
+    of (row slice, labels), plus lam[k] / len(pairs) times the distReg
+    of pair k in `pairs`, a list of (row slice, row slice).  Returns
+    (CE sum, distReg per pair, flat gradient).
+    """
+    params = p.params.layout.unflatten(p.params.values)
+    acts = pred.forward(p.arch, params, X)
+    logp = pred.log_softmax(acts[-1])
+    g = np.zeros_like(logp)
+    loss = 0.0
+    for rows, y in ce_terms:
+        value, g_rows = pred.cross_entropy_vjp(logp[rows], y, loss_spec)
+        loss += value
+        g[rows] += g_rows
+    distreg = np.zeros(len(pairs))
+    for k, (a, b) in enumerate(pairs):
+        distreg[k], g_a, g_b = cons.dist_reg_vjp(metric, logp[a], logp[b])
+        # a zero weight adds nothing, so the gradient equals the bare loss's
+        if lam[k] != 0.0:
+            w = float(lam[k]) * (1.0 / len(pairs))
+            g[a] += w * g_a
+            g[b] += w * g_b
+    # through log-softmax: d/dz = d/dlogp - softmax * (row sum of d/dlogp)
+    g -= np.exp(logp) * g.sum(axis=1, keepdims=True)
+    grads = pred.backward(p.arch, params, acts, g)
+    return loss, distreg, p.params.layout.flatten(grads)
+
+
 def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
                 rng: np.random.Generator, metric: cons.DistanceMetric):
     """One SGD step of the config's preset on loss + <lam, distReg>.
@@ -183,54 +223,48 @@ def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
     when the preset has no constraint.
     """
     preset = PRESETS[config.algorithm]
-    loss_spec = pred.LossSpec(config.loss_bound)
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
 
-    def draw(X):
-        return transforms.generate_batch(G, X, rng)
+    # the step's rows: the clean stack, then each transformed block in
+    # draw order; pairs and augmented batches are slices of them
+    blocks = []
 
+    def add(Xb):
+        start = sum(len(b) for b in blocks)
+        blocks.append(Xb)
+        return slice(start, start + len(Xb))
+
+    def draw(X):
+        return add(transforms.generate_batch(G, X, rng))
+
+    clean = [add(bX) for bX, _ in batches]
     if preset.pairing == "g-g":
         pairs = [(draw(bX), draw(bX)) for bX, _ in batches]
     elif preset.pairing == "x-g":
-        pairs = [(bX, draw(bX)) for bX, _ in batches]
+        pairs = [(rows, draw(bX)) for rows, (bX, _) in zip(clean, batches)]
     else:
         pairs = []
-    augmented = []
+    ce_terms = [(slice(0, clean[-1].stop),
+                 np.concatenate([by for _, by in batches]))]
     for source in preset.augment:
         if source == "fresh":
-            augmented += [(draw(bX), by) for bX, by in batches]
+            ce_terms += [(draw(bX), by) for bX, by in batches]
         else:
-            augmented += [(Xt, by) for (_, Xt), (_, by) in zip(pairs, batches)]
+            ce_terms += [(b, by) for (_, b), (_, by) in zip(pairs, batches)]
 
-    params = {name: ad.Node(arr) for name, arr in
-              p.params.layout.unflatten(p.params.values).items()}
-    X = np.vstack([bX for bX, _ in batches])
-    y = np.concatenate([by for _, by in batches])
-    loss = pred.cross_entropy_graph(
-        pred.log_probs_graph(p.arch, params, X), y, loss_spec)
-    for Xa, ya in augmented:
-        loss = loss + pred.cross_entropy_graph(
-            pred.log_probs_graph(p.arch, params, Xa), ya, loss_spec)
-    dist_nodes = [cons.dist_reg_graph(p.arch, params, Xa, Xb, metric)
-                  for Xa, Xb in pairs]
-    total = loss
-    # a zero weight adds no node, so the gradient equals the bare loss's
-    for lam_e, node in zip(lam, dist_nodes):
-        if lam_e != 0.0:
-            total = total + (float(lam_e) * (1.0 / len(dist_nodes))) * node
-    grads = ad.backward(total)
-
-    arrays = {name: node.value - config.eta_primal
-              * grads.get(id(node), np.zeros(node.shape))
-              for name, node in params.items()}
-    flat = p.params.layout.flatten(arrays)
+    loss, distreg, grad = objective_gradient(
+        p, np.vstack(blocks), ce_terms, pairs, lam,
+        pred.LossSpec(config.loss_bound), metric)
+    if not np.isfinite(loss):
+        raise ad.NonFiniteError("non-finite loss")
+    if not np.all(np.isfinite(distreg)):
+        raise ad.NonFiniteError("non-finite distReg")
+    flat = p.params.values - config.eta_primal * grad
     if not np.all(np.isfinite(flat)):
         raise ad.NonFiniteError("non-finite parameter update")
-    if dist_nodes:
-        distreg = np.array([float(n.value) for n in dist_nodes])
-    else:
+    if not pairs:
         distreg = np.zeros(lam.size)
-    return pred.with_params(p, flat), float(loss.value), distreg
+    return pred.with_params(p, flat), loss, distreg
 
 
 def empirical_lagrangian(p: pred.Predictor, dual: DualState, datasets,

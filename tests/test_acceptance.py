@@ -215,17 +215,19 @@ def _random_composition_max_error(seed):
     lam = float(rng.uniform(0.0, 2.0))
     metric = cons.DistanceMetric()
     spec = pred.LossSpec()
+    data = datagen.EnvironmentDataset("r", X, y)
 
-    def build(params):
-        logp = pred.log_probs_graph(arch, params, X)
-        loss = pred.cross_entropy_graph(logp, y, spec)
-        return loss + lam * cons.dist_reg_graph(arch, params, X, Xt,
-                                                metric)
+    # the training step's gradient of CE(X) + lam * distReg(X, Xt)
+    _, _, exact = solvers.objective_gradient(
+        p, np.vstack([X, Xt]), [(slice(0, n), y)],
+        [(slice(0, n), slice(n, 2 * n))], [lam], spec, metric)
 
-    tape = ad.Tape(build, p.params.layout)
-    exact = ad.gradient(tape, p.params).values
-    approx = ad.finite_diff_gradient(
-        lambda t: ad.evaluate(tape, t), p.params).values
+    def objective(theta):
+        q = pred.Predictor(arch, theta)
+        return (pred.empirical_risk(q, data, spec)
+                + lam * cons.dist_reg(q, (X, Xt), metric))
+
+    approx = ad.finite_diff_gradient(objective, p.params).values
     denom = np.maximum(np.abs(exact), 1e-6)
     return float(np.max(np.abs(exact - approx) / denom))
 

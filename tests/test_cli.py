@@ -118,6 +118,29 @@ def test_duplicate_key_is_config_error(tmp_path, capsys):
     assert "config error" in err and "steps" in err
 
 
+@pytest.mark.parametrize("algorithm,section,line,key", [
+    ("mbdg", "solver", "gamma = nan", "gamma"),
+    ("mbdg-reg", "solver", "weight = nan", "weight"),
+    ("mbdg", "output", "holdout = e0.1%", "holdout"),
+    ("mbdg", "task", "bogus = 1", "bogus"),
+    ("mbdg", "output", "hldout = e0.1", "hldout"),
+    ("mbdg", "transform", "planee = 0 1", "planee"),
+])
+def test_config_fault_names_key(tmp_path, capsys, algorithm, section, line,
+                                key):
+    body = SMALL_TASK.format(algorithm=algorithm)
+    header = f"[{section}]\n"
+    if header in body:
+        body = body.replace(header, header + line + "\n")
+    else:
+        body += "\n" + header + line + "\n"
+    cfg = _write_config(tmp_path, body=body)
+    assert cli.main(["train", "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_missing_section_header_is_config_error(tmp_path, capsys):
     body = "steps = 5\n" + SMALL_TASK.format(algorithm="mbdg")
     cfg = _write_config(tmp_path, body=body)

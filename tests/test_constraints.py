@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from invariantlab import autodiff as ad
 from invariantlab import constraints as con
 from invariantlab import predictors as pred
+from invariantlab import solvers
 from invariantlab import transforms as tr
 
 KL = con.DistanceMetric("kl")
@@ -165,3 +166,24 @@ def test_graph_gradient_matches_finite_differences():
         lambda t: ad.evaluate(tape, t), p.params).values
     denom = np.maximum(np.abs(exact), 1e-6)
     assert np.max(np.abs(exact - approx) / denom) <= 1e-4
+
+
+@pytest.mark.parametrize("kind", ["kl", "total-variation"])
+def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
+    # the bound sits at the median per-row KL, so half the rows clamp
+    # and pass no gradient; the last two pairs are identical rows
+    p = pred.init_predictor(ARCH, 3)
+    X, Xt = _pairs(n=12, seed=4)
+    Xt[-2:] = X[-2:]
+    raw = con.per_example_dist(p, X, Xt, con.DistanceMetric(kind, bound=1e9))
+    metric = con.DistanceMetric(kind, bound=float(np.median(raw[:-2])))
+    n = len(X)
+    _, distreg, grad = solvers.objective_gradient(
+        p, np.vstack([X, Xt]), [], [(slice(0, n), slice(n, 2 * n))], [1.0],
+        pred.LossSpec(), metric)
+    tape = con.dist_reg_tape(p, X, Xt, metric)
+    exact = ad.gradient(tape, p.params).values
+    assert np.allclose(grad, exact, rtol=1e-10, atol=1e-14)
+    assert np.any(grad != 0.0)
+    assert distreg[0] == pytest.approx(con.dist_reg(p, (X, Xt), metric),
+                                       rel=1e-12)

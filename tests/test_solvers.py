@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invariantlab import autodiff as ad
 from invariantlab import constraints as cons
 from invariantlab import datagen
 from invariantlab import predictors as pred
@@ -201,18 +202,18 @@ def test_primal_step_with_tiny_rate_barely_moves():
 
 
 # Work per step at batch 32 on two environments: (transformed rows,
-# forward rows including distReg's, distReg calls, dual ascent calls).
+# forward calls, forward rows, constraint pairs, dual ascent calls).
 PRESET_WORK = {
-    ("erm", "single"): (0, 32, 0, 0),
-    ("mbda", "single"): (32, 64, 0, 0),
-    ("mbdg", "single"): (64, 96, 1, 1),
-    ("mbdg-da", "single"): (64, 160, 1, 1),
-    ("mbdg-reg", "single"): (32, 128, 1, 0),
-    ("erm", "per-env"): (0, 32, 0, 0),
-    ("mbda", "per-env"): (32, 64, 0, 0),
-    ("mbdg", "per-env"): (128, 192, 2, 1),
-    ("mbdg-da", "per-env"): (128, 320, 2, 1),
-    ("mbdg-reg", "per-env"): (64, 256, 2, 0),
+    ("erm", "single"): (0, 1, 32, 0, 0),
+    ("mbda", "single"): (32, 1, 64, 0, 0),
+    ("mbdg", "single"): (64, 1, 96, 1, 1),
+    ("mbdg-da", "single"): (64, 1, 96, 1, 1),
+    ("mbdg-reg", "single"): (32, 1, 64, 1, 0),
+    ("erm", "per-env"): (0, 1, 32, 0, 0),
+    ("mbda", "per-env"): (32, 1, 64, 0, 0),
+    ("mbdg", "per-env"): (128, 1, 192, 2, 1),
+    ("mbdg-da", "per-env"): (128, 1, 192, 2, 1),
+    ("mbdg-reg", "per-env"): (64, 1, 128, 2, 0),
 }
 
 
@@ -220,27 +221,119 @@ PRESET_WORK = {
 def test_preset_work_per_step(algorithm, dual_mode, monkeypatch):
     spec, data = _concept(n=200)
     G = datagen.concept_shift_transform(spec)
-    counts = [0, 0, 0, 0]
+    counts = [0, 0, 0, 0, 0]
 
-    def counting(fn, slot, rows):
+    def counting(fn, tally):
+        # tally(args, result) -> {slot: amount to add}
         def wrapper(*args, **kwargs):
-            counts[slot] += rows(args)
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            for slot, amount in tally(args, result).items():
+                counts[slot] += amount
+            return result
         return wrapper
 
     monkeypatch.setattr(tr, "generate_batch", counting(
-        tr.generate_batch, 0, lambda a: a[1].shape[0]))
-    monkeypatch.setattr(pred, "log_probs_graph", counting(
-        pred.log_probs_graph, 1, lambda a: a[2].shape[0]))
-    monkeypatch.setattr(cons, "dist_reg_graph", counting(
-        cons.dist_reg_graph, 2, lambda a: 1))
+        tr.generate_batch, lambda a, r: {0: a[1].shape[0]}))
+    monkeypatch.setattr(pred, "forward", counting(
+        pred.forward, lambda a, r: {1: 1, 2: a[2].shape[0]}))
+    # a preset with no constraint returns a zero distReg; pairs are > 0
+    monkeypatch.setattr(solvers, "primal_step", counting(
+        solvers.primal_step, lambda a, r: {3: np.count_nonzero(r[2])}))
     monkeypatch.setattr(solvers, "dual_step", counting(
-        solvers.dual_step, 3, lambda a: 1))
+        solvers.dual_step, lambda a, r: {4: 1}))
     steps = 3
     solvers.train(_small_config(algorithm=algorithm, dual_mode=dual_mode,
                                 steps=steps), data, G)
     assert tuple(c / steps for c in counts) == \
         PRESET_WORK[algorithm, dual_mode]
+
+
+def _graph_step(p, lam, batches, G, config, rng, metric):
+    """The step built as an autodiff graph, one forward per batch.
+
+    Draws like `primal_step`; returns (new parameters, loss, distReg).
+    """
+    preset = solvers.PRESETS[config.algorithm]
+    spec = pred.LossSpec(config.loss_bound)
+
+    def draw(X):
+        return tr.generate_batch(G, X, rng)
+
+    if preset.pairing == "g-g":
+        pairs = [(draw(bX), draw(bX)) for bX, _ in batches]
+    elif preset.pairing == "x-g":
+        pairs = [(bX, draw(bX)) for bX, _ in batches]
+    else:
+        pairs = []
+    augmented = []
+    for source in preset.augment:
+        if source == "fresh":
+            augmented += [(draw(bX), by) for bX, by in batches]
+        else:
+            augmented += [(Xt, by) for (_, Xt), (_, by) in zip(pairs, batches)]
+    params = {name: ad.Node(arr) for name, arr in
+              p.params.layout.unflatten(p.params.values).items()}
+    X = np.vstack([bX for bX, _ in batches])
+    y = np.concatenate([by for _, by in batches])
+    loss = pred.cross_entropy_graph(
+        pred.log_probs_graph(p.arch, params, X), y, spec)
+    for Xa, ya in augmented:
+        loss = loss + pred.cross_entropy_graph(
+            pred.log_probs_graph(p.arch, params, Xa), ya, spec)
+    nodes = [cons.dist_reg_graph(p.arch, params, Xa, Xb, metric)
+             for Xa, Xb in pairs]
+    total = loss
+    for lam_e, node in zip(lam, nodes):
+        total = total + (float(lam_e) * (1.0 / len(nodes))) * node
+    grads = ad.backward(total)
+    new = p.params.layout.flatten(
+        {name: node.value - config.eta_primal * grads[id(node)]
+         for name, node in params.items()})
+    return new, float(loss.value), np.array([float(n.value) for n in nodes])
+
+
+def _rel_err(a, b):
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b))
+                 / max(np.linalg.norm(np.asarray(b)), 1e-300))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("kind", ["kl", "total-variation"])
+@pytest.mark.parametrize("dual_mode", ["single", "per-env"])
+@pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
+def test_fused_step_matches_autodiff_graph(algorithm, dual_mode, kind,
+                                           activation):
+    # the same parameters, lambda > 0, batches and draws: the closed-form
+    # step and the graph step agree over a 50-step trajectory
+    spec, data = _concept(n=200)
+    G = datagen.concept_shift_transform(spec)
+    config = _small_config(algorithm=algorithm, dual_mode=dual_mode)
+    metric = cons.DistanceMetric(kind=kind)
+    p = pred.init_predictor(pred.Architecture((5, 6, 4, 2), activation), 0)
+    per_env = dual_mode == "per-env" and \
+        solvers.PRESETS[algorithm].pairing is not None
+    lam = np.array([0.7, 1.3]) if per_env else np.array([0.9])
+    batch_rng = np.random.default_rng(1)
+    for step in range(50):
+        envs = data if per_env else [datagen.EnvironmentDataset(
+            "all", np.vstack([d.X for d in data]),
+            np.concatenate([d.y for d in data]))]
+        batches = []
+        for d in envs:
+            idx = batch_rng.integers(0, len(d), size=config.batch_size)
+            batches.append((d.X[idx], d.y[idx]))
+        q, loss, distreg = solvers.primal_step(
+            p, lam, batches, G, config, np.random.default_rng([2, step]),
+            metric)
+        new, loss_g, distreg_g = _graph_step(
+            p, lam, batches, G, config, np.random.default_rng([2, step]),
+            metric)
+        old = p.params.values
+        assert _rel_err(q.params.values - old, new - old) <= 1e-10
+        assert _rel_err(loss, loss_g) <= 1e-10
+        if distreg_g.size:
+            assert _rel_err(distreg, distreg_g) <= 1e-10
+        p = q
 
 
 # -- training loop -----------------------------------------------------------------
