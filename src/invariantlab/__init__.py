@@ -2,8 +2,8 @@
 
 The package trains small classifiers under an invariance constraint
 enforced by primal-dual iteration, generates the synthetic covariate-
-and concept-shift tasks used to evaluate them, and brute-force verifies
-the underlying constrained-optimization theory on finite grids.
+and concept-shift tasks used to evaluate them, and verifies the
+underlying constrained-optimization theory exactly on finite grids.
 """
 
 from . import (autodiff, cli, constraints, datagen, predictors, solvers,

@@ -6,7 +6,7 @@ Subcommands:
 * ``train``              train one predictor, write summary/trace/predictor
 * ``compare``            hold-one-out comparison table across configs
 * ``measure-invariance`` per-example invariance values for a predictor
-* ``verify``             run a named brute-force theory-check suite
+* ``verify``             run a named theory-check suite
 
 Configs are INI files with ``[task]``, ``[solver]`` and optional
 ``[transform]`` / ``[output]`` sections.  Exit codes: 0 success, 1
@@ -392,8 +392,7 @@ def _suite_empirical_gap():
     pop = default_population(seed=1)
     try:
         means = verify_mod.empirical_gap_experiment(
-            pop, [100, 400, 1600, 6400], trials=20, seed=2,
-            lam_grid=verify_mod.default_lambda_grid(5.0, 0.05))
+            pop, [100, 400, 1600, 6400], trials=20, seed=2)
         return [("strictly-decreasing", True),
                 ("final-third-of-initial", means[-1] <= means[0] / 3)]
     except verify_mod.VerificationError:

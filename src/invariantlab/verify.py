@@ -1,15 +1,18 @@
-"""Brute-force checks of the constrained-learning duality claims.
+"""Exact checks of the constrained-learning duality claims.
 
 Everything here works on finite grids: a problem is a list of candidate
-parameter vectors with cached objective and constraint values, so
-primal optima, dual optima, perturbation curves, and saddle points can
-be computed by exhaustive enumeration and compared against the
-iterative machinery.
+parameter vectors with cached objective and constraint values.  Primal
+optima come from enumerating the grid, and dual optima from the dual's
+linear program, solved exactly by enumerating its bases; each dual
+solution carries a multiplier that certifies its value.  Perturbation
+curves, parameterization sandwiches, empirical-gap decay and saddle
+points are checked against these exact values.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,11 +91,6 @@ class GapReport:
         return "\n".join(lines) + "\n"
 
 
-def default_lambda_grid(lam_max: float = 10.0,
-                        step: float = 1e-2) -> np.ndarray:
-    return np.arange(0.0, lam_max + step / 2, step)
-
-
 # -- enumeration solvers ------------------------------------------------------
 
 def solve_primal_grid(spec: ConstrainedProblemSpec, gamma: float):
@@ -106,12 +104,130 @@ def solve_primal_grid(spec: ConstrainedProblemSpec, gamma: float):
     return float(spec.R[idx]), spec.thetas[idx]
 
 
+def solve_dual(spec: ConstrainedProblemSpec, gamma: float):
+    """Exact max over lambda >= 0 of min over theta of the Lagrangian.
+
+    The Lagrangian is R(theta) + sum_e lambda(e) * (L_e(theta) - gamma).
+    Its dual value equals the linear program min_{w in simplex}
+    sum_i w_i R_i subject to sum_i w_i (L_i - gamma) <= 0, whose optimum
+    mixes at most |A| + 1 grid points for its active constraints A.
+    Returns (D, lambda); D is +inf when no mixture is feasible.  Raises
+    VerificationError unless min_i R_i + lambda . (L_i - gamma) equals
+    D within 1e-12.
+    """
+    if spec.n_envs > 3:
+        raise ValueError("the exact dual handles at most 3 environments")
+    slack = spec.L - gamma
+    if spec.n_envs == 1:
+        D, lam = _dual_one_constraint(spec.R, slack[:, 0])
+    else:
+        D, lam = _dual_by_supports(spec.R, slack)
+    if np.isfinite(D):
+        certified = float(np.min(spec.R + slack @ lam))
+        if not abs(certified - D) <= 1e-12:
+            raise VerificationError(
+                f"dual witness {lam} gives {certified}, not {D}")
+    return D, lam
+
+
+def _dual_one_constraint(R, s):
+    """Closed-form dual for one constraint, s = L - gamma.
+
+    D is the best mixture of a point with s <= 0 and one with s > 0
+    that zeroes the constraint, or the best point with s <= 0.  lambda
+    is the midpoint of the interval of maximizers, ignoring rows whose
+    |s| is rounding noise, so ties do not pick an endpoint.
+    """
+    neg, pos = s <= 0.0, s > 0.0
+    if not np.any(neg):
+        return np.inf, np.array([np.inf])
+    D = float(np.min(R[neg]))
+    if np.any(pos):
+        si, Ri = s[neg][:, None], R[neg][:, None]
+        sk, Rk = s[pos][None, :], R[pos][None, :]
+        D = min(D, float(np.min((sk * Ri - si * Rk) / (sk - si))))
+    eps = 1e-12 * float(np.max(np.abs(s)))
+    up, down = s > eps, s < -eps
+    lo = max(0.0, float(np.max((D - R[up]) / s[up]))) if np.any(up) \
+        else 0.0
+    hi = float(np.min((R[down] - D) / -s[down])) if np.any(down) \
+        else np.inf
+    return D, np.array([lo if np.isinf(hi) else 0.5 * (lo + hi)])
+
+
+def _dual_by_supports(R, slack):
+    """The dual LP's optimum by enumerating its bases, for 2-3 constraints.
+
+    A basis is an active constraint set A and a support of |A| + 1 grid
+    points: the mixture sums to one and zeroes the constraints in A.
+    D is the least objective over the feasible mixtures.  Among the
+    optimal bases the witness is the multiplier of the one whose
+    Lagrangian minimum is highest: with ties in the primal some optimal
+    bases carry a multiplier that is not dual optimal.
+    """
+    m = slack.shape[1]
+    rows = np.column_stack([R, slack])
+    # a row another row beats on R and on every constraint never enters
+    # an optimal mixture, and its Lagrangian never attains the minimum
+    worse = np.all(rows[:, None, :] >= rows[None, :, :], axis=2) & \
+        np.any(rows[:, None, :] > rows[None, :, :], axis=2)
+    keep = np.flatnonzero(~np.any(worse, axis=1))
+    R, slack = R[keep], slack[keep]
+    scale = max(float(np.max(np.abs(slack))), 1e-300)
+    tol = 1e-12 * scale
+    D, bases = np.inf, []
+    for size in range(m + 1):
+        if size + 1 > keep.size:
+            break
+        support = _supports(keep.size, size + 1)
+        for active in itertools.combinations(range(m), size):
+            active = list(active)
+            M = np.ones((len(support), size + 1, size + 1))
+            M[:, 1:, :] = slack[support][:, :, active].transpose(0, 2, 1)
+            regular = np.abs(np.linalg.det(M)) > 1e-12 * scale ** size
+            M, supp = M[regular], support[regular]
+            rhs = np.zeros((size + 1, 1))
+            rhs[0] = 1.0
+            w = np.linalg.solve(M, rhs)[..., 0]
+            mixed = np.einsum("bk,bkj->bj", w, slack[supp])
+            ok = np.all(w >= -1e-12, axis=1) & np.all(mixed <= tol, axis=1)
+            if not np.any(ok):
+                continue
+            values = np.einsum("bk,bk->b", w[ok], R[supp[ok]])
+            D = min(D, float(np.min(values)))
+            bases.append((values, active, M[ok], supp[ok]))
+    if not np.isfinite(D):
+        return np.inf, np.full(m, np.inf)
+    best, lam = -np.inf, np.zeros(m)
+    for values, active, M, supp in bases:
+        near = values <= D + 1e-9 * (1.0 + abs(D))
+        if not np.any(near):
+            continue
+        # D - lambda_A . s_iA = R_i on the support: the transposed system
+        y = np.linalg.solve(np.swapaxes(M[near], 1, 2),
+                            R[supp[near]][..., None])[..., 0]
+        cand = np.zeros((len(y), m))
+        cand[:, active] = np.maximum(-y[:, 1:], 0.0)
+        d = np.min(R[None, :] + cand @ slack.T, axis=1)
+        k = int(np.argmax(d))
+        if d[k] > best:
+            best, lam = float(d[k]), cand[k]
+    return D, lam
+
+
+def _supports(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), one row each."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+
+
 def solve_dual_grid(spec: ConstrainedProblemSpec, gamma: float,
                     lam_grid: np.ndarray):
     """Grid max over lambda >= 0 of min over theta of the Lagrangian.
 
-    The Lagrangian is R(theta) + sum_e lambda(e) * (L_e(theta) - gamma);
-    the lambda grid is applied per environment (cartesian product).
+    The lambda grid is applied per environment (cartesian product).  It
+    is the tests' oracle for `solve_dual`: its value is a lower bound
+    that approaches the exact dual as the grid refines.
     """
     lam_grid = np.asarray(lam_grid, dtype=np.float64).reshape(-1)
     if lam_grid.size == 0 or np.any(lam_grid < 0.0):
@@ -141,29 +257,27 @@ def _cartesian_power(grid: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def gap_report(spec: ConstrainedProblemSpec, gamma: float,
-               lam_grid: np.ndarray | None = None) -> GapReport:
-    lam_grid = default_lambda_grid() if lam_grid is None else lam_grid
+def gap_report(spec: ConstrainedProblemSpec, gamma: float) -> GapReport:
     try:
         P, theta = solve_primal_grid(spec, gamma)
         feasible = True
     except InfeasibleError:
         P, theta, feasible = np.inf, spec.thetas[0], False
-    D, lam = solve_dual_grid(spec, gamma, lam_grid)
+    D, lam = solve_dual(spec, gamma)
     return GapReport(float(P), float(D), float(P - D), feasible,
                      np.atleast_1d(theta), np.atleast_1d(lam))
 
 
 # -- perturbation and sandwich ------------------------------------------------
 
-def perturbation_curve(spec: ConstrainedProblemSpec, gammas,
-                       lam_grid: np.ndarray | None = None) -> list:
+def perturbation_curve(spec: ConstrainedProblemSpec, gammas) -> list:
     """P_star per margin, with monotonicity and zero-margin checks.
 
     Verifies the curve is non-increasing in gamma, that the value at
     gamma = 0 (when present) equals the best exactly-invariant grid
-    point, and the sensitivity bound P(0) - P(gamma) <= gamma * |lam|_1
-    using the dual witness at gamma = 0.
+    point, and the sensitivity bound
+    P(0) - P(gamma) <= P(0) - D(0) + gamma * |lam|_1 using the dual
+    witness at gamma = 0: P(gamma) >= D(gamma) >= D(0) - gamma * |lam|_1.
     """
     gammas = list(gammas)
     if any(g < 0 for g in gammas) or gammas != sorted(gammas):
@@ -180,15 +294,14 @@ def perturbation_curve(spec: ConstrainedProblemSpec, gammas,
                 raise VerificationError(
                     "zero-margin optimum differs from the exactly-"
                     "invariant optimum")
-        lam_grid = default_lambda_grid() if lam_grid is None else lam_grid
-        _, lam0 = solve_dual_grid(spec, 0.0, lam_grid)
+        D0, lam0 = solve_dual(spec, 0.0)
         norm = float(np.abs(lam0).sum())
-        grid_slack = _grid_slack(spec)
+        gap0 = values[0] - D0 + 1e-12
         for g, v in zip(gammas, values):
-            if values[0] - v > g * norm + grid_slack:
+            if values[0] - v > g * norm + gap0:
                 raise VerificationError(
                     "sensitivity bound violated at margin "
-                    f"{g}: drop {values[0] - v}, bound {g * norm}")
+                    f"{g}: drop {values[0] - v}, bound {g * norm + gap0}")
     return values
 
 
@@ -197,14 +310,6 @@ def _grid_slack(spec: ConstrainedProblemSpec) -> float:
     if spec.R.size < 2:
         return 1e-9
     return float(np.max(np.abs(np.diff(spec.R)))) + 1e-9
-
-
-def curve_csv(gammas, values) -> str:
-    buf = io.StringIO()
-    buf.write("gamma,P_star\n")
-    for g, v in zip(gammas, values):
-        buf.write(f"{g:.17g},{v:.17g}\n")
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -217,9 +322,7 @@ class SandwichReport:
 
 def parameterization_sandwich(spec_fine: ConstrainedProblemSpec,
                               spec_coarse: ConstrainedProblemSpec,
-                              gamma: float,
-                              lam_grid: np.ndarray | None = None
-                              ) -> SandwichReport:
+                              gamma: float) -> SandwichReport:
     """Dual over a coarse subclass upper-bounds the fine primal optimum.
 
     The coarse grid must be a subset of the fine grid; the report
@@ -227,16 +330,11 @@ def parameterization_sandwich(spec_fine: ConstrainedProblemSpec,
     bound P_fine <= D_coarse.
     """
     _require_subgrid(spec_coarse, spec_fine)
-    lam_grid = default_lambda_grid() if lam_grid is None else lam_grid
     P, _ = solve_primal_grid(spec_fine, gamma)
-    D, _ = solve_dual_grid(spec_coarse, gamma, lam_grid)
-    # both enumerations are grid approximations; allow resolution slack
-    # from the objective grid and the lambda grid
-    lam_step = float(np.min(np.diff(np.unique(lam_grid)))) \
-        if lam_grid.size > 1 else 0.0
-    tol = _grid_slack(spec_fine) + lam_step * float(
-        np.max(np.abs(spec_fine.L - gamma))) + 1e-9
-    ok = D >= P - tol
+    D, _ = solve_dual(spec_coarse, gamma)
+    # a coarse mixture's parameters may fall between fine grid points;
+    # allow the objective's variation between neighbours
+    ok = D >= P - _grid_slack(spec_fine) - 1e-9
     if not ok:
         raise VerificationError(
             f"coarse dual {D} fell below the fine primal {P}")
@@ -285,8 +383,7 @@ class EmpiricalPopulation:
 
 
 def empirical_gap_experiment(pop: EmpiricalPopulation, n_list, trials: int,
-                             seed: int,
-                             lam_grid: np.ndarray | None = None) -> list:
+                             seed: int) -> list:
     """Mean |D_star - D_star_N| per sample size N, decreasing in N.
 
     Samples are drawn without replacement from the fixed population;
@@ -300,15 +397,14 @@ def empirical_gap_experiment(pop: EmpiricalPopulation, n_list, trials: int,
         raise ValueError("need at least 10 trials")
     if n_list[-1] > pop.n_pop:
         raise ValueError("sample size exceeds the population")
-    lam_grid = default_lambda_grid() if lam_grid is None else lam_grid
-    D_pop, _ = solve_dual_grid(pop.problem(), pop.gamma, lam_grid)
+    D_pop, _ = solve_dual(pop.problem(), pop.gamma)
     rng = np.random.default_rng(seed)
     means = []
     for n in n_list:
         devs = []
         for _ in range(trials):
             rows = rng.choice(pop.n_pop, size=n, replace=False)
-            D_n, _ = solve_dual_grid(pop.problem(rows), pop.gamma, lam_grid)
+            D_n, _ = solve_dual(pop.problem(rows), pop.gamma)
             devs.append(abs(D_pop - D_n))
         means.append(float(np.mean(devs)))
     for a, b in zip(means, means[1:]):
@@ -330,12 +426,10 @@ class SlacknessReport:
 
 def complementary_slackness_check(spec: ConstrainedProblemSpec,
                                   gamma: float,
-                                  lam_grid: np.ndarray | None = None,
                                   tol: float = 1e-3) -> SlacknessReport:
     """|sum_e lambda(e) * (L_e(theta) - gamma)| at the grid saddle point."""
-    lam_grid = default_lambda_grid() if lam_grid is None else lam_grid
     _, theta = solve_primal_grid(spec, gamma)
-    _, lam = solve_dual_grid(spec, gamma, lam_grid)
+    _, lam = solve_dual(spec, gamma)
     idx = int(np.argmin(np.abs(spec.thetas - theta).sum(axis=1)))
     residual = float(abs(np.dot(lam, spec.L[idx] - gamma)))
     return SlacknessReport(residual, lam, theta, residual <= tol)

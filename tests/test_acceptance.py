@@ -177,8 +177,7 @@ def test_criterion_6_empirical_gap_decay():
     pop = cli.default_population(seed=1)
     try:
         means = verify.empirical_gap_experiment(
-            pop, [100, 400, 1600, 6400], trials=20, seed=2,
-            lam_grid=verify.default_lambda_grid(5.0, 0.05))
+            pop, [100, 400, 1600, 6400], trials=20, seed=2)
         decreasing = True
     except verify.VerificationError:
         means, decreasing = [np.nan], False

@@ -12,6 +12,11 @@ def _square_instance():
     return verify.convex_1d_instance()
 
 
+def default_lambda_grid(lam_max: float = 10.0,
+                        step: float = 1e-2) -> np.ndarray:
+    return np.arange(0.0, lam_max + step / 2, step)
+
+
 # -- problem spec -----------------------------------------------------------------
 
 def test_spec_validation():
@@ -54,8 +59,7 @@ def test_dual_grid_at_zero_lambda_only_is_unconstrained_min():
 def test_dual_grid_square_instance_witness():
     # stationarity of theta^2 + lam*(0.4 - theta) gives lam = 0.8
     spec = _square_instance()
-    D, lam = verify.solve_dual_grid(spec, 0.1,
-                                    verify.default_lambda_grid())
+    D, lam = verify.solve_dual_grid(spec, 0.1, default_lambda_grid())
     assert D == pytest.approx(0.16, abs=1e-6)
     assert lam[0] == pytest.approx(0.8, abs=1e-9)
 
@@ -91,16 +95,97 @@ def test_weak_duality_holds_on_random_problems():
 
 
 def test_convex_instances_have_small_gap():
-    lam_grid = verify.default_lambda_grid()
     for seed in range(30):
         rng = np.random.default_rng(seed)
         spec = verify.random_convex_spec(rng)
-        rep = verify.gap_report(spec, spec.gamma, lam_grid)
+        rep = verify.gap_report(spec, spec.gamma)
         if rep.feasible:
-            # grid resolution limits how tight the sandwich can close
-            slack = verify._grid_slack(spec) + 1e-2 * float(
-                np.max(np.abs(spec.L - spec.gamma)))
-            assert rep.gap <= slack + 1e-9
+            # the theta grid's resolution limits how tight the gap closes
+            assert rep.gap <= verify._grid_slack(spec) + 1e-9
+
+
+# -- exact dual --------------------------------------------------------------------
+
+# the oracle's lambda grid per environment count, as fine as its
+# cartesian product allows
+ORACLE_GRIDS = {1: (10.0, 1e-3), 2: (10.0, 5e-2), 3: (5.0, 0.25)}
+
+
+def _check_against_oracle(spec):
+    D, lam = verify.solve_dual(spec, spec.gamma)
+    slack = spec.L - spec.gamma
+    assert np.all(lam >= 0.0)
+    assert abs(float(np.min(spec.R + slack @ lam)) - D) <= 1e-12
+    lam_max, step = ORACLE_GRIDS[spec.n_envs]
+    D_grid, _ = verify.solve_dual_grid(spec, spec.gamma,
+                                       default_lambda_grid(lam_max, step))
+    assert D >= D_grid - 1e-12
+    if np.all(lam <= lam_max):
+        # d is Lipschitz in lambda with constant max_i |L_i - gamma|_1
+        bound = step * float(np.max(np.abs(slack).sum(axis=1)))
+        assert D - D_grid <= bound + 1e-12
+    return D, lam
+
+
+def test_exact_dual_matches_grid_oracle_on_random_specs():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n_envs = int(rng.integers(1, 4))
+        n_grid = int(rng.integers(5, 61))
+        spec = verify.random_spec(rng, n_grid, n_envs,
+                                  gamma=float(rng.uniform(0.2, 1.2)))
+        D, _ = _check_against_oracle(spec)
+        assert D <= verify.solve_primal_grid(spec, spec.gamma)[0] + 1e-12
+
+
+@pytest.mark.parametrize("n_envs", [1, 2, 3])
+@pytest.mark.parametrize("case", ["duplicated-rows", "tied-objective",
+                                  "zero-slack", "tiny-negative-slack"])
+def test_exact_dual_degenerate_specs(n_envs, case):
+    rng = np.random.default_rng(n_envs)
+    gamma = 0.5
+    R = rng.uniform(0.0, 5.0, 16)
+    L = rng.uniform(0.0, 2.0, (16, n_envs))
+    L[0] = 0.0
+    if case == "duplicated-rows":
+        R[1::2], L[1::2] = R[::2], L[::2]
+    elif case == "tied-objective":
+        R = np.floor(R)
+    else:
+        # the cheapest row sits on the margin in every environment
+        R[0] = R.min() - 0.5
+        L[0] = gamma if case == "zero-slack" else gamma - 1e-15
+    spec = verify.ConstrainedProblemSpec(
+        rng.uniform(-1, 1, (16, 1)), R, L, gamma)
+    D, _ = _check_against_oracle(spec)
+    P, _ = verify.solve_primal_grid(spec, gamma)
+    assert D <= P + 1e-12
+    if case in ("zero-slack", "tiny-negative-slack"):
+        assert D == pytest.approx(R[0], abs=1e-12)
+
+
+def test_exact_dual_rejects_four_environments():
+    spec = verify.random_spec(np.random.default_rng(0), 10, 4)
+    with pytest.raises(ValueError):
+        verify.solve_dual(spec, spec.gamma)
+
+
+def test_exact_dual_of_infeasible_mixtures_is_infinite():
+    # every row breaks the second constraint, so no mixture meets it
+    spec = verify.ConstrainedProblemSpec(
+        np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]),
+        np.array([[0.0, 1.0], [2.0, 1.5], [0.0, 0.8]]), 0.5)
+    D, _ = verify.solve_dual(spec, spec.gamma)
+    assert D == np.inf
+    rep = verify.gap_report(spec, spec.gamma)
+    assert not rep.feasible
+    assert rep.D_star == np.inf
+
+
+def test_exact_dual_square_instance_witness():
+    D, lam = verify.solve_dual(_square_instance(), 0.1)
+    assert D == pytest.approx(0.16, abs=1e-12)
+    assert lam[0] == pytest.approx(0.8, abs=1e-9)
 
 
 # -- perturbation curve -------------------------------------------------------------
@@ -131,13 +216,6 @@ def test_perturbation_curve_flags_increase():
     # spec where the feasible set at the larger margin is worse
     values = verify.perturbation_curve(spec, [0.5, 2.0])
     assert values == [0.0, 0.0]
-
-
-def test_curve_csv_format():
-    text = verify.curve_csv([0.0, 0.1], [0.25, 0.16])
-    lines = text.strip().splitlines()
-    assert lines[0] == "gamma,P_star"
-    assert lines[1].split(",") == ["0", "0.25"]
 
 
 # -- sandwich ------------------------------------------------------------------------
