@@ -276,9 +276,6 @@ class ParameterVector:
                 f"values size {self.values.shape} does not cover layout "
                 f"size {self.layout.size}")
 
-    def view(self, name: str) -> np.ndarray:
-        return self.layout.unflatten(self.values)[name]
-
 
 @dataclass(frozen=True)
 class Tape:

@@ -10,7 +10,8 @@ Subcommands:
 
 Configs are INI files with ``[task]``, ``[solver]`` and optional
 ``[transform]`` / ``[output]`` sections.  Exit codes: 0 success, 1
-configuration error, 2 runtime failure (partial trace still written).
+configuration or usage error, 2 runtime failure (``train`` still writes
+the partial trace).
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ def run_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for cfg in configs:
+    for path, cfg in zip(args.config, configs):
         scfg = build_solver_config(cfg, seed)
         # the [task] sections match, so every config yields the same envs
         data, G, _ = build_task(cfg, seed)
@@ -307,7 +308,12 @@ def run_compare(args) -> int:
         accs = []
         for holdout in envs:
             train_data = [d for d in data if d.env != holdout]
-            p, _ = solvers.train(scfg, train_data, G)
+            try:
+                p, _ = solvers.train(scfg, train_data, G)
+            except solvers.TrainingFailure as e:
+                print(f"runtime failure: {path}, holdout {holdout}: {e}",
+                      file=sys.stderr)
+                return 2
             held = next(d for d in data if d.env == holdout)
             accs.append(pred.accuracy(p, held))
         rows.append((scfg.algorithm, accs))
@@ -336,7 +342,9 @@ def run_measure_invariance(args) -> int:
         raise ConfigError(f"missing predictor file: {predictor_path}")
     p = pred.load_text(predictor_path.read_text())
     held = next(d for d in data if d.env == holdout)
-    metric = cons.DistanceMetric()
+    # the distance train uses, clamped at the config's loss bound
+    metric = cons.DistanceMetric(
+        bound=build_solver_config(cfg, seed).loss_bound)
     summary = verify_mod.measure_g_invariance(
         p, held, G, metric, samples_per_point=4, seed=seed)
     (out / "invariance.csv").write_text(summary.to_csv())
@@ -456,32 +464,34 @@ def run_verify(args) -> int:
 
 # -- entry point --------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the configuration-error code, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invariantlab",
         description="constrained invariant-learning experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True)
+    def common(name, config_action="store"):
+        p = sub.add_parser(name)
+        p.add_argument("--config", action=config_action, required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--holdout", default=None)
+        return p
 
-    common(sub.add_parser("datagen"))
-    common(sub.add_parser("train"))
-    cp = sub.add_parser("compare")
-    cp.add_argument("--config", action="append", required=True)
-    cp.add_argument("--seed", type=int, default=None)
-    cp.add_argument("--out", default=None)
-    cp.add_argument("--holdout", default=None)
-    mi = sub.add_parser("measure-invariance")
-    common(mi)
+    common("datagen")
+    common("train").add_argument("--holdout", default=None)
+    common("compare", config_action="append")
+    mi = common("measure-invariance")
+    mi.add_argument("--holdout", default=None)
     mi.add_argument("--predictor", default=None)
-    vp = sub.add_parser("verify")
-    vp.add_argument("suite")
-    vp.add_argument("--out", default=None)
+    sub.add_parser("verify").add_argument("suite")
     return parser
 
 

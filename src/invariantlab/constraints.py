@@ -3,7 +3,11 @@
 The constraint functional is the mean distance between the predictor's
 outputs on paired inputs (an instance and its transformed counterpart).
 KL with a small smoothing constant is the operative choice; total
-variation is available as an alternative.
+variation is available as an alternative.  `distance` compares two
+stacks of distributions row by row; every numpy form of the constraint
+is built on it.  Training takes distReg and its gradient from
+`dist_reg_vjp`; the graph form `dist_reg_graph` is the tests' oracle
+for that gradient.
 """
 
 from __future__ import annotations
@@ -28,22 +32,14 @@ class DistanceMetric:
             raise ValueError(f"unknown distance kind {self.kind!r}")
 
 
-def distance(m: DistanceMetric, p: np.ndarray, q: np.ndarray) -> float:
-    """d(p, q) for two simplex vectors; non-negative, zero iff p == q."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise DimensionError(f"distribution shapes differ: {p.shape} vs "
-                             f"{q.shape}")
-    if m.kind == "kl":
-        eps = m.smoothing
-        val = float(np.sum(p * np.log((p + eps) / (q + eps))))
-        return min(max(val, 0.0), m.bound)
-    return 0.5 * float(np.abs(p - q).sum())
+def distance(m: DistanceMetric, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """d(p, q) for each pair of rows of P and Q, rows on the simplex.
 
-
-def _pairwise_batch(m: DistanceMetric, P: np.ndarray,
-                    Q: np.ndarray) -> np.ndarray:
+    Non-negative, and zero where the two rows are equal.
+    """
+    if P.shape != Q.shape:
+        raise DimensionError(f"distribution shapes differ: {P.shape} vs "
+                             f"{Q.shape}")
     if m.kind == "kl":
         eps = m.smoothing
         vals = np.sum(P * np.log((P + eps) / (Q + eps)), axis=1)
@@ -52,18 +48,19 @@ def _pairwise_batch(m: DistanceMetric, P: np.ndarray,
 
 
 def dist_reg(p: pred.Predictor, batch, m: DistanceMetric) -> float:
-    """Mean pairwise distance over a batch of (x, x_transformed) pairs."""
-    X, Xt = _split_pairs(batch)
-    P = pred.predict_batch(p, X)
-    Q = pred.predict_batch(p, Xt)
-    return float(np.mean(_pairwise_batch(m, P, Q)))
+    """Mean pairwise distance over a batch given as the tuple (X, Xt)."""
+    X, Xt = (np.atleast_2d(np.asarray(A, dtype=np.float64)) for A in batch)
+    if X.shape != Xt.shape:
+        raise DimensionError("paired inputs must share dimensions")
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
+    return float(np.mean(per_example_dist(p, X, Xt, m)))
 
 
 def per_example_dist(p: pred.Predictor, X: np.ndarray, Xt: np.ndarray,
                      m: DistanceMetric) -> np.ndarray:
     """Distance per paired row, without averaging."""
-    return _pairwise_batch(m, pred.predict_batch(p, X),
-                           pred.predict_batch(p, Xt))
+    return distance(m, pred.predict_batch(p, X), pred.predict_batch(p, Xt))
 
 
 def constraint_value(p: pred.Predictor, X: np.ndarray, G,
@@ -75,24 +72,6 @@ def constraint_value(p: pred.Predictor, X: np.ndarray, G,
     codes = np.broadcast_to(e.code, (X.shape[0], e.code.shape[0]))
     Xt = G.apply_batch(X, codes)
     return float(np.mean(per_example_dist(p, X, Xt, m)))
-
-
-def _split_pairs(batch):
-    if isinstance(batch, tuple) and len(batch) == 2:
-        X, Xt = batch
-    else:
-        pairs = list(batch)
-        if not pairs:
-            raise ValueError("empty batch")
-        X = np.array([a for a, _ in pairs], dtype=np.float64)
-        Xt = np.array([b for _, b in pairs], dtype=np.float64)
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Xt = np.atleast_2d(np.asarray(Xt, dtype=np.float64))
-    if X.shape != Xt.shape:
-        raise DimensionError("paired inputs must share dimensions")
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    return X, Xt
 
 
 def dist_reg_vjp(m: DistanceMetric, logp: np.ndarray,

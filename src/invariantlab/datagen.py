@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transforms
-from .transforms import EnvironmentCode
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,6 @@ class ConceptShiftSpec:
         probs = [self.rho_shape, *self.env_agreements.values()]
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError("probabilities must lie in [0, 1]")
-
-    @property
-    def dim(self) -> int:
-        return 5  # 2 shape + 1 noise + 2 color
 
     @property
     def color_indices(self) -> tuple:
@@ -133,7 +128,7 @@ def gen_concept_shift(spec: ConceptShiftSpec, seed: int) -> list:
 def concept_shift_transform(spec: ConceptShiftSpec):
     """The color-resampling transformation matching the concept task."""
     return transforms.ColorResampleModel(
-        indices=spec.color_indices, scale=spec.color_scale, onehot=True)
+        indices=spec.color_indices, scale=spec.color_scale)
 
 
 def bayes_oracle(spec, policy: str, env: str) -> float:

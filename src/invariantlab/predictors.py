@@ -40,10 +40,6 @@ class Architecture:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
-    def n_classes(self) -> int:
-        return self.layer_sizes[-1]
-
-    @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
@@ -140,10 +136,6 @@ def predict_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
-def predict(p: Predictor, x: np.ndarray) -> np.ndarray:
-    return predict_batch(p, np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
 def log_probs_graph(arch: Architecture, params: dict,
                     X: np.ndarray) -> ad.Node:
     """Graph-building forward pass: rows of log-softmax(logits)."""
@@ -160,19 +152,6 @@ def log_probs_graph(arch: Architecture, params: dict,
 
 
 # -- losses -----------------------------------------------------------------
-
-def cross_entropy(q: np.ndarray, y: int, spec: LossSpec) -> float:
-    """min(-log q[y], B); exact zero for a correct one-hot prediction."""
-    q = np.asarray(q, dtype=np.float64)
-    if not 0 <= y < q.shape[0]:
-        raise ValueError(f"label {y} out of range for {q.shape[0]} classes")
-    qy = q[y]
-    if qy >= 1.0:
-        return 0.0
-    if qy <= 0.0:
-        return float(spec.bound)
-    return float(min(-np.log(qy), spec.bound))
-
 
 def empirical_risk(p: Predictor, data, spec: LossSpec) -> float:
     """Mean clamped cross-entropy over an environment dataset."""

@@ -67,25 +67,6 @@ class TrainingFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DualState:
-    """Non-negative dual weight(s) with the margin and ascent step size."""
-
-    lam: np.ndarray  # shape (1,) in single mode, (n_envs,) per-env
-    gamma: float
-    eta_dual: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.lam, dtype=np.float64).reshape(-1)
-        if np.any(arr < 0.0):
-            raise ValueError("dual variables must be non-negative")
-        if self.gamma <= 0.0:
-            raise ValueError("margin gamma must be positive")
-        if self.eta_dual < 0.0:
-            raise ValueError("dual step size must be non-negative")
-        object.__setattr__(self, "lam", arr)
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     algorithm: str = "mbdg"
     eta_primal: float = 0.1
@@ -267,11 +248,15 @@ def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
     return pred.with_params(p, flat), loss, distreg
 
 
-def empirical_lagrangian(p: pred.Predictor, dual: DualState, datasets,
+def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
                          G, env_codes, metric: cons.DistanceMetric,
                          loss_spec: pred.LossSpec) -> float:
-    """R_hat + (1/|E|) sum_e [L_hat^e - gamma] * lambda(e)."""
-    lam = dual.lam
+    """R_hat + (1/|E|) sum_e [L_hat^e - gamma] * lambda(e).
+
+    `lam` holds one dual weight shared by every environment, or one per
+    environment.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     if lam.size not in (1, len(datasets)):
         raise ValueError("dual variable count does not match environments")
     if lam.size == 1:
@@ -282,7 +267,7 @@ def empirical_lagrangian(p: pred.Predictor, dual: DualState, datasets,
     penalty = 0.0
     for lam_e, d in zip(lam, datasets):
         L_e = cons.constraint_value(p, d.X, G, env_codes[d.env], metric)
-        penalty += (L_e - dual.gamma) * lam_e
+        penalty += (L_e - gamma) * lam_e
     return float(risk + penalty / len(datasets))
 
 

@@ -1,9 +1,11 @@
-"""Analytic domain transformation models and environment-code sampling.
+"""Analytic domain transformation models G(x, e).
 
-Each model maps an instance and an environment code to a transformed
-instance of the same dimension, and declares a distribution its codes
-are sampled from.  Learned (GAN-based) transforms are out of scope; the
-analytic kinds here expose the same inter-domain variation interface.
+A model is two methods: `sample_codes(n, rng)` draws n environment codes
+from the model's code distribution, and `apply_batch(X, codes)`
+transforms row i of X under code i into an instance of the same
+dimension.  `generate_batch` pairs each row with a freshly sampled code,
+the one way MBDG's training uses G.  Learned (GAN-based) transforms are
+out of scope; they would expose the same two methods.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ class RotationModel:
         if i == j:
             raise ValueError("plane indices must be distinct")
 
-    code_dim = 1
-
-    def identity_code(self) -> EnvironmentCode:
-        return EnvironmentCode(np.zeros(1))
-
     def sample_codes(self, n: int, rng: np.random.Generator) -> np.ndarray:
         lo, hi = self.angle_range
         return rng.uniform(lo, hi, size=(n, 1))
@@ -61,122 +58,33 @@ class RotationModel:
 
 @dataclass(frozen=True)
 class ColorResampleModel:
-    """Overwrite the color coordinates with freshly sampled bit values.
+    """Overwrite the color coordinates with a freshly sampled one-hot code.
 
-    Codes hold one bit per color coordinate (fair Bernoulli); a
-    sentinel value of -1 marks the identity code, which leaves the
-    coordinate untouched.
+    A code holds one entry per color coordinate, exactly one of them 1;
+    the coordinate is set to `scale` times its entry.
     """
 
     indices: tuple
     scale: float = 1.0
-    onehot: bool = False  # if set, exactly one index of the group is hot
-
-    @property
-    def code_dim(self) -> int:
-        return len(self.indices)
-
-    def identity_code(self) -> EnvironmentCode:
-        return EnvironmentCode(-np.ones(self.code_dim))
 
     def sample_codes(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.onehot:
-            hot = rng.integers(0, self.code_dim, size=n)
-            codes = np.zeros((n, self.code_dim))
-            codes[np.arange(n), hot] = 1.0
-            return codes
-        return rng.integers(0, 2, size=(n, self.code_dim)).astype(np.float64)
+        k = len(self.indices)
+        hot = rng.integers(0, k, size=n)
+        codes = np.zeros((n, k))
+        codes[np.arange(n), hot] = 1.0
+        return codes
 
     def apply_batch(self, X: np.ndarray, codes: np.ndarray) -> np.ndarray:
         if max(self.indices) >= X.shape[1]:
             raise DimensionError("color index outside feature dimension")
         out = X.copy()
         for k, idx in enumerate(self.indices):
-            bits = codes[:, k]
-            keep = bits < 0.0
-            out[:, idx] = np.where(keep, X[:, idx], self.scale * bits)
+            out[:, idx] = self.scale * codes[:, k]
         return out
-
-
-@dataclass(frozen=True)
-class BrightnessContrastModel:
-    """Elementwise c*x + b on the configured coordinates."""
-
-    indices: tuple
-    contrast_range: tuple = (0.5, 1.5)
-    brightness_range: tuple = (-0.5, 0.5)
-
-    code_dim = 2
-
-    def identity_code(self) -> EnvironmentCode:
-        return EnvironmentCode(np.array([1.0, 0.0]))
-
-    def sample_codes(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        c = rng.uniform(*self.contrast_range, size=n)
-        b = rng.uniform(*self.brightness_range, size=n)
-        return np.column_stack([c, b])
-
-    def apply_batch(self, X: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        if max(self.indices) >= X.shape[1]:
-            raise DimensionError("coordinate index outside dimension")
-        out = X.copy()
-        idx = list(self.indices)
-        out[:, idx] = codes[:, 0:1] * X[:, idx] + codes[:, 1:2]
-        return out
-
-
-@dataclass(frozen=True)
-class CompositeModel:
-    """Apply component models in order; codes are concatenated."""
-
-    parts: tuple
-
-    @property
-    def code_dim(self) -> int:
-        return sum(p.code_dim for p in self.parts)
-
-    def identity_code(self) -> EnvironmentCode:
-        return EnvironmentCode(
-            np.concatenate([p.identity_code().code for p in self.parts]))
-
-    def sample_codes(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.hstack([p.sample_codes(n, rng) for p in self.parts])
-
-    def apply_batch(self, X: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        out = X
-        offset = 0
-        for p in self.parts:
-            out = p.apply_batch(out, codes[:, offset:offset + p.code_dim])
-            offset += p.code_dim
-        return out
-
-
-def rotation_model(plane, angle_range) -> RotationModel:
-    return RotationModel(tuple(plane), tuple(angle_range))
-
-
-def apply(model, x: np.ndarray, e: EnvironmentCode) -> np.ndarray:
-    """Transform a single instance under a fixed environment code."""
-    x = np.asarray(x, dtype=np.float64)
-    code = e.code
-    if code.shape[0] != model.code_dim:
-        raise DimensionError(
-            f"code dim {code.shape[0]}, model expects {model.code_dim}")
-    return model.apply_batch(x[None, :], code[None, :])[0]
-
-
-def sample_environment(model, rng: np.random.Generator) -> EnvironmentCode:
-    return EnvironmentCode(model.sample_codes(1, rng)[0])
-
-
-def generate_image(model, x: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Resample the environment and transform: apply(G, x, e')."""
-    return apply(model, x, sample_environment(model, rng))
 
 
 def generate_batch(model, X: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    """Vectorized generate_image with a fresh code per row."""
+    """G(x, e) for each row x of X, with a fresh code e per row."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     return model.apply_batch(X, model.sample_codes(X.shape[0], rng))

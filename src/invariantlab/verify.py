@@ -6,14 +6,16 @@ optima come from enumerating the grid, and dual optima from the dual's
 linear program, solved exactly by enumerating its bases; each dual
 solution carries a multiplier that certifies its value.  Perturbation
 curves, parameterization sandwiches, empirical-gap decay and saddle
-points are checked against these exact values.
+points are checked against these exact values.  `measure_g_invariance`
+measures a trained predictor instead: each example's distance to its
+freshly transformed counterparts.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,19 +78,6 @@ class GapReport:
         if self.feasible and self.gap < -1e-9:
             raise VerificationError(
                 f"weak duality violated: gap {self.gap}")
-
-    def to_text(self) -> str:
-        lines = [
-            f"P_star={self.P_star!r}",
-            f"D_star={self.D_star!r}",
-            f"gap={self.gap!r}",
-            f"feasible={str(self.feasible).lower()}",
-            "theta_witness=" + " ".join(
-                repr(float(v)) for v in np.atleast_1d(self.theta_witness)),
-            "lam_witness=" + " ".join(
-                repr(float(v)) for v in np.atleast_1d(self.lam_witness)),
-        ]
-        return "\n".join(lines) + "\n"
 
 
 # -- enumeration solvers ------------------------------------------------------
@@ -316,7 +305,6 @@ def _grid_slack(spec: ConstrainedProblemSpec) -> float:
 class SandwichReport:
     P_fine: float
     D_coarse: float
-    lower_bound_ok: bool
     upper_gap: float
 
 
@@ -325,20 +313,19 @@ def parameterization_sandwich(spec_fine: ConstrainedProblemSpec,
                               gamma: float) -> SandwichReport:
     """Dual over a coarse subclass upper-bounds the fine primal optimum.
 
-    The coarse grid must be a subset of the fine grid; the report
-    carries the (unasserted) upper gap alongside the verified lower
-    bound P_fine <= D_coarse.
+    The coarse grid must be a subset of the fine grid.  Raises
+    VerificationError unless P_fine <= D_coarse; the report carries the
+    (unasserted) upper gap D_coarse - P_fine.
     """
     _require_subgrid(spec_coarse, spec_fine)
     P, _ = solve_primal_grid(spec_fine, gamma)
     D, _ = solve_dual(spec_coarse, gamma)
     # a coarse mixture's parameters may fall between fine grid points;
     # allow the objective's variation between neighbours
-    ok = D >= P - _grid_slack(spec_fine) - 1e-9
-    if not ok:
+    if D < P - _grid_slack(spec_fine) - 1e-9:
         raise VerificationError(
             f"coarse dual {D} fell below the fine primal {P}")
-    return SandwichReport(float(P), float(D), ok, float(D - P))
+    return SandwichReport(float(P), float(D), float(D - P))
 
 
 def _require_subgrid(coarse, fine):
@@ -441,7 +428,6 @@ class ScheduleReport:
     T: int
     P_star: float
     lam_final: np.ndarray
-    lagrangian_final: float
 
 
 def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
@@ -471,8 +457,7 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
         idx = int(np.argmin(spec.R + slack @ lam))
         lam = np.maximum(lam + eta * slack[idx], 0.0)
     lagrangian = float(spec.R[idx] + np.dot(lam, slack[idx]))
-    return ScheduleReport(abs(P_star - lagrangian), T, float(P_star),
-                          lam, lagrangian)
+    return ScheduleReport(abs(P_star - lagrangian), T, float(P_star), lam)
 
 
 # -- invariance measurement ---------------------------------------------------
@@ -481,8 +466,6 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
 class InvarianceSummary:
     values: np.ndarray
     median: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -493,8 +476,8 @@ class InvarianceSummary:
 
 
 def measure_g_invariance(p, data, G, m: cons.DistanceMetric,
-                         samples_per_point: int, seed: int = 0,
-                         bins: int = 20) -> InvarianceSummary:
+                         samples_per_point: int,
+                         seed: int = 0) -> InvarianceSummary:
     """Per-example distance to fresh transformed counterparts.
 
     Each example is paired with `samples_per_point` freshly sampled
@@ -510,9 +493,7 @@ def measure_g_invariance(p, data, G, m: cons.DistanceMetric,
         Xt = transforms.generate_batch(G, data.X, rng)
         totals += cons.per_example_dist(p, data.X, Xt, m)
     values = totals / samples_per_point
-    counts, edges = np.histogram(values, bins=bins)
-    return InvarianceSummary(values, float(np.median(values)),
-                             counts, edges)
+    return InvarianceSummary(values, float(np.median(values)))
 
 
 # -- instance builders --------------------------------------------------------

@@ -244,6 +244,20 @@ def test_compare_rejects_mismatched_tasks(tmp_path):
     assert cli.main(["compare", "--config", a, "--config", b]) == 1
 
 
+def test_compare_reports_a_diverging_run(tmp_path, capsys):
+    ok = _write_config(tmp_path, name="ok.ini", algorithm="erm")
+    # this step size drives the loss to overflow within the 40 steps
+    body = SMALL_TASK.format(algorithm="mbdg").replace(
+        "hidden = 4", "hidden = 16")
+    bad = _write_config(tmp_path, name="bad.ini",
+                        body=body + "eta_primal = 1.7e308\n")
+    assert cli.main(["compare", "--config", ok, "--config", bad,
+                     "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {bad}, holdout e0.1: ")
+    assert "non-finite" in err
+
+
 # -- measure-invariance ------------------------------------------------------------
 
 def test_measure_invariance_roundtrip(tmp_path, capsys):
@@ -263,10 +277,52 @@ def test_measure_invariance_roundtrip(tmp_path, capsys):
         float(np.median(values)))
 
 
+def test_measure_invariance_clamps_at_the_configs_loss_bound(tmp_path):
+    body = SMALL_TASK.format(algorithm="mbdg") + "loss_bound = 1e-3\n"
+    cfg = _write_config(tmp_path, body=body)
+    out = tmp_path / "run"
+    out.mkdir()
+    p = pred.init_predictor(pred.Architecture((5, 8, 2)), 0)
+    # large weights make the prediction swing with the color coordinates
+    p = pred.with_params(p, 10.0 * p.params.values)
+    (out / "predictor.txt").write_text(pred.save_text(p))
+    assert cli.main(["measure-invariance", "--config", cfg, "--out",
+                     str(out), "--seed", "0"]) == 0
+    lines = (out / "invariance.csv").read_text().strip().splitlines()
+    values = [float(l.split(",")[1]) for l in lines[1:]]
+    assert len(values) == 500
+    assert max(values) <= 1e-3
+
+
 def test_measure_invariance_missing_predictor(tmp_path):
     cfg = _write_config(tmp_path)
     assert cli.main(["measure-invariance", "--config", cfg, "--out",
                      str(tmp_path / "nothing")]) == 1
+
+
+# -- usage errors ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--confg", "x.ini"],
+    ["train"],
+    ["datagen", "--config", "x.ini", "--holdout", "e0.1"],
+    ["compare", "--config", "a.ini", "--config", "b.ini",
+     "--holdout", "e0.1"],
+    ["verify", "duality", "--out", "zz"],
+])
+def test_usage_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 # -- verify ------------------------------------------------------------------------

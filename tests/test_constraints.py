@@ -18,6 +18,11 @@ def _simplex(values):
     return v / v.sum()
 
 
+def _d(m, p, q):
+    """The row-wise distance of two single distributions."""
+    return float(con.distance(m, p[None, :], q[None, :])[0])
+
+
 def test_metric_validation():
     with pytest.raises(ValueError):
         con.DistanceMetric("hellinger")
@@ -25,19 +30,19 @@ def test_metric_validation():
 
 def test_distance_zero_on_equal_distributions():
     p = _simplex([0.2, 0.8])
-    assert con.distance(KL, p, p) == 0.0
-    assert con.distance(TV, p, p) == 0.0
+    assert _d(KL, p, p) == 0.0
+    assert _d(TV, p, p) == 0.0
 
 
 def test_distance_shape_mismatch():
     with pytest.raises(ad.DimensionError):
-        con.distance(KL, np.array([1.0]), np.array([0.5, 0.5]))
+        _d(KL, np.array([1.0]), np.array([0.5, 0.5]))
 
 
 def test_total_variation_closed_form():
     p = np.array([1.0, 0.0])
     q = np.array([0.25, 0.75])
-    assert con.distance(TV, p, q) == pytest.approx(0.75)
+    assert _d(TV, p, q) == pytest.approx(0.75)
 
 
 def test_kl_matches_direct_formula():
@@ -45,14 +50,14 @@ def test_kl_matches_direct_formula():
     q = np.array([0.6, 0.4])
     eps = KL.smoothing
     expected = np.sum(p * np.log((p + eps) / (q + eps)))
-    assert con.distance(KL, p, q) == pytest.approx(float(expected))
+    assert _d(KL, p, q) == pytest.approx(float(expected))
 
 
 def test_kl_clamped_by_bound():
     m = con.DistanceMetric("kl", smoothing=1e-12, bound=5.0)
     p = np.array([1.0, 0.0])
     q = np.array([1e-12, 1.0])
-    assert con.distance(m, p, q) == 5.0
+    assert _d(m, p, q) == 5.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -63,8 +68,8 @@ def test_kl_clamped_by_bound():
 def test_distances_nonnegative(a, b):
     n = min(len(a), len(b))
     p, q = _simplex(a[:n]), _simplex(b[:n])
-    assert con.distance(KL, p, q) >= 0.0
-    assert con.distance(TV, p, q) >= 0.0
+    assert _d(KL, p, q) >= 0.0
+    assert _d(TV, p, q) >= 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -72,11 +77,11 @@ def test_distances_nonnegative(a, b):
                 max_size=4))
 def test_distance_zero_iff_equal(a):
     p = _simplex(a)
-    assert con.distance(KL, p, p) == 0.0
+    assert _d(KL, p, p) == 0.0
     q = p.copy()
     q[0], q[-1] = q[-1], q[0]
     if not np.allclose(p, q):
-        assert con.distance(TV, p, q) > 0.0
+        assert _d(TV, p, q) > 0.0
 
 
 # -- batch forms ----------------------------------------------------------------
@@ -86,44 +91,37 @@ def _pairs(n=12, seed=0):
     return rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
 
 
-def test_dist_reg_tuple_equals_pair_list():
-    p = pred.init_predictor(ARCH, 0)
-    X, Xt = _pairs()
-    as_tuple = con.dist_reg(p, (X, Xt), KL)
-    as_list = con.dist_reg(p, list(zip(X, Xt)), KL)
-    assert as_tuple == pytest.approx(as_list, abs=1e-12)
-
-
 def test_dist_reg_is_mean_of_per_example():
     p = pred.init_predictor(ARCH, 1)
     X, Xt = _pairs(seed=2)
     per = con.per_example_dist(p, X, Xt, KL)
     assert con.dist_reg(p, (X, Xt), KL) == pytest.approx(
         float(np.mean(per)), abs=1e-12)
-    singles = [con.distance(KL, pred.predict(p, X[i]),
-                            pred.predict(p, Xt[i])) for i in range(len(X))]
+    singles = [con.distance(KL, pred.predict_batch(p, X[i:i + 1]),
+                            pred.predict_batch(p, Xt[i:i + 1]))[0]
+               for i in range(len(X))]
     assert np.allclose(per, singles, atol=1e-12)
 
 
 def test_dist_reg_rejects_empty_and_mismatched():
     p = pred.init_predictor(ARCH, 0)
     with pytest.raises(ValueError):
-        con.dist_reg(p, [], KL)
+        con.dist_reg(p, (np.ones((0, 3)), np.ones((0, 3))), KL)
     with pytest.raises(ad.DimensionError):
         con.dist_reg(p, (np.ones((2, 3)), np.ones((3, 3))), KL)
 
 
 def test_constraint_value_identity_code_is_zero():
     p = pred.init_predictor(ARCH, 3)
-    model = tr.rotation_model((0, 1), (0.0, 2 * np.pi))
+    model = tr.RotationModel((0, 1), (0.0, 2 * np.pi))
     X = np.random.default_rng(0).standard_normal((20, 3))
-    val = con.constraint_value(p, X, model, model.identity_code(), KL)
+    val = con.constraint_value(p, X, model, tr.EnvironmentCode([0.0]), KL)
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
 def test_constraint_value_positive_under_real_rotation():
     p = pred.init_predictor(ARCH, 3)
-    model = tr.rotation_model((0, 1), (0.0, 2 * np.pi))
+    model = tr.RotationModel((0, 1), (0.0, 2 * np.pi))
     X = 3.0 * np.random.default_rng(1).standard_normal((20, 3))
     code = tr.EnvironmentCode([np.pi / 2])
     assert con.constraint_value(p, X, model, code, KL) > 0.0

@@ -5,7 +5,7 @@ from invariantlab import datagen, transforms
 
 
 def _covariate_spec(**kw):
-    model = transforms.rotation_model((0, 1), (0.0, 2 * np.pi))
+    model = transforms.RotationModel((0, 1), (0.0, 2 * np.pi))
     codes = lambda d: {k: transforms.EnvironmentCode([v])
                        for k, v in d.items()}
     defaults = dict(

@@ -1,0 +1,87 @@
+"""Every public name in the package has a caller outside the tests.
+
+A public function, class or method counts as used when a `Name`, an
+`Attribute` or an identifier-shaped string constant (perfbench's tracer
+wraps functions by their names as strings) refers to it somewhere in
+`src/` or in `perfbench/*.py`, outside its own definition.  Matching is
+by name only, so dead code that shares its name with a used identifier
+passes.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "invariantlab"
+
+# kept without a runtime caller, each for the reason given
+ALLOWED = {
+    "autodiff.evaluate": "graph engine: the value half of the tests' "
+                         "gradient oracle",
+    "autodiff.gradient": "graph engine: the tests' reverse-mode oracle for "
+                         "the closed-form training gradient",
+    "autodiff.finite_diff_gradient": "oracle: criterion 8 checks every "
+                                     "gradient against finite differences",
+    "constraints.dist_reg_tape": "oracle: distReg as a tape for the "
+                                 "graph engine's gradient",
+    "datagen.bayes_oracle": "oracle: closed-form policy accuracies of the "
+                            "concept task",
+    "datagen.load_datasets": "oracle: the reader that checks the datagen "
+                             "command's output",
+    "solvers.empirical_lagrangian": "the planned per-checkpoint run "
+                                    "record is to call it (ROADMAP)",
+}
+
+
+def _definitions(tree):
+    """(qualified name, node) of each public module function, class and
+    public class's method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree) -> Counter:
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            refs[node.value] += 1
+    return refs
+
+
+def unreferenced() -> list:
+    """Qualified names of public definitions nothing refers to."""
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py"))}
+    total = Counter()
+    for tree in modules.values():
+        total += _references(tree)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        total += _references(ast.parse(path.read_text()))
+    missing = []
+    for module, tree in modules.items():
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if total[name] - _references(node)[name] <= 0:
+                missing.append(f"{module}.{qualname}")
+    return missing
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    missing = set(unreferenced())
+    assert sorted(missing - set(ALLOWED)) == []
+    # an entry whose name is gone or has gained a caller is stale
+    assert sorted(set(ALLOWED) - missing) == []

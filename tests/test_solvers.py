@@ -24,15 +24,6 @@ def _small_config(**kw):
 
 # -- validation -----------------------------------------------------------------
 
-def test_dual_state_validation():
-    with pytest.raises(ValueError):
-        solvers.DualState(np.array([-0.1]), gamma=0.1, eta_dual=0.1)
-    with pytest.raises(ValueError, match="margin gamma must be positive"):
-        solvers.DualState(np.array([0.0]), gamma=0.0, eta_dual=0.1)
-    with pytest.raises(ValueError):
-        solvers.DualState(np.array([0.0]), gamma=0.1, eta_dual=-1.0)
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         _small_config(algorithm="irm")
@@ -100,15 +91,19 @@ def test_dual_step_per_env_is_componentwise():
 
 # -- Lagrangian and risks ----------------------------------------------------------
 
+def _identity_codes(data):
+    """Zero-angle rotation codes: G(x, e) = x in every environment."""
+    return {d.env: tr.EnvironmentCode([0.0]) for d in data}
+
+
 def test_empirical_lagrangian_reduces_to_risk_at_zero_dual():
     spec, data = _concept()
     G = datagen.concept_shift_transform(spec)
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    dual = solvers.DualState(np.array([0.0]), gamma=0.025, eta_dual=0.05)
-    codes = {d.env: G.identity_code() for d in data}
+    codes = {d.env: tr.EnvironmentCode([1.0, 0.0]) for d in data}
     spec_l = pred.LossSpec()
     lag = solvers.empirical_lagrangian(
-        p, dual, data, G, codes, cons.DistanceMetric(), spec_l)
+        p, [0.0], 0.025, data, G, codes, cons.DistanceMetric(), spec_l)
     n = sum(len(d) for d in data)
     risk = sum(pred.empirical_risk(p, d, spec_l) * len(d)
                for d in data) / n
@@ -119,13 +114,12 @@ def test_empirical_lagrangian_identity_codes_subtract_margin():
     # with identity codes every constraint value is 0, so the penalty is
     # exactly -gamma * mean(lambda)
     spec, data = _concept(n=100)
-    G = datagen.concept_shift_transform(spec)
+    G = tr.RotationModel((0, 1))
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 1)
-    dual = solvers.DualState(np.array([2.0]), gamma=0.1, eta_dual=0.05)
-    codes = {d.env: G.identity_code() for d in data}
     spec_l = pred.LossSpec()
     lag = solvers.empirical_lagrangian(
-        p, dual, data, G, codes, cons.DistanceMetric(), spec_l)
+        p, [2.0], 0.1, data, G, _identity_codes(data),
+        cons.DistanceMetric(), spec_l)
     n = sum(len(d) for d in data)
     risk = sum(pred.empirical_risk(p, d, spec_l) * len(d)
                for d in data) / n
@@ -134,13 +128,11 @@ def test_empirical_lagrangian_identity_codes_subtract_margin():
 
 def test_empirical_lagrangian_checks_dual_count():
     spec, data = _concept(n=50)
-    G = datagen.concept_shift_transform(spec)
+    G = tr.RotationModel((0, 1))
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    dual = solvers.DualState(np.array([0.0, 0.0, 0.0]), gamma=0.1,
-                             eta_dual=0.0)
     with pytest.raises(ValueError):
         solvers.empirical_lagrangian(
-            p, dual, data, G, {d.env: G.identity_code() for d in data},
+            p, [0.0, 0.0, 0.0], 0.1, data, G, _identity_codes(data),
             cons.DistanceMetric(), pred.LossSpec())
 
 
@@ -363,19 +355,13 @@ def test_mbdg_with_frozen_zero_dual_matches_erm_trajectory():
 
 def test_identity_transform_keeps_dual_at_zero():
     spec, data = _concept(n=200)
-    G = tr.BrightnessContrastModel(indices=(2,))
 
     class IdentityOnly:
-        code_dim = G.code_dim
-
-        def identity_code(self):
-            return G.identity_code()
-
         def sample_codes(self, n, rng):
-            return np.tile(G.identity_code().code, (n, 1))
+            return np.zeros((n, 0))
 
         def apply_batch(self, X, codes):
-            return G.apply_batch(X, codes)
+            return X.copy()
 
     p, trace = solvers.train(
         _small_config(algorithm="mbdg", steps=10), data, IdentityOnly())
@@ -433,11 +419,6 @@ def test_training_failure_carries_partial_trace():
     G = datagen.concept_shift_transform(spec)
 
     class BrokenModel:
-        code_dim = G.code_dim
-
-        def identity_code(self):
-            return G.identity_code()
-
         def sample_codes(self, n, rng):
             return G.sample_codes(n, rng)
 

@@ -78,14 +78,6 @@ def test_gap_report_weak_duality_invariant_enforced():
     verify.GapReport(np.inf, 2.0, np.inf, False, np.zeros(1), np.zeros(1))
 
 
-def test_gap_report_text_round_trips():
-    rep = verify.gap_report(_square_instance(), 0.1)
-    text = rep.to_text()
-    fields = dict(line.split("=", 1) for line in text.strip().splitlines())
-    assert float(fields["P_star"]) == rep.P_star
-    assert fields["feasible"] == "true"
-
-
 def test_weak_duality_holds_on_random_problems():
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -223,7 +215,6 @@ def test_perturbation_curve_flags_increase():
 def test_sandwich_identical_grids_close():
     spec = _square_instance()
     rep = verify.parameterization_sandwich(spec, spec, 0.1)
-    assert rep.lower_bound_ok
     assert rep.upper_gap == pytest.approx(0.0, abs=1e-6)
 
 
@@ -232,7 +223,6 @@ def test_sandwich_coarse_subgrid_upper_bounds_fine_primal():
     coarse = verify.ConstrainedProblemSpec(
         fine.thetas[::10], fine.R[::10], fine.L[::10], fine.gamma)
     rep = verify.parameterization_sandwich(fine, coarse, 0.1)
-    assert rep.lower_bound_ok
     assert rep.D_coarse >= rep.P_fine - 1e-2
 
 
@@ -243,7 +233,6 @@ def test_sandwich_single_feasible_point():
         fine.thetas[idx:idx + 1], fine.R[idx:idx + 1],
         fine.L[idx:idx + 1], fine.gamma)
     rep = verify.parameterization_sandwich(fine, coarse, 0.1)
-    assert rep.lower_bound_ok
     assert rep.D_coarse == pytest.approx(0.49, abs=1e-9)
 
 
@@ -351,7 +340,7 @@ def test_theorem2_already_feasible_minimizer_converges_immediately():
 def test_measure_invariance_zero_for_identity_range():
     spec = datagen.ConceptShiftSpec(n_per_env=50)
     data = datagen.gen_concept_shift(spec, seed=0)[0]
-    model = tr.rotation_model((0, 1), (0.0, 0.0))
+    model = tr.RotationModel((0, 1), (0.0, 0.0))
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
     summary = verify.measure_g_invariance(
         p, data, model, cons.DistanceMetric(), samples_per_point=3)
@@ -378,7 +367,7 @@ def test_measure_invariance_positive_for_sensitive_predictor():
     summary = verify.measure_g_invariance(
         p, data, G, cons.DistanceMetric(), samples_per_point=4)
     assert summary.median > 0.0
-    assert summary.hist_counts.sum() == len(data)
+    assert summary.values.shape == (len(data),)
 
 
 def test_measure_invariance_validates_arguments():
@@ -392,9 +381,7 @@ def test_measure_invariance_validates_arguments():
 
 
 def test_invariance_csv_format():
-    summary = verify.InvarianceSummary(
-        np.array([0.5, 0.25]), 0.375, np.array([1, 1]),
-        np.array([0.25, 0.375, 0.5]))
+    summary = verify.InvarianceSummary(np.array([0.5, 0.25]), 0.375)
     lines = summary.to_csv().strip().splitlines()
     assert lines[0] == "example,distreg"
     assert lines[1] == "0,0.5"
