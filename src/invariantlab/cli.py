@@ -8,16 +8,21 @@ Subcommands:
 * ``measure-invariance`` per-example invariance values for a predictor
 * ``verify``             run a named theory-check suite
 
-Configs are INI files with ``[task]``, ``[solver]`` and optional
-``[transform]`` / ``[output]`` sections.  Exit codes: 0 success, 1
-configuration or usage error, 2 runtime failure (``train`` still writes
-the partial trace).
+Configs are INI files.  Each section is read into the dataclass that
+takes it, whose fields are the section's keys, with their types and
+defaults: ``[task]`` into `datagen.ConceptShiftSpec` or
+`datagen.CovariateShiftSpec` by its ``kind``, ``[transform]`` into
+`transforms.RotationModel`, ``[solver]`` into `solvers.SolverConfig` and
+``[output]`` into `Output`.  Only ``[task]`` is required.  Exit codes: 0
+success, 1 configuration or usage error, 2 runtime failure (``train``
+still writes the partial trace).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -36,29 +41,19 @@ class ConfigError(ValueError):
     """Invalid or missing configuration; message names the key."""
 
 
+@dataclasses.dataclass(frozen=True)
+class Output:
+    """The [output] section; --seed, --out and --holdout override its keys."""
+
+    seed: int = 0
+    dir: str = "."
+    holdout: str = ""  # empty: the lowest-sorted environment
+
+
 # -- config parsing -----------------------------------------------------------
 
-# keys each section accepts; [task] keys depend on its kind, [solver]
-# keys are _SOLVER_KEYS
-_TASK_KEYS = {
-    "concept-shift": ("kind", "rho_shape", "agreements", "n_per_env",
-                      "shape_mean", "shape_sigma", "color_scale"),
-    "covariate-shift": ("kind", "mean0", "mean1", "train_envs",
-                        "test_envs", "sigma", "noise_dims", "n_per_env"),
-}
-_SECTION_KEYS = {
-    "transform": ("plane", "angle_range"),
-    "output": ("seed", "dir", "holdout"),
-}
-
-
-def _check_keys(section, name: str, allowed) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key in section {name}: {key}")
-
-
-def load_config(path) -> configparser.ConfigParser:
+def load_config(path) -> dict:
+    """The config as {section: {key: text}}, sections in file order."""
     # no interpolation: a '%' in a value is read as itself
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -69,133 +64,98 @@ def load_config(path) -> configparser.ConfigParser:
         raise ConfigError(f"config file not found: {path}")
     if "task" not in parser:
         raise ConfigError("missing section: task")
-    for name, allowed in _SECTION_KEYS.items():
-        if name in parser:
-            _check_keys(parser[name], name, allowed)
-    return parser
+    return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _get(section, key, cast, default=None):
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key: {key}")
-    try:
-        return cast(section[key])
-    except ValueError as e:
-        raise ConfigError(f"invalid value for key {key}: {e}") from None
+def _env_map(text: str) -> dict:
+    pairs = [item.split(":") for item in text.split()]
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"{text!r} is not a list of env:value pairs")
+    return {env: float(value) for env, value in pairs}
 
 
-def _env_map(text: str, key: str) -> dict:
-    out = {}
-    for item in text.split():
-        if ":" not in item:
-            raise ConfigError(f"invalid value for key {key}: {item!r}")
-        env, val = item.split(":", 1)
-        out[env] = float(val)
-    if not out:
-        raise ConfigError(f"empty value for key {key}")
-    return out
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split())
 
 
-def build_task(cfg: configparser.ConfigParser, seed: int):
-    """Returns (datasets, transform model, task spec) for the config."""
-    task = cfg["task"]
-    kind = _get(task, "kind", str)
-    if kind in _TASK_KEYS:
-        _check_keys(task, "task", _TASK_KEYS[kind])
-    if kind == "concept-shift":
-        spec = datagen.ConceptShiftSpec(
-            rho_shape=_get(task, "rho_shape", float, 0.75),
-            env_agreements=_env_map(
-                task.get("agreements", "e0.9:0.9 e0.8:0.8 e0.1:0.1"),
-                "agreements"),
-            n_per_env=_get(task, "n_per_env", int, 20000),
-            shape_mean=_get(task, "shape_mean", float, 1.0),
-            shape_sigma=_get(task, "shape_sigma", float, 1.0),
-            color_scale=_get(task, "color_scale", float, 1.0))
-        data = datagen.gen_concept_shift(spec, seed)
-        G = datagen.concept_shift_transform(spec)
-        return data, G, spec
-    if kind == "covariate-shift":
-        mean0 = np.array([float(v) for v in
-                          _get(task, "mean0", str, "0.5 0").split()])
-        mean1 = np.array([float(v) for v in
-                          _get(task, "mean1", str, "2.0 0").split()])
-        train_codes = {
-            env: transforms.EnvironmentCode([angle]) for env, angle
-            in _env_map(task.get("train_envs", "e0:0.0"),
-                        "train_envs").items()}
-        test_codes = {
-            env: transforms.EnvironmentCode([angle]) for env, angle
-            in _env_map(task.get("test_envs", "etest:1.5707963"),
-                        "test_envs").items()}
-        t = cfg["transform"] if "transform" in cfg else {}
-        plane = tuple(int(v) for v in
-                      str(t.get("plane", "0 1")).split())
-        lo, hi = (float(v) for v in
-                  str(t.get("angle_range", "0 6.2831853")).split())
-        model = transforms.RotationModel(plane, (lo, hi))
-        try:
-            spec = datagen.CovariateShiftSpec(
-                mean0=mean0, mean1=mean1,
-                sigma=_get(task, "sigma", float, 0.4),
-                model=model, train_codes=train_codes,
-                test_codes=test_codes,
-                noise_dims=_get(task, "noise_dims", int, 0))
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        data = datagen.gen_covariate_shift(
-            spec, _get(task, "n_per_env", int, 2000), seed)
-        return data, model, spec
-    raise ConfigError(f"invalid value for key kind: {kind!r}")
+def _codes(text: str) -> dict:
+    return {env: transforms.EnvironmentCode([value])
+            for env, value in _env_map(text).items()}
 
 
-# [solver] keys and their casts; a key left out takes the SolverConfig
-# default
-_SOLVER_KEYS = {
-    "algorithm": str, "eta_primal": float, "eta_dual": float,
-    "gamma": float, "weight": float, "batch_size": int, "steps": int,
-    "hidden": int, "loss_bound": float, "dual_mode": str,
+# casts of the fields whose default is not a scalar; every other field is
+# read by the type of its default
+_CASTS = {
+    "agreements": _env_map, "train_envs": _codes, "test_envs": _codes,
+    "mean0": _floats, "mean1": _floats, "angle_range": _floats,
+    "plane": lambda text: tuple(int(v) for v in text.split()),
 }
 
 
-def build_solver_config(cfg: configparser.ConfigParser,
-                        seed: int) -> solvers.SolverConfig:
-    s = cfg["solver"] if "solver" in cfg else {}
-    _check_keys(s, "solver", _SOLVER_KEYS)
-    values = {key: _get(s, key, cast) for key, cast in _SOLVER_KEYS.items()
-              if key in s}
+def _read(section: dict, name: str, cls, **fixed):
+    """`cls` built from a config section.  Its keys are the fields of
+    `cls` but those in `fixed`, which the code sets itself."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.name not in fixed}
+    values = {}
+    for key, text in section.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key in section {name}: {key}")
+        cast = _CASTS.get(key, type(defaults[key]))
+        try:
+            values[key] = cast(text)
+        except ValueError as e:
+            raise ConfigError(f"invalid value for key {key}: {e}") from None
     try:
-        return solvers.SolverConfig(seed=seed, **values)
+        return cls(**fixed, **values)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
-def _resolve_seed(args, cfg) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "output" in cfg and "seed" in cfg["output"]:
-        return _get(cfg["output"], "seed", int)
-    return 0
+def build_task(cfg: dict, seed: int):
+    """Returns (datasets, transformation model) for the config."""
+    model = _read(cfg.get("transform", {}), "transform",
+                  transforms.RotationModel)
+    task = dict(cfg["task"])
+    kind = task.pop("kind", "")
+    if kind == "concept-shift":
+        spec = _read(task, "task", datagen.ConceptShiftSpec)
+        return (datagen.gen_concept_shift(spec, seed),
+                datagen.concept_shift_transform(spec))
+    if kind == "covariate-shift":
+        spec = _read(task, "task", datagen.CovariateShiftSpec, model=model)
+        return datagen.gen_covariate_shift(spec, seed), model
+    raise ConfigError(f"invalid value for key kind: {kind!r}")
 
 
-def _resolve_out(args, cfg) -> Path:
-    if args.out:
-        return Path(args.out)
-    if "output" in cfg and "dir" in cfg["output"]:
-        return Path(cfg["output"]["dir"])
-    return Path(".")
+def build_solver_config(cfg: dict, seed: int) -> solvers.SolverConfig:
+    return _read(cfg.get("solver", {}), "solver", solvers.SolverConfig,
+                 seed=seed)
 
 
-def _resolve_holdout(args, cfg, data) -> str:
-    if args.holdout:
-        holdout = args.holdout
-    elif "output" in cfg and "holdout" in cfg["output"]:
-        holdout = cfg["output"]["holdout"]
-    else:
-        holdout = sorted(d.env for d in data)[0]
-    if holdout not in {d.env for d in data}:
+def _output(cfg: dict, args) -> Output:
+    """[output], each key overridden by its flag when one is given."""
+    flags = {"seed": args.seed, "dir": args.out,
+             "holdout": getattr(args, "holdout", None)}
+    return dataclasses.replace(
+        _read(cfg.get("output", {}), "output", Output),
+        **{key: v for key, v in flags.items() if v is not None})
+
+
+def _set_up(args):
+    """Load the config, make the out dir, build the task: returns
+    (config, [output] settings, datasets, transformation model)."""
+    cfg = load_config(args.config)
+    output = _output(cfg, args)
+    Path(output.dir).mkdir(parents=True, exist_ok=True)
+    data, G = build_task(cfg, output.seed)
+    return cfg, output, data, G
+
+
+def _holdout(output: Output, data) -> str:
+    envs = sorted(d.env for d in data)
+    holdout = output.holdout or envs[0]
+    if holdout not in envs:
         raise ConfigError(f"invalid value for key holdout: {holdout!r}")
     return holdout
 
@@ -212,20 +172,14 @@ def _final_distreg(p, train_data, G, metric, seed):
 
 
 def _config_echo(cfg) -> list:
-    lines = []
-    for section in cfg.sections():
-        for key, value in sorted(cfg[section].items()):
-            lines.append(f"config_{section}.{key}={value}")
-    return lines
+    return [f"config_{name}.{key}={value}" for name, section in cfg.items()
+            for key, value in sorted(section.items())]
 
 
 def run_train(args) -> int:
-    cfg = load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    data, G, _ = build_task(cfg, seed)
-    holdout = _resolve_holdout(args, cfg, data)
+    cfg, output, data, G = _set_up(args)
+    out, seed = Path(output.dir), output.seed
+    holdout = _holdout(output, data)
     scfg = build_solver_config(cfg, seed)
     train_data = [d for d in data if d.env != holdout]
     if not train_data:
@@ -270,40 +224,33 @@ def run_train(args) -> int:
 # -- datagen ------------------------------------------------------------------
 
 def run_datagen(args) -> int:
-    cfg = load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    data, _, _ = build_task(cfg, seed)
-    (out / "datasets.txt").write_text(datagen.dump_datasets(
+    _, output, data, _ = _set_up(args)
+    (Path(output.dir) / "datasets.txt").write_text(datagen.dump_datasets(
         sorted(data, key=lambda d: d.env)))
     return 0
 
 
 # -- compare ------------------------------------------------------------------
 
-def _task_text(cfg) -> str:
-    if "task" not in cfg:
-        raise ConfigError("missing section: task")
-    return "\n".join(f"{k}={v}" for k, v in sorted(cfg["task"].items()))
-
-
 def run_compare(args) -> int:
     if len(args.config) < 2:
         raise ConfigError("compare needs at least two --config paths")
     configs = [load_config(path) for path in args.config]
-    tasks = {_task_text(c) for c in configs}
-    if len(tasks) > 1:
+    if any(c["task"] != configs[0]["task"] for c in configs):
         raise ConfigError("configs must share the task section")
-    seed = args.seed if args.seed is not None else 0
-    out = _resolve_out(args, configs[0])
+    outputs = [_output(c, args) for c in configs]
+    if len({o.seed for o in outputs}) > 1:
+        raise ConfigError("configs must share the value of key seed")
+    seed = outputs[0].seed
+    out = Path(outputs[0].dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # every config is read before any training starts
+    runs = [(path, build_solver_config(cfg, seed), *build_task(cfg, seed))
+            for path, cfg in zip(args.config, configs)]
     rows = []
-    for path, cfg in zip(args.config, configs):
-        scfg = build_solver_config(cfg, seed)
+    for path, scfg, data, G in runs:
         # the [task] sections match, so every config yields the same envs
-        data, G, _ = build_task(cfg, seed)
         envs = sorted(d.env for d in data)
         accs = []
         for holdout in envs:
@@ -330,12 +277,9 @@ def run_compare(args) -> int:
 # -- measure-invariance -------------------------------------------------------
 
 def run_measure_invariance(args) -> int:
-    cfg = load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    data, G, _ = build_task(cfg, seed)
-    holdout = _resolve_holdout(args, cfg, data)
+    cfg, output, data, G = _set_up(args)
+    out, seed = Path(output.dir), output.seed
+    holdout = _holdout(output, data)
     predictor_path = Path(args.predictor) if args.predictor \
         else out / "predictor.txt"
     if not predictor_path.exists():
@@ -511,7 +455,3 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

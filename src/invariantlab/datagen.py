@@ -9,10 +9,15 @@ Two data-generating processes are provided:
   correlation task: a "shape" feature block agrees with the label with
   probability rho_shape, a one-hot color pair agrees with probability
   p_e that varies per environment.
+
+A spec's fields are the keys of a config's ``[task]`` section (the
+covariate spec's `model` is built from ``[transform]``), and their
+defaults are the config's defaults.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,20 +43,37 @@ class EnvironmentDataset:
 class CovariateShiftSpec:
     """Base two-Gaussian mixture pushed through G per environment."""
 
-    mean0: np.ndarray
-    mean1: np.ndarray
-    sigma: float
-    model: object  # DomainTransformationModel
-    train_codes: dict  # env id -> EnvironmentCode
-    test_codes: dict
-    class_prior: float = 0.5
+    mean0: tuple = (0.5, 0.0)
+    mean1: tuple = (2.0, 0.0)
+    sigma: float = 0.4
+    model: transforms.RotationModel = field(
+        default_factory=transforms.RotationModel)
+    # env id -> EnvironmentCode
+    train_envs: dict = field(default_factory=lambda: {
+        "e0": transforms.EnvironmentCode([0.0])})
+    test_envs: dict = field(default_factory=lambda: {
+        "etest": transforms.EnvironmentCode([1.5707963])})
     noise_dims: int = 0
+    n_per_env: int = 2000
 
     def __post_init__(self):
-        if not 0.0 < self.class_prior < 1.0:
-            raise ValueError("class prior must lie in (0, 1)")
-        if set(self.train_codes) & set(self.test_codes):
-            raise ValueError("train and test environments must be disjoint")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be a finite number")
+        if not 0 < len(self.mean0) == len(self.mean1):
+            raise ValueError("mean0 and mean1 must be non-empty and of "
+                             "equal length")
+        if not np.all(np.isfinite([*self.mean0, *self.mean1])):
+            raise ValueError("mean0 and mean1 must be finite")
+        if self.noise_dims < 0:
+            raise ValueError("noise_dims must be non-negative")
+        if self.n_per_env < 1:
+            raise ValueError("n_per_env must be at least 1")
+        dim = len(self.mean0) + self.noise_dims
+        if not all(0 <= i < dim for i in self.model.plane):
+            raise ValueError(f"plane must name coordinates below {dim}, "
+                             "the feature dimension")
+        if set(self.train_envs) & set(self.test_envs):
+            raise ValueError("train_envs and test_envs must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -59,7 +81,7 @@ class ConceptShiftSpec:
     """Two-bit spurious-correlation task."""
 
     rho_shape: float = 0.75
-    env_agreements: dict = field(
+    agreements: dict = field(
         default_factory=lambda: {"e0.9": 0.9, "e0.8": 0.8, "e0.1": 0.1})
     n_per_env: int = 20000
     shape_mean: float = 1.0
@@ -67,9 +89,15 @@ class ConceptShiftSpec:
     color_scale: float = 1.0
 
     def __post_init__(self):
-        probs = [self.rho_shape, *self.env_agreements.values()]
-        if any(not 0.0 <= p <= 1.0 for p in probs):
-            raise ValueError("probabilities must lie in [0, 1]")
+        for name in ("shape_mean", "shape_sigma", "color_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
+        if not 0.0 <= self.rho_shape <= 1.0:
+            raise ValueError("rho_shape must lie in [0, 1]")
+        if any(not 0.0 <= p <= 1.0 for p in self.agreements.values()):
+            raise ValueError("agreements must lie in [0, 1]")
+        if self.n_per_env < 1:
+            raise ValueError("n_per_env must be at least 1")
 
     @property
     def color_indices(self) -> tuple:
@@ -77,7 +105,7 @@ class ConceptShiftSpec:
 
 
 def _draw_base(spec: CovariateShiftSpec, n: int, rng: np.random.Generator):
-    y = (rng.random(n) < spec.class_prior).astype(np.intp)
+    y = (rng.random(n) < 0.5).astype(np.intp)
     means = np.where(y[:, None] == 1, np.asarray(spec.mean1, dtype=float),
                      np.asarray(spec.mean0, dtype=float))
     X = means + spec.sigma * rng.standard_normal(means.shape)
@@ -86,20 +114,17 @@ def _draw_base(spec: CovariateShiftSpec, n: int, rng: np.random.Generator):
     return X, y
 
 
-def gen_covariate_shift(spec: CovariateShiftSpec, n_per_env: int,
-                        seed: int) -> list:
+def gen_covariate_shift(spec: CovariateShiftSpec, seed: int) -> list:
     """One dataset per declared environment; labels stable across envs.
 
     Every environment observes the same base draw (same seed), so labels
     match example-by-example across environments.
     """
-    if n_per_env < 1:
-        raise ValueError("need at least one example per environment")
-    rng = np.random.default_rng(seed)
-    X, y = _draw_base(spec, n_per_env, rng)
+    n = spec.n_per_env
+    X, y = _draw_base(spec, n, np.random.default_rng(seed))
     out = []
-    for env, code in {**spec.train_codes, **spec.test_codes}.items():
-        codes = np.broadcast_to(code.code, (n_per_env, code.code.shape[0]))
+    for env, code in {**spec.train_envs, **spec.test_envs}.items():
+        codes = np.broadcast_to(code.code, (n, code.code.shape[0]))
         out.append(EnvironmentDataset(env, spec.model.apply_batch(X, codes),
                                       y.copy()))
     return out
@@ -108,7 +133,7 @@ def gen_covariate_shift(spec: CovariateShiftSpec, n_per_env: int,
 def gen_concept_shift(spec: ConceptShiftSpec, seed: int) -> list:
     """Per-env datasets where the color bit agrees with y with prob p_e."""
     out = []
-    for k, (env, p_e) in enumerate(sorted(spec.env_agreements.items())):
+    for k, (env, p_e) in enumerate(sorted(spec.agreements.items())):
         rng = np.random.default_rng(seed + k)
         n = spec.n_per_env
         y = rng.integers(0, 2, size=n).astype(np.intp)
@@ -141,9 +166,9 @@ def bayes_oracle(spec, policy: str, env: str) -> float:
     """
     if not isinstance(spec, ConceptShiftSpec):
         raise ValueError("bayes_oracle supports concept-shift specs")
-    if env not in spec.env_agreements:
+    if env not in spec.agreements:
         raise ValueError(f"unknown environment {env!r}")
-    rho, p = spec.rho_shape, spec.env_agreements[env]
+    rho, p = spec.rho_shape, spec.agreements[env]
     if policy == "shape-only":
         return rho  # predict the label the shape bit indicates
     if policy == "color-only":

@@ -283,6 +283,8 @@ def worst_domain_risk(p: pred.Predictor, datasets,
 
 # -- the training loop --------------------------------------------------------
 
+# a diverging run overflows before the NaN/Inf checks raise TrainingFailure
+@np.errstate(over="ignore", invalid="ignore")
 def train(config: SolverConfig, datasets, G,
           metric: cons.DistanceMetric | None = None):
     """Train a predictor on the given environments; returns (p, trace)."""

@@ -33,12 +33,14 @@ class RotationModel:
     """Rotate the (i, j) coordinate plane by the code angle."""
 
     plane: tuple = (0, 1)
-    angle_range: tuple = (0.0, 2.0 * np.pi)
+    angle_range: tuple = (0.0, 6.2831853)
 
     def __post_init__(self):
-        i, j = self.plane
-        if i == j:
-            raise ValueError("plane indices must be distinct")
+        if len(self.plane) != 2 or self.plane[0] == self.plane[1]:
+            raise ValueError("plane must name two distinct coordinates")
+        if len(self.angle_range) != 2 \
+                or not np.all(np.isfinite(self.angle_range)):
+            raise ValueError("angle_range must be two finite numbers")
 
     def sample_codes(self, n: int, rng: np.random.Generator) -> np.ndarray:
         lo, hi = self.angle_range

@@ -270,14 +270,14 @@ def _covariate_spec():
     return datagen.CovariateShiftSpec(
         mean0=np.array([0.5, 0.0]), mean1=np.array([2.0, 0.0]), sigma=0.4,
         model=model,
-        train_codes={"a0": code(0.0), "a30": code(np.pi / 6),
+        train_envs={"a0": code(0.0), "a30": code(np.pi / 6),
                      "a60": code(np.pi / 3)},
-        test_codes={"a90": code(np.pi / 2)})
+        test_envs={"a90": code(np.pi / 2)})
 
 
 def _worst_domain_accuracy(algorithm, seed):
     spec = _covariate_spec()
-    data = datagen.gen_covariate_shift(spec, 2000, seed)
+    data = datagen.gen_covariate_shift(spec, seed)
     cfg = solvers.SolverConfig(algorithm=algorithm, steps=500, seed=seed)
     train_data = [d for d in data if d.env != "a90"]
     p, _ = solvers.train(cfg, train_data, spec.model)

@@ -1,7 +1,18 @@
+import configparser
+import dataclasses
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from invariantlab import cli, datagen, predictors as pred, verify
+from invariantlab import (cli, datagen, predictors as pred, solvers,
+                          transforms, verify)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_TASK = """\
 [task]
@@ -14,6 +25,19 @@ algorithm = {algorithm}
 steps = 40
 batch_size = 32
 hidden = 4
+"""
+
+
+COVARIATE_TASK = """\
+[task]
+kind = covariate-shift
+n_per_env = 100
+
+[transform]
+plane = 0 1
+
+[solver]
+steps = 5
 """
 
 
@@ -118,17 +142,37 @@ def test_duplicate_key_is_config_error(tmp_path, capsys):
     assert "config error" in err and "steps" in err
 
 
-@pytest.mark.parametrize("algorithm,section,line,key", [
+# the config a probe edits: an algorithm names the concept task trained
+# with it
+_PROBE_BASES = {"mbdg": SMALL_TASK.format(algorithm="mbdg"),
+                "mbdg-reg": SMALL_TASK.format(algorithm="mbdg-reg"),
+                "covariate": COVARIATE_TASK}
+
+
+@pytest.mark.parametrize("base,section,line,key", [
     ("mbdg", "solver", "gamma = nan", "gamma"),
     ("mbdg-reg", "solver", "weight = nan", "weight"),
     ("mbdg", "output", "holdout = e0.1%", "holdout"),
     ("mbdg", "task", "bogus = 1", "bogus"),
     ("mbdg", "output", "hldout = e0.1", "hldout"),
     ("mbdg", "transform", "planee = 0 1", "planee"),
+    ("mbdg", "task", "n_per_env = 0", "n_per_env"),
+    ("mbdg", "task", "rho_shape = 1.5", "rho_shape"),
+    ("mbdg", "task", "agreements = e1:1.5 e2:0.5", "agreements"),
+    ("mbdg", "task", "shape_sigma = nan", "shape_sigma"),
+    ("covariate", "task", "mean0 = 1 2 3", "mean0"),
+    ("covariate", "task", "noise_dims = -1", "noise_dims"),
+    ("covariate", "task", "n_per_env = 0", "n_per_env"),
+    ("covariate", "task", "train_envs = a0:nan", "train_envs"),
+    ("covariate", "task", "sigma = nan", "sigma"),
+    ("covariate", "transform", "plane = 0", "plane"),
+    ("covariate", "transform", "plane = 0 5", "plane"),
+    ("covariate", "transform", "angle_range = 0", "angle_range"),
 ])
-def test_config_fault_names_key(tmp_path, capsys, algorithm, section, line,
-                                key):
-    body = SMALL_TASK.format(algorithm=algorithm)
+def test_config_fault_names_key(tmp_path, capsys, base, section, line, key):
+    # the probe's line replaces the base's line for the same key
+    body = "\n".join(l for l in _PROBE_BASES[base].splitlines()
+                     if l.split(" = ")[0] != key) + "\n"
     header = f"[{section}]\n"
     if header in body:
         body = body.replace(header, header + line + "\n")
@@ -138,7 +182,67 @@ def test_config_fault_names_key(tmp_path, capsys, algorithm, section, line,
     assert cli.main(["train", "--config", cfg, "--out",
                      str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and key in err
+    assert err.startswith("config error: ") and key in err
+    assert "Traceback" not in err
+
+
+def _documented_sections():
+    """The README's reference configs: {(section, kind or None): keys}."""
+    text = (ROOT / "README.md").read_text()
+    text = text.split("Every key, with its default:")[1]
+    text = text.split("Any other key is a configuration error")[0]
+    documented = {}
+    for block in text.split("```ini")[1:]:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(block.split("```")[0])
+        for name in parser.sections():
+            keys = dict(parser[name])
+            documented[name, keys.get("kind")] = keys
+    return documented
+
+
+def test_each_section_accepts_exactly_the_documented_keys(tmp_path, capsys,
+                                                          monkeypatch):
+    documented = _documented_sections()
+    assert set(documented) == {
+        ("task", "concept-shift"), ("task", "covariate-shift"),
+        ("transform", None), ("solver", None), ("output", None)}
+    # the fields of every config dataclass, any of which could become a key
+    candidates = {"kind"} | {
+        f.name for cls in (datagen.ConceptShiftSpec,
+                           datagen.CovariateShiftSpec,
+                           transforms.RotationModel, solvers.SolverConfig,
+                           cli.Output)
+        for f in dataclasses.fields(cls)}
+    monkeypatch.chdir(tmp_path)
+
+    def read(name, kind, keys):
+        """What the config reads from `keys` as its section `name`."""
+        if name == "solver":
+            return cli.build_solver_config({"solver": keys}, 0)
+        if name == "output":
+            body = "[task]\nkind = covariate-shift\nn_per_env = 5\n" \
+                "[output]\n" + "".join(f"{k} = {v}\n"
+                                       for k, v in keys.items())
+            if cli.main(["datagen", "--config",
+                         _write_config(tmp_path, body=body)]) != 0:
+                raise cli.ConfigError(capsys.readouterr().err)
+            return (tmp_path / "datasets.txt").read_text()
+        if name == "task":
+            cfg = {"task": {"kind": kind, **keys}}
+        else:
+            cfg = {"task": {"kind": "covariate-shift", "n_per_env": "5"},
+                   name: keys}
+        data, G = cli.build_task(cfg, 0)
+        return G, [(d.env, d.X.tolist(), d.y.tolist()) for d in data]
+
+    for (name, kind), keys in documented.items():
+        # each documented value is the default
+        assert read(name, kind, keys) == read(name, kind, {})
+        for key in sorted(candidates - set(keys)):
+            with pytest.raises(cli.ConfigError,
+                               match=f"unknown key in section {name}: {key}"):
+                read(name, kind, {key: "1"})
 
 
 def test_missing_section_header_is_config_error(tmp_path, capsys):
@@ -231,6 +335,45 @@ def test_compare_writes_table_and_prefers_constrained_training(tmp_path,
     assert rows["mbdg"][0] > rows["erm"][0]
 
 
+def test_compare_reads_the_seed_of_its_configs(tmp_path, capsys):
+    plain, seeded = [], []
+    for algorithm in ("erm", "mbdg"):
+        body = SMALL_TASK.format(algorithm=algorithm)
+        plain.append(_write_config(tmp_path, name=f"{algorithm}.ini",
+                                   body=body))
+        seeded.append(_write_config(tmp_path, name=f"{algorithm}-3.ini",
+                                    body=body + "\n[output]\nseed = 3\n"))
+
+    def table(paths, *flags):
+        argv = ["compare", "--out", str(tmp_path / "cmp"), *flags]
+        for path in paths:
+            argv += ["--config", path]
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    assert table(seeded) == table(plain, "--seed", "3") != table(plain)
+    # configs that ask for different seeds cannot share one table
+    assert cli.main(["compare", "--config", plain[0], "--config",
+                     seeded[1]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "seed" in err
+
+
+def test_compare_reads_every_config_before_training(tmp_path, capsys,
+                                                    monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("compare trained before reading every config")
+
+    monkeypatch.setattr(solvers, "train", train)
+    ok = _write_config(tmp_path, name="ok.ini", algorithm="erm")
+    bad = _write_config(tmp_path, name="bad.ini",
+                        body=SMALL_TASK.format(algorithm="mbdg")
+                        + "gamma = -1\n")
+    assert cli.main(["compare", "--config", ok, "--config", bad,
+                     "--out", str(tmp_path / "cmp")]) == 1
+    assert "gamma" in capsys.readouterr().err
+
+
 def test_compare_requires_two_configs(tmp_path):
     cfg = _write_config(tmp_path)
     assert cli.main(["compare", "--config", cfg]) == 1
@@ -256,6 +399,20 @@ def test_compare_reports_a_diverging_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"runtime failure: {bad}, holdout e0.1: ")
     assert "non-finite" in err
+
+
+def test_diverging_train_warns_nothing_and_exits_2(tmp_path, capsys):
+    body = SMALL_TASK.format(algorithm="mbdg").replace(
+        "hidden = 4", "hidden = 16")
+    cfg = _write_config(tmp_path, body=body + "eta_primal = 1.7e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--config", cfg, "--out",
+                         str(tmp_path / "x")]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
+        == []
+    assert capsys.readouterr().err.startswith("runtime failure: ")
+    assert (tmp_path / "x" / "trace.csv").exists()
 
 
 # -- measure-invariance ------------------------------------------------------------
@@ -323,6 +480,18 @@ def test_help_exits_0(capsys):
         cli.main(["train", "--help"])
     assert exc.value.code == 0
     assert "--config" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_command():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run(
+        [sys.executable, "-m", "invariantlab", "verify", "slackness"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0
+    assert "PASS active-constraint-residual" in run.stdout
+    assert "RuntimeWarning" not in run.stderr
 
 
 # -- verify ------------------------------------------------------------------------

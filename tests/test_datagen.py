@@ -11,52 +11,63 @@ def _covariate_spec(**kw):
     defaults = dict(
         mean0=np.array([0.5, 0.0]), mean1=np.array([2.0, 0.0]), sigma=0.4,
         model=model,
-        train_codes=codes({"a0": 0.0, "a60": np.pi / 3}),
-        test_codes=codes({"a90": np.pi / 2}))
+        train_envs=codes({"a0": 0.0, "a60": np.pi / 3}),
+        test_envs=codes({"a90": np.pi / 2}))
     defaults.update(kw)
     return datagen.CovariateShiftSpec(**defaults)
 
 
+def _covariate_data(n_per_env, seed):
+    spec = _covariate_spec(n_per_env=n_per_env)
+    return {d.env: d for d in datagen.gen_covariate_shift(spec, seed)}
+
+
 def test_covariate_labels_identical_across_environments():
-    data = datagen.gen_covariate_shift(_covariate_spec(), 500, seed=0)
-    ys = [d.y for d in data]
+    ys = [d.y for d in _covariate_data(500, seed=0).values()]
     for y in ys[1:]:
         assert np.array_equal(y, ys[0])
 
 
 def test_covariate_rotation_preserves_plane_norm():
-    data = {d.env: d for d in
-            datagen.gen_covariate_shift(_covariate_spec(), 300, seed=1)}
+    data = _covariate_data(300, seed=1)
     base, rot = data["a0"].X, data["a60"].X
     assert np.allclose(np.hypot(base[:, 0], base[:, 1]),
                        np.hypot(rot[:, 0], rot[:, 1]), atol=1e-12)
 
 
 def test_covariate_identity_env_equals_base_draw():
-    data = {d.env: d for d in
-            datagen.gen_covariate_shift(_covariate_spec(), 200, seed=2)}
-    again = {d.env: d for d in
-             datagen.gen_covariate_shift(_covariate_spec(), 200, seed=2)}
+    data = _covariate_data(200, seed=2)
+    again = _covariate_data(200, seed=2)
     assert np.array_equal(data["a0"].X, again["a0"].X)
 
 
 def test_covariate_spec_validation():
-    with pytest.raises(ValueError):
-        _covariate_spec(class_prior=1.0)
     codes = {"shared": transforms.EnvironmentCode([0.0])}
-    with pytest.raises(ValueError):
-        _covariate_spec(train_codes=codes, test_codes=codes)
+    for kw, key in [
+            (dict(n_per_env=0), "n_per_env"),
+            (dict(train_envs=codes, test_envs=codes), "train_envs"),
+            (dict(sigma=float("nan")), "sigma"),
+            (dict(mean0=(1.0, 2.0, 3.0)), "mean0"),
+            (dict(mean1=(2.0, float("inf"))), "mean1"),
+            (dict(noise_dims=-1), "noise_dims"),
+            (dict(model=transforms.RotationModel((0, 2))), "plane"),
+            (dict(model=transforms.RotationModel((-1, 0))), "plane")]:
+        with pytest.raises(ValueError, match=key):
+            _covariate_spec(**kw)
+    # a plane may reach into the noise dimensions
+    _covariate_spec(model=transforms.RotationModel((0, 2)), noise_dims=1)
 
 
 def test_covariate_needs_positive_sample_count():
-    with pytest.raises(ValueError):
-        datagen.gen_covariate_shift(_covariate_spec(), 0, seed=0)
+    assert [len(d) for d in _covariate_data(1, seed=0).values()] == [1] * 3
+    with pytest.raises(ValueError, match="n_per_env"):
+        _covariate_spec(n_per_env=0)
 
 
 # -- concept shift -------------------------------------------------------------
 
 def test_concept_degenerate_agreement_makes_color_equal_label():
-    spec = datagen.ConceptShiftSpec(env_agreements={"e1": 1.0},
+    spec = datagen.ConceptShiftSpec(agreements={"e1": 1.0},
                                     n_per_env=500)
     data = datagen.gen_concept_shift(spec, seed=0)[0]
     color_bit = (data.X[:, 4] > data.X[:, 3]).astype(int)
@@ -67,7 +78,7 @@ def test_concept_empirical_agreements_match_parameters():
     # Monte-Carlo oracle at n = 1e5: agreement within +- 0.01
     spec = datagen.ConceptShiftSpec(n_per_env=100_000)
     for d in datagen.gen_concept_shift(spec, seed=3):
-        p_e = spec.env_agreements[d.env]
+        p_e = spec.agreements[d.env]
         color_bit = (d.X[:, 4] > d.X[:, 3]).astype(int)
         assert abs(np.mean(color_bit == d.y) - p_e) <= 0.01
         shape_bit = (d.X[:, :2].mean(axis=1) > 0).astype(int)
@@ -91,8 +102,13 @@ def test_concept_datasets_are_seed_deterministic():
 
 
 def test_concept_spec_validates_probabilities():
-    with pytest.raises(ValueError):
-        datagen.ConceptShiftSpec(rho_shape=1.5)
+    for kw, key in [(dict(rho_shape=1.5), "rho_shape"),
+                    (dict(agreements={"e1": 1.5}), "agreements"),
+                    (dict(n_per_env=0), "n_per_env"),
+                    (dict(shape_sigma=float("nan")), "shape_sigma"),
+                    (dict(color_scale=float("inf")), "color_scale")]:
+        with pytest.raises(ValueError, match=key):
+            datagen.ConceptShiftSpec(**kw)
 
 
 def test_concept_transform_targets_color_coordinates():
@@ -108,7 +124,7 @@ def test_concept_transform_targets_color_coordinates():
 
 def test_bayes_oracle_shape_only_is_rho():
     spec = datagen.ConceptShiftSpec()
-    for env in spec.env_agreements:
+    for env in spec.agreements:
         assert datagen.bayes_oracle(spec, "shape-only", env) == 0.75
 
 
@@ -122,7 +138,7 @@ def test_bayes_oracle_color_only_is_agreement():
 def test_bayes_oracle_joint_matches_monte_carlo():
     spec = datagen.ConceptShiftSpec()
     rng = np.random.default_rng(0)
-    for env, p in spec.env_agreements.items():
+    for env, p in spec.agreements.items():
         exact = datagen.bayes_oracle(spec, "joint", env)
         # independent simulation of the optimal joint rule
         n = 200_000

@@ -12,7 +12,7 @@ from invariantlab import transforms as tr
 
 def _concept(n=400):
     spec = datagen.ConceptShiftSpec(
-        env_agreements={"e0.9": 0.9, "e0.8": 0.8}, n_per_env=n)
+        agreements={"e0.9": 0.9, "e0.8": 0.8}, n_per_env=n)
     return spec, datagen.gen_concept_shift(spec, seed=0)
 
 

@@ -54,8 +54,12 @@ def test_rotation_composition_and_norm_preservation(seed):
 
 
 def test_rotation_rejects_degenerate_plane_and_bad_dim():
-    with pytest.raises(ValueError):
-        tr.RotationModel((1, 1))
+    for plane in [(1, 1), (0,), (0, 1, 2)]:
+        with pytest.raises(ValueError, match="plane"):
+            tr.RotationModel(plane)
+    for angles in [(0.0,), (0.0, float("nan"))]:
+        with pytest.raises(ValueError, match="angle_range"):
+            tr.RotationModel((0, 1), angles)
     model = tr.RotationModel((0, 2), (0.0, 1.0))
     with pytest.raises(DimensionError):
         _apply(model, [1.0, 2.0], [0.5])
