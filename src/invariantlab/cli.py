@@ -49,6 +49,10 @@ class Output:
     dir: str = "."
     holdout: str = ""  # empty: the lowest-sorted environment
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+
 
 # -- config parsing -----------------------------------------------------------
 
@@ -78,15 +82,10 @@ def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split())
 
 
-def _codes(text: str) -> dict:
-    return {env: transforms.EnvironmentCode([value])
-            for env, value in _env_map(text).items()}
-
-
 # casts of the fields whose default is not a scalar; every other field is
 # read by the type of its default
 _CASTS = {
-    "agreements": _env_map, "train_envs": _codes, "test_envs": _codes,
+    "agreements": _env_map, "train_envs": _env_map, "test_envs": _env_map,
     "mean0": _floats, "mean1": _floats, "angle_range": _floats,
     "plane": lambda text: tuple(int(v) for v in text.split()),
 }
@@ -137,9 +136,18 @@ def _output(cfg: dict, args) -> Output:
     """[output], each key overridden by its flag when one is given."""
     flags = {"seed": args.seed, "dir": args.out,
              "holdout": getattr(args, "holdout", None)}
-    return dataclasses.replace(
-        _read(cfg.get("output", {}), "output", Output),
-        **{key: v for key, v in flags.items() if v is not None})
+    return _read({**cfg.get("output", {}),
+                  **{key: v for key, v in flags.items() if v is not None}},
+                 "output", Output)
+
+
+def _make_dir(output: Output) -> Path:
+    out = Path(output.dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"invalid value for key dir: {e}") from None
+    return out
 
 
 def _set_up(args):
@@ -147,7 +155,7 @@ def _set_up(args):
     (config, [output] settings, datasets, transformation model)."""
     cfg = load_config(args.config)
     output = _output(cfg, args)
-    Path(output.dir).mkdir(parents=True, exist_ok=True)
+    _make_dir(output)
     data, G = build_task(cfg, output.seed)
     return cfg, output, data, G
 
@@ -161,15 +169,6 @@ def _holdout(output: Output, data) -> str:
 
 
 # -- train --------------------------------------------------------------------
-
-def _final_distreg(p, train_data, G, metric, seed):
-    out = {}
-    for d in train_data:
-        rng = np.random.default_rng([seed, 3])
-        Xt = transforms.generate_batch(G, d.X, rng)
-        out[d.env] = cons.dist_reg(p, (d.X, Xt), metric)
-    return out
-
 
 def _config_echo(cfg) -> list:
     return [f"config_{name}.{key}={value}" for name, section in cfg.items()
@@ -195,7 +194,9 @@ def run_train(args) -> int:
     wall = time.time() - t0
     metric = cons.DistanceMetric(bound=scfg.loss_bound)
     loss_spec = pred.LossSpec(scfg.loss_bound)
-    distreg = _final_distreg(p, train_data, G, metric, seed)
+    distreg = {d.env: float(np.mean(cons.dist_reg(
+        p, d.X, G, np.random.default_rng([seed, 3]), metric)))
+        for d in train_data}
     worst, worst_env = solvers.worst_domain_risk(p, train_data, loss_spec)
 
     lines = [f"algorithm={scfg.algorithm}", f"seed={seed}",
@@ -242,8 +243,7 @@ def run_compare(args) -> int:
     if len({o.seed for o in outputs}) > 1:
         raise ConfigError("configs must share the value of key seed")
     seed = outputs[0].seed
-    out = Path(outputs[0].dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(outputs[0])
 
     # every config is read before any training starts
     runs = [(path, build_solver_config(cfg, seed), *build_task(cfg, seed))
@@ -284,8 +284,14 @@ def run_measure_invariance(args) -> int:
         else out / "predictor.txt"
     if not predictor_path.exists():
         raise ConfigError(f"missing predictor file: {predictor_path}")
-    p = pred.load_text(predictor_path.read_text())
     held = next(d for d in data if d.env == holdout)
+    try:
+        p = pred.load_text(predictor_path.read_text())
+        if p.arch.input_dim != held.X.shape[1]:
+            raise ValueError(f"input dim {p.arch.input_dim}, the task has "
+                             f"{held.X.shape[1]} features")
+    except (OSError, ValueError, IndexError) as e:
+        raise ConfigError(f"invalid value for key predictor: {e}") from None
     # the distance train uses, clamped at the config's loss bound
     metric = cons.DistanceMetric(
         bound=build_solver_config(cfg, seed).loss_bound)
@@ -455,3 +461,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

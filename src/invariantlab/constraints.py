@@ -1,13 +1,15 @@
 """Distances between predictive distributions and the invariance term.
 
-The constraint functional is the mean distance between the predictor's
-outputs on paired inputs (an instance and its transformed counterpart).
-KL with a small smoothing constant is the operative choice; total
-variation is available as an alternative.  `distance` compares two
-stacks of distributions row by row; every numpy form of the constraint
-is built on it.  Training takes distReg and its gradient from
-`dist_reg_vjp`; the graph form `dist_reg_graph` is the tests' oracle
-for that gradient.
+The constraint is L(phi) = E_x d(phi(x), phi(G(x, e))): the distance
+between the predictor's outputs on an instance and on its transform
+under a freshly drawn environment code.  KL with a small smoothing
+constant is the operative choice; total variation is available as an
+alternative.  `distance` compares two stacks of distributions row by
+row.  `dist_reg` is the one numpy form of the constraint: it draws the
+codes and returns the per-row distances, whose mean is L on the sample.
+Training takes distReg and its gradient from `dist_reg_vjp` on the
+pairs its preset names; the graph form `dist_reg_graph` is the tests'
+oracle for that gradient.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import predictors as pred
+from . import transforms
 from .autodiff import DimensionError
 
 
@@ -47,31 +50,18 @@ def distance(m: DistanceMetric, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(P - Q).sum(axis=1)
 
 
-def dist_reg(p: pred.Predictor, batch, m: DistanceMetric) -> float:
-    """Mean pairwise distance over a batch given as the tuple (X, Xt)."""
-    X, Xt = (np.atleast_2d(np.asarray(A, dtype=np.float64)) for A in batch)
-    if X.shape != Xt.shape:
-        raise DimensionError("paired inputs must share dimensions")
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    return float(np.mean(per_example_dist(p, X, Xt, m)))
+def dist_reg(p: pred.Predictor, X: np.ndarray, G,
+             rng: np.random.Generator, m: DistanceMetric) -> np.ndarray:
+    """d(phi(x), phi(G(x, e))) for each row x of X, a fresh code e per row.
 
-
-def per_example_dist(p: pred.Predictor, X: np.ndarray, Xt: np.ndarray,
-                     m: DistanceMetric) -> np.ndarray:
-    """Distance per paired row, without averaging."""
-    return distance(m, pred.predict_batch(p, X), pred.predict_batch(p, Xt))
-
-
-def constraint_value(p: pred.Predictor, X: np.ndarray, G,
-                     e, m: DistanceMetric) -> float:
-    """Mean d(phi(x), phi(G(x, e))) over the sample, for a fixed code."""
+    The constraint on the sample, L(phi) = E_x d(phi(x), phi(G(x, e))),
+    is the mean of these values.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("empty sample")
-    codes = np.broadcast_to(e.code, (X.shape[0], e.code.shape[0]))
-    Xt = G.apply_batch(X, codes)
-    return float(np.mean(per_example_dist(p, X, Xt, m)))
+    Xt = transforms.generate_batch(G, X, rng)
+    return distance(m, pred.predict_batch(p, X), pred.predict_batch(p, Xt))
 
 
 def dist_reg_vjp(m: DistanceMetric, logp: np.ndarray,

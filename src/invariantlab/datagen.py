@@ -3,8 +3,8 @@
 Two data-generating processes are provided:
 
 * covariate shift — labels drawn from a base two-Gaussian mixture, each
-  environment observing the instances through a fixed transformation
-  code, labels untouched;
+  environment observing the instances rotated by its own fixed angle,
+  labels untouched;
 * concept shift — a two-bit analog of the color/label spurious
   correlation task: a "shape" feature block agrees with the label with
   probability rho_shape, a one-hot color pair agrees with probability
@@ -48,11 +48,9 @@ class CovariateShiftSpec:
     sigma: float = 0.4
     model: transforms.RotationModel = field(
         default_factory=transforms.RotationModel)
-    # env id -> EnvironmentCode
-    train_envs: dict = field(default_factory=lambda: {
-        "e0": transforms.EnvironmentCode([0.0])})
-    test_envs: dict = field(default_factory=lambda: {
-        "etest": transforms.EnvironmentCode([1.5707963])})
+    # env id -> the angle G rotates the base draw by
+    train_envs: dict = field(default_factory=lambda: {"e0": 0.0})
+    test_envs: dict = field(default_factory=lambda: {"etest": 1.5707963})
     noise_dims: int = 0
     n_per_env: int = 2000
 
@@ -72,6 +70,9 @@ class CovariateShiftSpec:
         if not all(0 <= i < dim for i in self.model.plane):
             raise ValueError(f"plane must name coordinates below {dim}, "
                              "the feature dimension")
+        for name in ("train_envs", "test_envs"):
+            if not all(map(math.isfinite, getattr(self, name).values())):
+                raise ValueError(f"{name} angles must be finite")
         if set(self.train_envs) & set(self.test_envs):
             raise ValueError("train_envs and test_envs must be disjoint")
 
@@ -123,10 +124,10 @@ def gen_covariate_shift(spec: CovariateShiftSpec, seed: int) -> list:
     n = spec.n_per_env
     X, y = _draw_base(spec, n, np.random.default_rng(seed))
     out = []
-    for env, code in {**spec.train_envs, **spec.test_envs}.items():
-        codes = np.broadcast_to(code.code, (n, code.code.shape[0]))
-        out.append(EnvironmentDataset(env, spec.model.apply_batch(X, codes),
-                                      y.copy()))
+    for env, angle in {**spec.train_envs, **spec.test_envs}.items():
+        out.append(EnvironmentDataset(
+            env, spec.model.apply_batch(X, np.full((n, 1), angle)),
+            y.copy()))
     return out
 
 

@@ -249,12 +249,14 @@ def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
 
 
 def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
-                         G, env_codes, metric: cons.DistanceMetric,
+                         G, rng: np.random.Generator,
+                         metric: cons.DistanceMetric,
                          loss_spec: pred.LossSpec) -> float:
     """R_hat + (1/|E|) sum_e [L_hat^e - gamma] * lambda(e).
 
     `lam` holds one dual weight shared by every environment, or one per
-    environment.
+    environment.  L_hat^e is the mean of `constraints.dist_reg` over
+    environment e's data, each row under a fresh code drawn from `rng`.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     if lam.size not in (1, len(datasets)):
@@ -266,7 +268,7 @@ def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
                for d in datasets) / n_total
     penalty = 0.0
     for lam_e, d in zip(lam, datasets):
-        L_e = cons.constraint_value(p, d.X, G, env_codes[d.env], metric)
+        L_e = float(np.mean(cons.dist_reg(p, d.X, G, rng, metric)))
         penalty += (L_e - gamma) * lam_e
     return float(risk + penalty / len(datasets))
 

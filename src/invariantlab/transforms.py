@@ -18,17 +18,6 @@ from .autodiff import DimensionError
 
 
 @dataclass(frozen=True)
-class EnvironmentCode:
-    code: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.code, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("environment code must be finite")
-        object.__setattr__(self, "code", arr)
-
-
-@dataclass(frozen=True)
 class RotationModel:
     """Rotate the (i, j) coordinate plane by the code angle."""
 

@@ -7,8 +7,8 @@ linear program, solved exactly by enumerating its bases; each dual
 solution carries a multiplier that certifies its value.  Perturbation
 curves, parameterization sandwiches, empirical-gap decay and saddle
 points are checked against these exact values.  `measure_g_invariance`
-measures a trained predictor instead: each example's distance to its
-freshly transformed counterparts.
+measures a trained predictor instead: each example's mean
+`constraints.dist_reg` value over several fresh transforms of it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints as cons
-from . import transforms
 
 
 class InfeasibleError(ValueError):
@@ -488,11 +487,8 @@ def measure_g_invariance(p, data, G, m: cons.DistanceMetric,
     if samples_per_point < 1:
         raise ValueError("need at least one sample per point")
     rng = np.random.default_rng(seed)
-    totals = np.zeros(len(data))
-    for _ in range(samples_per_point):
-        Xt = transforms.generate_batch(G, data.X, rng)
-        totals += cons.per_example_dist(p, data.X, Xt, m)
-    values = totals / samples_per_point
+    values = np.mean([cons.dist_reg(p, data.X, G, rng, m)
+                      for _ in range(samples_per_point)], axis=0)
     return InvarianceSummary(values, float(np.median(values)))
 
 

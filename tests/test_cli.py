@@ -186,6 +186,27 @@ def test_config_fault_names_key(tmp_path, capsys, base, section, line, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("flags,output,message", [
+    (["--seed", "-1"], "", "seed must be non-negative"),
+    ([], "seed = -3", "seed must be non-negative"),
+    # a regular file, so no directory can be made under it
+    (["--out", "{tmp}/file/x"], "", "invalid value for key dir: "),
+], ids=["seed-flag", "seed-key", "dir"])
+def test_output_fault_names_key(tmp_path, capsys, command, flags, output,
+                                message):
+    (tmp_path / "file").write_text("")
+    body = SMALL_TASK + f"\n[output]\n{output}\n"
+    configs = [_write_config(tmp_path, name=f"{a}.ini",
+                             body=body.format(algorithm=a))
+               for a in ("erm", "mbdg")[:1 if command == "train" else 2]]
+    argv = [command, *(arg for c in configs for arg in ("--config", c)),
+            "--out", str(tmp_path / "x"),
+            *(f.format(tmp=tmp_path) for f in flags)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: " + message)
+
+
 def _documented_sections():
     """The README's reference configs: {(section, kind or None): keys}."""
     text = (ROOT / "README.md").read_text()
@@ -457,6 +478,27 @@ def test_measure_invariance_missing_predictor(tmp_path):
                      str(tmp_path / "nothing")]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    # trained on a task with two features; the concept task has five
+    pred.save_text(pred.init_predictor(pred.Architecture((2, 4, 2)), 0)),
+    "not a predictor\n",
+    "",
+    None,  # a directory
+], ids=["other-task", "corrupt", "empty", "directory"])
+def test_measure_invariance_rejects_an_unusable_predictor(tmp_path, capsys,
+                                                          text):
+    cfg = _write_config(tmp_path)
+    path = tmp_path / "predictor.txt"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    assert cli.main(["measure-invariance", "--config", cfg, "--out",
+                     str(tmp_path), "--predictor", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: invalid value for key predictor: ")
+
+
 # -- usage errors ------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -486,12 +528,20 @@ def test_python_dash_m_runs_the_command():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    run = subprocess.run(
-        [sys.executable, "-m", "invariantlab", "verify", "slackness"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0
-    assert "PASS active-constraint-residual" in run.stdout
-    assert "RuntimeWarning" not in run.stderr
+
+    def run(module, *argv):
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    ok = run("invariantlab", "verify", "slackness")
+    assert ok.returncode == 0
+    assert "PASS active-constraint-residual" in ok.stdout
+    assert "RuntimeWarning" not in ok.stderr
+    # the package imports cli before runpy runs it, so runpy warns here
+    bad = run("invariantlab.cli", "verify", "nope")
+    assert bad.returncode == 1
+    assert "unknown suite" in bad.stderr
 
 
 # -- verify ------------------------------------------------------------------------

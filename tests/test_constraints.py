@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,47 +86,63 @@ def test_distance_zero_iff_equal(a):
         assert _d(TV, p, q) > 0.0
 
 
-# -- batch forms ----------------------------------------------------------------
+# -- the numpy constraint --------------------------------------------------------
 
 def _pairs(n=12, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
 
 
+def _onto(Xt):
+    """A transformation model whose code is a row index: G(X[i], i) = Xt[i],
+    so `dist_reg` pairs each row of X with the same row of Xt."""
+    return SimpleNamespace(sample_codes=lambda n, rng: np.arange(n)[:, None],
+                           apply_batch=lambda X, codes: Xt[codes[:, 0]])
+
+
+def _mean_dist_reg(p, X, Xt, m):
+    return float(np.mean(con.dist_reg(p, X, _onto(Xt),
+                                      np.random.default_rng(0), m)))
+
+
 def test_dist_reg_is_mean_of_per_example():
     p = pred.init_predictor(ARCH, 1)
-    X, Xt = _pairs(seed=2)
-    per = con.per_example_dist(p, X, Xt, KL)
-    assert con.dist_reg(p, (X, Xt), KL) == pytest.approx(
-        float(np.mean(per)), abs=1e-12)
+    X = np.random.default_rng(2).standard_normal((12, 3))
+    G = tr.RotationModel((0, 1))
+    per = con.dist_reg(p, X, G, np.random.default_rng(5), KL)
+    Xt = tr.generate_batch(G, X, np.random.default_rng(5))
     singles = [con.distance(KL, pred.predict_batch(p, X[i:i + 1]),
                             pred.predict_batch(p, Xt[i:i + 1]))[0]
                for i in range(len(X))]
+    assert per.shape == (len(X),)
     assert np.allclose(per, singles, atol=1e-12)
+    # a fresh code per row, not one code for the whole sample
+    assert len(np.unique(Xt[:, 0] - X[:, 0])) == len(X)
 
 
 def test_dist_reg_rejects_empty_and_mismatched():
     p = pred.init_predictor(ARCH, 0)
+    G = tr.RotationModel((0, 1))
     with pytest.raises(ValueError):
-        con.dist_reg(p, (np.ones((0, 3)), np.ones((0, 3))), KL)
+        con.dist_reg(p, np.ones((0, 3)), G, np.random.default_rng(0), KL)
     with pytest.raises(ad.DimensionError):
-        con.dist_reg(p, (np.ones((2, 3)), np.ones((3, 3))), KL)
+        con.dist_reg(p, np.ones((2, 4)), G, np.random.default_rng(0), KL)
 
 
-def test_constraint_value_identity_code_is_zero():
+def test_dist_reg_identity_transform_is_zero():
     p = pred.init_predictor(ARCH, 3)
-    model = tr.RotationModel((0, 1), (0.0, 2 * np.pi))
+    model = tr.RotationModel((0, 1), (0.0, 0.0))  # every code is angle 0
     X = np.random.default_rng(0).standard_normal((20, 3))
-    val = con.constraint_value(p, X, model, tr.EnvironmentCode([0.0]), KL)
+    val = np.mean(con.dist_reg(p, X, model, np.random.default_rng(0), KL))
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
-def test_constraint_value_positive_under_real_rotation():
+def test_dist_reg_positive_under_real_rotation():
     p = pred.init_predictor(ARCH, 3)
-    model = tr.RotationModel((0, 1), (0.0, 2 * np.pi))
+    model = tr.RotationModel((0, 1), (np.pi / 2, np.pi / 2))
     X = 3.0 * np.random.default_rng(1).standard_normal((20, 3))
-    code = tr.EnvironmentCode([np.pi / 2])
-    assert con.constraint_value(p, X, model, code, KL) > 0.0
+    assert np.mean(con.dist_reg(p, X, model, np.random.default_rng(0),
+                                KL)) > 0.0
 
 
 # -- graph version ----------------------------------------------------------------
@@ -140,7 +158,7 @@ def test_graph_value_matches_numpy(metric):
     X, Xt = _pairs(seed=7)
     node = con.dist_reg_graph(p.arch, _graph_params(p), X, Xt, metric)
     assert float(node.value) == pytest.approx(
-        con.dist_reg(p, (X, Xt), metric), abs=1e-10)
+        _mean_dist_reg(p, X, Xt, metric), abs=1e-10)
 
 
 def test_graph_reverse_swaps_kl_arguments():
@@ -173,7 +191,8 @@ def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
     p = pred.init_predictor(ARCH, 3)
     X, Xt = _pairs(n=12, seed=4)
     Xt[-2:] = X[-2:]
-    raw = con.per_example_dist(p, X, Xt, con.DistanceMetric(kind, bound=1e9))
+    raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0),
+                       con.DistanceMetric(kind, bound=1e9))
     metric = con.DistanceMetric(kind, bound=float(np.median(raw[:-2])))
     n = len(X)
     _, distreg, grad = solvers.objective_gradient(
@@ -183,5 +202,5 @@ def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
     exact = ad.gradient(tape, p.params).values
     assert np.allclose(grad, exact, rtol=1e-10, atol=1e-14)
     assert np.any(grad != 0.0)
-    assert distreg[0] == pytest.approx(con.dist_reg(p, (X, Xt), metric),
+    assert distreg[0] == pytest.approx(_mean_dist_reg(p, X, Xt, metric),
                                        rel=1e-12)

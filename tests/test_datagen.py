@@ -6,13 +6,10 @@ from invariantlab import datagen, transforms
 
 def _covariate_spec(**kw):
     model = transforms.RotationModel((0, 1), (0.0, 2 * np.pi))
-    codes = lambda d: {k: transforms.EnvironmentCode([v])
-                       for k, v in d.items()}
     defaults = dict(
         mean0=np.array([0.5, 0.0]), mean1=np.array([2.0, 0.0]), sigma=0.4,
-        model=model,
-        train_envs=codes({"a0": 0.0, "a60": np.pi / 3}),
-        test_envs=codes({"a90": np.pi / 2}))
+        model=model, train_envs={"a0": 0.0, "a60": np.pi / 3},
+        test_envs={"a90": np.pi / 2})
     defaults.update(kw)
     return datagen.CovariateShiftSpec(**defaults)
 
@@ -42,10 +39,12 @@ def test_covariate_identity_env_equals_base_draw():
 
 
 def test_covariate_spec_validation():
-    codes = {"shared": transforms.EnvironmentCode([0.0])}
+    codes = {"shared": 0.0}
     for kw, key in [
             (dict(n_per_env=0), "n_per_env"),
             (dict(train_envs=codes, test_envs=codes), "train_envs"),
+            (dict(train_envs={"a0": float("nan")}), "train_envs"),
+            (dict(test_envs={"a90": np.inf}), "test_envs"),
             (dict(sigma=float("nan")), "sigma"),
             (dict(mean0=(1.0, 2.0, 3.0)), "mean0"),
             (dict(mean1=(2.0, float("inf"))), "mean1"),

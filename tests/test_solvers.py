@@ -91,19 +91,18 @@ def test_dual_step_per_env_is_componentwise():
 
 # -- Lagrangian and risks ----------------------------------------------------------
 
-def _identity_codes(data):
-    """Zero-angle rotation codes: G(x, e) = x in every environment."""
-    return {d.env: tr.EnvironmentCode([0.0]) for d in data}
+# every code is a zero angle: G(x, e) = x
+IDENTITY = tr.RotationModel((0, 1), (0.0, 0.0))
 
 
 def test_empirical_lagrangian_reduces_to_risk_at_zero_dual():
     spec, data = _concept()
     G = datagen.concept_shift_transform(spec)
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    codes = {d.env: tr.EnvironmentCode([1.0, 0.0]) for d in data}
     spec_l = pred.LossSpec()
     lag = solvers.empirical_lagrangian(
-        p, [0.0], 0.025, data, G, codes, cons.DistanceMetric(), spec_l)
+        p, [0.0], 0.025, data, G, np.random.default_rng(0),
+        cons.DistanceMetric(), spec_l)
     n = sum(len(d) for d in data)
     risk = sum(pred.empirical_risk(p, d, spec_l) * len(d)
                for d in data) / n
@@ -114,11 +113,10 @@ def test_empirical_lagrangian_identity_codes_subtract_margin():
     # with identity codes every constraint value is 0, so the penalty is
     # exactly -gamma * mean(lambda)
     spec, data = _concept(n=100)
-    G = tr.RotationModel((0, 1))
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 1)
     spec_l = pred.LossSpec()
     lag = solvers.empirical_lagrangian(
-        p, [2.0], 0.1, data, G, _identity_codes(data),
+        p, [2.0], 0.1, data, IDENTITY, np.random.default_rng(0),
         cons.DistanceMetric(), spec_l)
     n = sum(len(d) for d in data)
     risk = sum(pred.empirical_risk(p, d, spec_l) * len(d)
@@ -128,12 +126,11 @@ def test_empirical_lagrangian_identity_codes_subtract_margin():
 
 def test_empirical_lagrangian_checks_dual_count():
     spec, data = _concept(n=50)
-    G = tr.RotationModel((0, 1))
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
     with pytest.raises(ValueError):
         solvers.empirical_lagrangian(
-            p, [0.0, 0.0, 0.0], 0.1, data, G, _identity_codes(data),
-            cons.DistanceMetric(), pred.LossSpec())
+            p, [0.0, 0.0, 0.0], 0.1, data, IDENTITY,
+            np.random.default_rng(0), cons.DistanceMetric(), pred.LossSpec())
 
 
 def test_worst_domain_risk_picks_max_and_breaks_ties_low():

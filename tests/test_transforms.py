@@ -6,11 +6,6 @@ from invariantlab import transforms as tr
 from invariantlab.autodiff import DimensionError
 
 
-def test_environment_code_must_be_finite():
-    with pytest.raises(ValueError):
-        tr.EnvironmentCode([np.inf])
-
-
 def _apply(model, x, code):
     """G(x, e) for one instance under a fixed code."""
     return model.apply_batch(np.asarray(x, dtype=float)[None, :],
