@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invariantlab import transforms as tr
+from invariantlab import datagen, transforms as tr
 from invariantlab.autodiff import DimensionError
+
+
+def test_environment_code_must_be_finite():
+    # a code is either sampled from the model's angle range or declared
+    # as a fixed environment's angle; neither may be infinite
+    with pytest.raises(ValueError, match="angle_range"):
+        tr.RotationModel((0, 1), (0.0, np.inf))
+    with pytest.raises(ValueError, match="train_envs"):
+        datagen.CovariateShiftSpec(train_envs={"e0": np.inf})
 
 
 def _apply(model, x, code):
