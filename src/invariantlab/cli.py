@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import dataclasses
+import io
 import sys
 import time
 from pathlib import Path
@@ -35,6 +37,7 @@ from . import predictors as pred
 from . import solvers
 from . import transforms
 from . import verify as verify_mod
+from .autodiff import NonFiniteError
 
 
 class ConfigError(ValueError):
@@ -75,7 +78,10 @@ def _env_map(text: str) -> dict:
     pairs = [item.split(":") for item in text.split()]
     if not pairs or any(len(pair) != 2 for pair in pairs):
         raise ValueError(f"{text!r} is not a list of env:value pairs")
-    return {env: float(value) for env, value in pairs}
+    envs = {env: float(value) for env, value in pairs}
+    if len(envs) < len(pairs):
+        raise ValueError(f"{text!r} names an environment twice")
+    return envs
 
 
 def _floats(text: str) -> tuple:
@@ -192,12 +198,11 @@ def run_train(args) -> int:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
     wall = time.time() - t0
-    metric = cons.DistanceMetric(bound=scfg.loss_bound)
-    loss_spec = pred.LossSpec(scfg.loss_bound)
+    bound = scfg.loss_bound
     distreg = {d.env: float(np.mean(cons.dist_reg(
-        p, d.X, G, np.random.default_rng([seed, 3]), metric)))
+        p, d.X, G, np.random.default_rng([seed, 3]), bound)))
         for d in train_data}
-    worst, worst_env = solvers.worst_domain_risk(p, train_data, loss_spec)
+    worst, worst_env = solvers.worst_domain_risk(p, train_data, bound)
 
     lines = [f"algorithm={scfg.algorithm}", f"seed={seed}",
              f"holdout={holdout}"]
@@ -206,7 +211,7 @@ def run_train(args) -> int:
         acc = pred.accuracy(p, d)
         accs.append(acc)
         lines.append(f"acc_{d.env}={acc!r}")
-        lines.append(f"risk_{d.env}={pred.empirical_risk(p, d, loss_spec)!r}")
+        lines.append(f"risk_{d.env}={pred.empirical_risk(p, d, bound)!r}")
     lines.append(f"avg_accuracy={float(np.mean(accs))!r}")
     lines.append(f"worst_domain_risk={worst!r}")
     lines.append(f"worst_domain_env={worst_env}")
@@ -248,6 +253,7 @@ def run_compare(args) -> int:
     # every config is read before any training starts
     runs = [(path, build_solver_config(cfg, seed), *build_task(cfg, seed))
             for path, cfg in zip(args.config, configs)]
+    algorithms = [scfg.algorithm for _, scfg, _, _ in runs]
     rows = []
     for path, scfg, data, G in runs:
         # the [task] sections match, so every config yields the same envs
@@ -263,12 +269,17 @@ def run_compare(args) -> int:
                 return 2
             held = next(d for d in data if d.env == holdout)
             accs.append(pred.accuracy(p, held))
-        rows.append((scfg.algorithm, accs))
-    buf = ["algorithm," + ",".join(envs) + ",avg"]
-    for name, accs in rows:
-        cells = ",".join(f"{a:.17g}" for a in accs)
-        buf.append(f"{name},{cells},{float(np.mean(accs)):.17g}")
-    text = "\n".join(buf) + "\n"
+        label = scfg.algorithm
+        if algorithms.count(label) > 1:
+            # configs that share an algorithm are told apart by their path
+            label = f"{label} ({path})"
+        rows.append([label, *(f"{a:.17g}" for a in accs),
+                     f"{float(np.mean(accs)):.17g}"])
+    buf = io.StringIO()
+    table = csv.writer(buf, lineterminator="\n")
+    table.writerow(["algorithm", *envs, "avg"])
+    table.writerows(rows)
+    text = buf.getvalue()
     (out / "comparison.csv").write_text(text)
     sys.stdout.write(text)
     return 0
@@ -290,13 +301,12 @@ def run_measure_invariance(args) -> int:
         if p.arch.input_dim != held.X.shape[1]:
             raise ValueError(f"input dim {p.arch.input_dim}, the task has "
                              f"{held.X.shape[1]} features")
-    except (OSError, ValueError, IndexError) as e:
+    except (OSError, ValueError, IndexError, NonFiniteError) as e:
         raise ConfigError(f"invalid value for key predictor: {e}") from None
     # the distance train uses, clamped at the config's loss bound
-    metric = cons.DistanceMetric(
-        bound=build_solver_config(cfg, seed).loss_bound)
     summary = verify_mod.measure_g_invariance(
-        p, held, G, metric, samples_per_point=4, seed=seed)
+        p, held, G, build_solver_config(cfg, seed).loss_bound,
+        samples_per_point=4, seed=seed)
     (out / "invariance.csv").write_text(summary.to_csv())
     print(f"median={summary.median!r}")
     return 0
@@ -347,7 +357,7 @@ def _suite_perturbation():
 
 
 def _suite_empirical_gap():
-    pop = default_population(seed=1)
+    pop = default_population()
     try:
         means = verify_mod.empirical_gap_experiment(
             pop, [100, 400, 1600, 6400], trials=20, seed=2)
@@ -357,10 +367,11 @@ def _suite_empirical_gap():
         return [("strictly-decreasing", False)]
 
 
-def default_population(seed: int = 1,
-                       n_pop: int = 13000) -> verify_mod.EmpiricalPopulation:
-    """A two-Gaussian regression population over a 1-d predictor grid."""
-    rng = np.random.default_rng(seed)
+def default_population() -> verify_mod.EmpiricalPopulation:
+    """A two-Gaussian regression population of 13000 examples over a 1-d
+    predictor grid, drawn from seed 1."""
+    n_pop = 13000
+    rng = np.random.default_rng(1)
     thetas = np.linspace(-1.0, 1.0, 101)
     comp = rng.integers(0, 2, size=n_pop)
     x = np.where(comp == 1, 0.6, -0.2) + 0.8 * rng.standard_normal(n_pop)

@@ -3,9 +3,10 @@
 A predictor is a small feed-forward net `x -> softmax(logits)`.  One
 numpy forward pass (`forward`) serves evaluation and training; training
 keeps its activations and runs the closed-form `backward` through them.
-The graph-building `log_probs_graph` and `cross_entropy_graph` give the
-same quantities through `autodiff` and serve as the tests' gradient
-oracle.
+The loss is cross-entropy clamped into [0, bound], where bound is the
+solver's `loss_bound`.  The graph-building `log_probs_graph` and
+`cross_entropy_graph` give the same quantities through `autodiff` and
+serve as the tests' gradient oracle.
 """
 
 from __future__ import annotations
@@ -56,17 +57,6 @@ class Architecture:
 class Predictor:
     arch: Architecture
     params: ParameterVector
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Cross-entropy clamped into [0, B]."""
-
-    bound: float = 20.0
-
-    def __post_init__(self):
-        if self.bound <= 0:
-            raise ValueError("loss bound must be positive")
 
 
 def init_predictor(arch: Architecture, seed: int) -> Predictor:
@@ -153,13 +143,13 @@ def log_probs_graph(arch: Architecture, params: dict,
 
 # -- losses -----------------------------------------------------------------
 
-def empirical_risk(p: Predictor, data, spec: LossSpec) -> float:
-    """Mean clamped cross-entropy over an environment dataset."""
+def empirical_risk(p: Predictor, data, bound: float) -> float:
+    """Mean cross-entropy clamped at `bound` over an environment dataset."""
     if len(data.y) == 0:
         raise ValueError("empty dataset")
     q = predict_batch(p, data.X)
     qy = np.clip(q[np.arange(len(data.y)), data.y], 1e-300, None)
-    return float(np.mean(np.minimum(-np.log(qy), spec.bound)))
+    return float(np.mean(np.minimum(-np.log(qy), bound)))
 
 
 def accuracy(p: Predictor, data) -> float:
@@ -168,29 +158,30 @@ def accuracy(p: Predictor, data) -> float:
 
 
 def cross_entropy_vjp(logp: np.ndarray, y: np.ndarray,
-                      spec: LossSpec) -> tuple:
-    """Mean clamped cross-entropy of log-prob rows, and its gradient.
+                      bound: float) -> tuple:
+    """Mean cross-entropy of log-prob rows clamped at `bound`, and its
+    gradient.
 
     The gradient with respect to `logp` is -1/n on each row's label
     entry, and zero on rows whose loss sits at the clamp.
     """
     rows = np.arange(y.size)
     nll = -logp[rows, y]
-    live = nll <= spec.bound
-    value = float(np.minimum(nll, spec.bound).sum() * (1.0 / y.size))
+    live = nll <= bound
+    value = float(np.minimum(nll, bound).sum() * (1.0 / y.size))
     grad = np.zeros_like(logp)
     grad[rows, y] = np.where(live, -(1.0 / y.size), 0.0)
     return value, grad
 
 
 def cross_entropy_graph(log_probs: ad.Node, y: np.ndarray,
-                        spec: LossSpec) -> ad.Node:
+                        bound: float) -> ad.Node:
     """Mean clamped cross-entropy as a graph node (one row per example)."""
     y = np.asarray(y, dtype=np.intp)
     onehot = np.zeros(log_probs.shape)
     onehot[np.arange(y.size), y] = 1.0
     picked = ad.sum_(log_probs * ad.constant(onehot), axis=1)
-    return ad.mean(ad.minimum(-picked, spec.bound))
+    return ad.mean(ad.minimum(-picked, bound))
 
 
 # -- serialization ----------------------------------------------------------

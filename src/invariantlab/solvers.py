@@ -6,7 +6,8 @@ preset of three switches.  Per step the objective is
 
     CE(x) + sum of augmented CE terms + <dual weights, distReg(theta)>
 
-where distReg compares the predictions on each constraint pair.  Its
+where distReg is the KL between the predictions on each constraint
+pair, and CE and distReg are clamped at the config's `loss_bound`.  Its
 gradient comes from one numpy forward pass over every row the step
 needs and closed-form vector-Jacobian products (`objective_gradient`).
 The presets (G(x) is a fresh draw from the transformation model):
@@ -159,13 +160,13 @@ def dual_step(lam: np.ndarray, distreg_value, gamma: float,
 
 
 def objective_gradient(p: pred.Predictor, X: np.ndarray, ce_terms, pairs,
-                       lam, loss_spec: pred.LossSpec,
-                       metric: cons.DistanceMetric):
+                       lam, bound: float):
     """The step objective and its gradient from one forward pass over X.
 
-    The objective is the sum of the clamped CE over `ce_terms`, a list
-    of (row slice, labels), plus lam[k] / len(pairs) times the distReg
-    of pair k in `pairs`, a list of (row slice, row slice).  Returns
+    The objective is the sum of the CE over `ce_terms`, a list of (row
+    slice, labels), plus lam[k] / len(pairs) times the distReg of pair k
+    in `pairs`, a list of (row slice, row slice); CE and distReg are
+    both clamped at `bound`.  Returns
     (CE sum, distReg per pair, flat gradient).
     """
     params = p.params.layout.unflatten(p.params.values)
@@ -174,12 +175,12 @@ def objective_gradient(p: pred.Predictor, X: np.ndarray, ce_terms, pairs,
     g = np.zeros_like(logp)
     loss = 0.0
     for rows, y in ce_terms:
-        value, g_rows = pred.cross_entropy_vjp(logp[rows], y, loss_spec)
+        value, g_rows = pred.cross_entropy_vjp(logp[rows], y, bound)
         loss += value
         g[rows] += g_rows
     distreg = np.zeros(len(pairs))
     for k, (a, b) in enumerate(pairs):
-        distreg[k], g_a, g_b = cons.dist_reg_vjp(metric, logp[a], logp[b])
+        distreg[k], g_a, g_b = cons.dist_reg_vjp(logp[a], logp[b], bound)
         # a zero weight adds nothing, so the gradient equals the bare loss's
         if lam[k] != 0.0:
             w = float(lam[k]) * (1.0 / len(pairs))
@@ -192,7 +193,7 @@ def objective_gradient(p: pred.Predictor, X: np.ndarray, ce_terms, pairs,
 
 
 def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
-                rng: np.random.Generator, metric: cons.DistanceMetric):
+                rng: np.random.Generator):
     """One SGD step of the config's preset on loss + <lam, distReg>.
 
     `batches` lists (X, y) minibatches, one per environment under a
@@ -234,8 +235,7 @@ def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
             ce_terms += [(b, by) for (_, b), (_, by) in zip(pairs, batches)]
 
     loss, distreg, grad = objective_gradient(
-        p, np.vstack(blocks), ce_terms, pairs, lam,
-        pred.LossSpec(config.loss_bound), metric)
+        p, np.vstack(blocks), ce_terms, pairs, lam, config.loss_bound)
     if not np.isfinite(loss):
         raise ad.NonFiniteError("non-finite loss")
     if not np.all(np.isfinite(distreg)):
@@ -249,14 +249,13 @@ def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
 
 
 def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
-                         G, rng: np.random.Generator,
-                         metric: cons.DistanceMetric,
-                         loss_spec: pred.LossSpec) -> float:
+                         G, rng: np.random.Generator, bound: float) -> float:
     """R_hat + (1/|E|) sum_e [L_hat^e - gamma] * lambda(e).
 
     `lam` holds one dual weight shared by every environment, or one per
     environment.  L_hat^e is the mean of `constraints.dist_reg` over
-    environment e's data, each row under a fresh code drawn from `rng`.
+    environment e's data, each row under a fresh code drawn from `rng`;
+    the risk and the distance are clamped at `bound`.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     if lam.size not in (1, len(datasets)):
@@ -264,21 +263,20 @@ def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
     if lam.size == 1:
         lam = np.full(len(datasets), lam[0])
     n_total = sum(len(d) for d in datasets)
-    risk = sum(pred.empirical_risk(p, d, loss_spec) * len(d)
+    risk = sum(pred.empirical_risk(p, d, bound) * len(d)
                for d in datasets) / n_total
     penalty = 0.0
     for lam_e, d in zip(lam, datasets):
-        L_e = float(np.mean(cons.dist_reg(p, d.X, G, rng, metric)))
+        L_e = float(np.mean(cons.dist_reg(p, d.X, G, rng, bound)))
         penalty += (L_e - gamma) * lam_e
     return float(risk + penalty / len(datasets))
 
 
-def worst_domain_risk(p: pred.Predictor, datasets,
-                      loss_spec: pred.LossSpec) -> tuple:
+def worst_domain_risk(p: pred.Predictor, datasets, bound: float) -> tuple:
     """Max per-environment empirical risk; ties broken by lowest index."""
     if not datasets:
         raise ValueError("need at least one environment dataset")
-    risks = [pred.empirical_risk(p, d, loss_spec) for d in datasets]
+    risks = [pred.empirical_risk(p, d, bound) for d in datasets]
     best = int(np.argmax(risks))
     return risks[best], datasets[best].env
 
@@ -287,13 +285,11 @@ def worst_domain_risk(p: pred.Predictor, datasets,
 
 # a diverging run overflows before the NaN/Inf checks raise TrainingFailure
 @np.errstate(over="ignore", invalid="ignore")
-def train(config: SolverConfig, datasets, G,
-          metric: cons.DistanceMetric | None = None):
+def train(config: SolverConfig, datasets, G):
     """Train a predictor on the given environments; returns (p, trace)."""
     if not datasets:
         raise ValueError("need at least one training environment")
     preset = PRESETS[config.algorithm]
-    metric = metric or cons.DistanceMetric(bound=config.loss_bound)
     env_ids = [d.env for d in datasets]
 
     input_dim = datasets[0].X.shape[1]
@@ -328,7 +324,7 @@ def train(config: SolverConfig, datasets, G,
         batches = [(X_all[idx], y_all[idx]) for idx in idxs]
         try:
             p, loss, distreg = primal_step(p, lam, batches, G, config,
-                                           gen_rng, metric)
+                                           gen_rng)
         except ad.NonFiniteError as e:
             raise TrainingFailure(f"step {step}: {e}", trace) from e
         if preset.dual == "ascent":

@@ -411,14 +411,14 @@ class SlacknessReport:
 
 
 def complementary_slackness_check(spec: ConstrainedProblemSpec,
-                                  gamma: float,
-                                  tol: float = 1e-3) -> SlacknessReport:
-    """|sum_e lambda(e) * (L_e(theta) - gamma)| at the grid saddle point."""
+                                  gamma: float) -> SlacknessReport:
+    """|sum_e lambda(e) * (L_e(theta) - gamma)| at the grid saddle point;
+    `ok` when it is at most 1e-3."""
     _, theta = solve_primal_grid(spec, gamma)
     _, lam = solve_dual(spec, gamma)
     idx = int(np.argmin(np.abs(spec.thetas - theta).sum(axis=1)))
     residual = float(abs(np.dot(lam, spec.L[idx] - gamma)))
-    return SlacknessReport(residual, lam, theta, residual <= tol)
+    return SlacknessReport(residual, lam, theta, residual <= 1e-3)
 
 
 @dataclass(frozen=True)
@@ -474,20 +474,20 @@ class InvarianceSummary:
         return buf.getvalue()
 
 
-def measure_g_invariance(p, data, G, m: cons.DistanceMetric,
-                         samples_per_point: int,
+def measure_g_invariance(p, data, G, bound: float, samples_per_point: int,
                          seed: int = 0) -> InvarianceSummary:
     """Per-example distance to fresh transformed counterparts.
 
     Each example is paired with `samples_per_point` freshly sampled
-    environment codes; its value is the mean distance over those pairs.
+    environment codes; its value is the mean distance, clamped at
+    `bound`, over those pairs.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
     if samples_per_point < 1:
         raise ValueError("need at least one sample per point")
     rng = np.random.default_rng(seed)
-    values = np.mean([cons.dist_reg(p, data.X, G, rng, m)
+    values = np.mean([cons.dist_reg(p, data.X, G, rng, bound)
                       for _ in range(samples_per_point)], axis=0)
     return InvarianceSummary(values, float(np.median(values)))
 

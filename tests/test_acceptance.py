@@ -20,6 +20,8 @@ from invariantlab import transforms
 from invariantlab import verify
 
 GAMMA = 0.025
+# the clamp of CE and distReg in every run here
+LOSS_BOUND = solvers.SolverConfig().loss_bound
 ENVS = ("e0.1", "e0.8", "e0.9")
 
 
@@ -115,7 +117,7 @@ def test_criterion_3_margin_enforcement(seed0_runs):
         p, _, _, train_data, G = seed0_runs[(algorithm, "e0.1")]
         dr[algorithm] = [float(np.mean(cons.dist_reg(
             p, d.X, G, np.random.default_rng([0, 3]),
-            cons.DistanceMetric()))) for d in train_data]
+            LOSS_BOUND))) for d in train_data]
     mbdg_ok = all(v <= GAMMA + 0.01 for v in dr["mbdg"])
     reg_ok = any(v > GAMMA for v in dr["mbdg-reg"])
     detail = (f"mbdg_max={max(dr['mbdg']):.4f} <= {GAMMA + 0.01}, "
@@ -126,13 +128,12 @@ def test_criterion_3_margin_enforcement(seed0_runs):
 # -- criterion 4: invariance distribution on held-out data ----------------------
 
 def test_criterion_4_invariance_distribution(seed0_runs):
-    metric = cons.DistanceMetric()
     p_m, _, held, _, G = seed0_runs[("mbdg", "e0.1")]
     p_e, _, _, _, _ = seed0_runs[("erm", "e0.1")]
     med_m = verify.measure_g_invariance(
-        p_m, held, G, metric, samples_per_point=4, seed=0).median
+        p_m, held, G, LOSS_BOUND, samples_per_point=4, seed=0).median
     med_e = verify.measure_g_invariance(
-        p_e, held, G, metric, samples_per_point=4, seed=0).median
+        p_e, held, G, LOSS_BOUND, samples_per_point=4, seed=0).median
     ok = med_m < 0.5 * med_e
     assert _report(4, ok, f"mbdg_median={med_m:.4f}, erm_median={med_e:.4f}")
 
@@ -170,7 +171,7 @@ def test_criterion_5_duality_suite():
 # -- criterion 6: empirical gap decay --------------------------------------------
 
 def test_criterion_6_empirical_gap_decay():
-    pop = cli.default_population(seed=1)
+    pop = cli.default_population()
     try:
         means = verify.empirical_gap_experiment(
             pop, [100, 400, 1600, 6400], trials=20, seed=2)
@@ -208,14 +209,12 @@ def _random_composition_max_error(seed):
     Xt = rng.standard_normal((n, dims[0]))
     y = rng.integers(0, dims[-1], n)
     lam = float(rng.uniform(0.0, 2.0))
-    metric = cons.DistanceMetric()
-    spec = pred.LossSpec()
     data = datagen.EnvironmentDataset("r", X, y)
 
     # the training step's gradient of CE(X) + lam * distReg(X, Xt)
     _, _, exact = solvers.objective_gradient(
         p, np.vstack([X, Xt]), [(slice(0, n), y)],
-        [(slice(0, n), slice(n, 2 * n))], [lam], spec, metric)
+        [(slice(0, n), slice(n, 2 * n))], [lam], LOSS_BOUND)
 
     # a G whose code is a row index, G(X[i], i) = Xt[i], so distReg pairs
     # the rows the exact gradient pairs
@@ -224,8 +223,9 @@ def _random_composition_max_error(seed):
 
     def objective(theta):
         q = pred.Predictor(arch, theta)
-        dr = cons.dist_reg(q, X, G, np.random.default_rng(seed), metric)
-        return pred.empirical_risk(q, data, spec) + lam * float(np.mean(dr))
+        dr = cons.dist_reg(q, X, G, np.random.default_rng(seed), LOSS_BOUND)
+        return pred.empirical_risk(q, data, LOSS_BOUND) \
+            + lam * float(np.mean(dr))
 
     approx = ad.finite_diff_gradient(objective, p.params).values
     denom = np.maximum(np.abs(exact), 1e-6)
@@ -238,10 +238,9 @@ def test_criterion_8_numerics():
 
     rng = np.random.default_rng(7)
     # KL non-negativity over 1e4 random simplex pairs
-    metric = cons.DistanceMetric()
     P = rng.dirichlet(np.ones(3), size=10_000)
     Q = rng.dirichlet(np.ones(3), size=10_000)
-    kl_ok = bool(np.all(cons.distance(metric, P, Q) >= 0.0))
+    kl_ok = bool(np.all(cons.distance(P, Q, LOSS_BOUND) >= 0.0))
     # simplex outputs over 1e4 random inputs
     arch = pred.Architecture((4, 6, 3))
     model = pred.init_predictor(arch, 0)

@@ -1,5 +1,7 @@
 import configparser
+import csv
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -159,11 +161,14 @@ _PROBE_BASES = {"mbdg": SMALL_TASK.format(algorithm="mbdg"),
     ("mbdg", "task", "n_per_env = 0", "n_per_env"),
     ("mbdg", "task", "rho_shape = 1.5", "rho_shape"),
     ("mbdg", "task", "agreements = e1:1.5 e2:0.5", "agreements"),
+    ("mbdg", "task", "agreements = e0.9:0.9 e0.9:0.8 e0.1:0.1",
+     "agreements"),
     ("mbdg", "task", "shape_sigma = nan", "shape_sigma"),
     ("covariate", "task", "mean0 = 1 2 3", "mean0"),
     ("covariate", "task", "noise_dims = -1", "noise_dims"),
     ("covariate", "task", "n_per_env = 0", "n_per_env"),
     ("covariate", "task", "train_envs = a0:nan", "train_envs"),
+    ("covariate", "task", "train_envs = a0:0 a0:0.5", "train_envs"),
     ("covariate", "task", "sigma = nan", "sigma"),
     ("covariate", "transform", "plane = 0", "plane"),
     ("covariate", "transform", "plane = 0 5", "plane"),
@@ -356,6 +361,20 @@ def test_compare_writes_table_and_prefers_constrained_training(tmp_path,
     assert rows["mbdg"][0] > rows["erm"][0]
 
 
+def test_compare_labels_configs_that_share_an_algorithm(tmp_path, capsys):
+    body = SMALL_TASK.format(algorithm="mbdg")
+    # a comma in a path is quoted, so each row keeps its five cells
+    paths = [_write_config(tmp_path, name="a.ini", body=body),
+             _write_config(tmp_path, name="b,c.ini",
+                           body=body + "gamma = 0.5\n")]
+    assert cli.main(["compare", "--config", paths[0], "--config", paths[1],
+                     "--out", str(tmp_path / "cmp")]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [len(row) for row in rows] == [5, 5, 5]
+    assert [row[0] for row in rows[1:]] == \
+        [f"mbdg ({path})" for path in paths]
+
+
 def test_compare_reads_the_seed_of_its_configs(tmp_path, capsys):
     plain, seeded = [], []
     for algorithm in ("erm", "mbdg"):
@@ -484,7 +503,8 @@ def test_measure_invariance_missing_predictor(tmp_path):
     "not a predictor\n",
     "",
     None,  # a directory
-], ids=["other-task", "corrupt", "empty", "directory"])
+    "5 1 2 tanh\n" + " ".join(["nan"] * 10) + "\n",
+], ids=["other-task", "corrupt", "empty", "directory", "nan"])
 def test_measure_invariance_rejects_an_unusable_predictor(tmp_path, capsys,
                                                           text):
     cfg = _write_config(tmp_path)

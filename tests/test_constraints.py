@@ -10,8 +10,7 @@ from invariantlab import predictors as pred
 from invariantlab import solvers
 from invariantlab import transforms as tr
 
-KL = con.DistanceMetric("kl")
-TV = con.DistanceMetric("total-variation")
+BOUND = 20.0  # the default [solver] loss_bound
 ARCH = pred.Architecture((3, 6, 2))
 
 
@@ -20,46 +19,33 @@ def _simplex(values):
     return v / v.sum()
 
 
-def _d(m, p, q):
+def _d(p, q, bound=BOUND):
     """The row-wise distance of two single distributions."""
-    return float(con.distance(m, p[None, :], q[None, :])[0])
-
-
-def test_metric_validation():
-    with pytest.raises(ValueError):
-        con.DistanceMetric("hellinger")
+    return float(con.distance(p[None, :], q[None, :], bound)[0])
 
 
 def test_distance_zero_on_equal_distributions():
     p = _simplex([0.2, 0.8])
-    assert _d(KL, p, p) == 0.0
-    assert _d(TV, p, p) == 0.0
+    assert _d(p, p) == 0.0
 
 
 def test_distance_shape_mismatch():
     with pytest.raises(ad.DimensionError):
-        _d(KL, np.array([1.0]), np.array([0.5, 0.5]))
-
-
-def test_total_variation_closed_form():
-    p = np.array([1.0, 0.0])
-    q = np.array([0.25, 0.75])
-    assert _d(TV, p, q) == pytest.approx(0.75)
+        _d(np.array([1.0]), np.array([0.5, 0.5]))
 
 
 def test_kl_matches_direct_formula():
     p = np.array([0.3, 0.7])
     q = np.array([0.6, 0.4])
-    eps = KL.smoothing
+    eps = con.SMOOTHING
     expected = np.sum(p * np.log((p + eps) / (q + eps)))
-    assert _d(KL, p, q) == pytest.approx(float(expected))
+    assert _d(p, q) == pytest.approx(float(expected))
 
 
 def test_kl_clamped_by_bound():
-    m = con.DistanceMetric("kl", smoothing=1e-12, bound=5.0)
     p = np.array([1.0, 0.0])
     q = np.array([1e-12, 1.0])
-    assert _d(m, p, q) == 5.0
+    assert _d(p, q, bound=5.0) == 5.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -70,8 +56,7 @@ def test_kl_clamped_by_bound():
 def test_distances_nonnegative(a, b):
     n = min(len(a), len(b))
     p, q = _simplex(a[:n]), _simplex(b[:n])
-    assert _d(KL, p, q) >= 0.0
-    assert _d(TV, p, q) >= 0.0
+    assert _d(p, q) >= 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -79,11 +64,11 @@ def test_distances_nonnegative(a, b):
                 max_size=4))
 def test_distance_zero_iff_equal(a):
     p = _simplex(a)
-    assert _d(KL, p, p) == 0.0
+    assert _d(p, p) == 0.0
     q = p.copy()
     q[0], q[-1] = q[-1], q[0]
     if not np.allclose(p, q):
-        assert _d(TV, p, q) > 0.0
+        assert _d(p, q) > 0.0
 
 
 # -- the numpy constraint --------------------------------------------------------
@@ -100,19 +85,19 @@ def _onto(Xt):
                            apply_batch=lambda X, codes: Xt[codes[:, 0]])
 
 
-def _mean_dist_reg(p, X, Xt, m):
+def _mean_dist_reg(p, X, Xt, bound=BOUND):
     return float(np.mean(con.dist_reg(p, X, _onto(Xt),
-                                      np.random.default_rng(0), m)))
+                                      np.random.default_rng(0), bound)))
 
 
 def test_dist_reg_is_mean_of_per_example():
     p = pred.init_predictor(ARCH, 1)
     X = np.random.default_rng(2).standard_normal((12, 3))
     G = tr.RotationModel((0, 1))
-    per = con.dist_reg(p, X, G, np.random.default_rng(5), KL)
+    per = con.dist_reg(p, X, G, np.random.default_rng(5), BOUND)
     Xt = tr.generate_batch(G, X, np.random.default_rng(5))
-    singles = [con.distance(KL, pred.predict_batch(p, X[i:i + 1]),
-                            pred.predict_batch(p, Xt[i:i + 1]))[0]
+    singles = [con.distance(pred.predict_batch(p, X[i:i + 1]),
+                            pred.predict_batch(p, Xt[i:i + 1]), BOUND)[0]
                for i in range(len(X))]
     assert per.shape == (len(X),)
     assert np.allclose(per, singles, atol=1e-12)
@@ -124,16 +109,17 @@ def test_dist_reg_rejects_empty_and_mismatched():
     p = pred.init_predictor(ARCH, 0)
     G = tr.RotationModel((0, 1))
     with pytest.raises(ValueError):
-        con.dist_reg(p, np.ones((0, 3)), G, np.random.default_rng(0), KL)
+        con.dist_reg(p, np.ones((0, 3)), G, np.random.default_rng(0), BOUND)
     with pytest.raises(ad.DimensionError):
-        con.dist_reg(p, np.ones((2, 4)), G, np.random.default_rng(0), KL)
+        con.dist_reg(p, np.ones((2, 4)), G, np.random.default_rng(0), BOUND)
 
 
 def test_dist_reg_identity_transform_is_zero():
     p = pred.init_predictor(ARCH, 3)
     model = tr.RotationModel((0, 1), (0.0, 0.0))  # every code is angle 0
     X = np.random.default_rng(0).standard_normal((20, 3))
-    val = np.mean(con.dist_reg(p, X, model, np.random.default_rng(0), KL))
+    val = np.mean(con.dist_reg(p, X, model, np.random.default_rng(0),
+                               BOUND))
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
@@ -142,7 +128,7 @@ def test_dist_reg_positive_under_real_rotation():
     model = tr.RotationModel((0, 1), (np.pi / 2, np.pi / 2))
     X = 3.0 * np.random.default_rng(1).standard_normal((20, 3))
     assert np.mean(con.dist_reg(p, X, model, np.random.default_rng(0),
-                                KL)) > 0.0
+                                BOUND)) > 0.0
 
 
 # -- graph version ----------------------------------------------------------------
@@ -152,31 +138,18 @@ def _graph_params(p):
             p.params.layout.unflatten(p.params.values).items()}
 
 
-@pytest.mark.parametrize("metric", [KL, TV])
-def test_graph_value_matches_numpy(metric):
+def test_graph_value_matches_numpy():
     p = pred.init_predictor(ARCH, 5)
     X, Xt = _pairs(seed=7)
-    node = con.dist_reg_graph(p.arch, _graph_params(p), X, Xt, metric)
-    assert float(node.value) == pytest.approx(
-        _mean_dist_reg(p, X, Xt, metric), abs=1e-10)
-
-
-def test_graph_reverse_swaps_kl_arguments():
-    p = pred.init_predictor(ARCH, 5)
-    X, Xt = _pairs(seed=8)
-    fwd = con.dist_reg_graph(p.arch, _graph_params(p), X, Xt, KL)
-    rev = con.dist_reg_graph(p.arch, _graph_params(p), X, Xt, KL,
-                             reverse=True)
-    swapped = con.dist_reg_graph(p.arch, _graph_params(p), Xt, X, KL)
-    assert float(rev.value) == pytest.approx(float(swapped.value),
-                                             abs=1e-12)
-    assert float(fwd.value) != pytest.approx(float(rev.value), abs=1e-12)
+    node = con.dist_reg_graph(p.arch, _graph_params(p), X, Xt, BOUND)
+    assert float(node.value) == pytest.approx(_mean_dist_reg(p, X, Xt),
+                                              abs=1e-10)
 
 
 def test_graph_gradient_matches_finite_differences():
     p = pred.init_predictor(ARCH, 9)
     X, Xt = _pairs(n=8, seed=9)
-    tape = con.dist_reg_tape(p, X, Xt, KL)
+    tape = con.dist_reg_tape(p, X, Xt, BOUND)
     exact = ad.gradient(tape, p.params).values
     approx = ad.finite_diff_gradient(
         lambda t: ad.evaluate(tape, t), p.params).values
@@ -184,23 +157,21 @@ def test_graph_gradient_matches_finite_differences():
     assert np.max(np.abs(exact - approx) / denom) <= 1e-4
 
 
-@pytest.mark.parametrize("kind", ["kl", "total-variation"])
-def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
+def test_closed_form_gradient_matches_graph_at_the_clamp():
     # the bound sits at the median per-row KL, so half the rows clamp
     # and pass no gradient; the last two pairs are identical rows
     p = pred.init_predictor(ARCH, 3)
     X, Xt = _pairs(n=12, seed=4)
     Xt[-2:] = X[-2:]
-    raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0),
-                       con.DistanceMetric(kind, bound=1e9))
-    metric = con.DistanceMetric(kind, bound=float(np.median(raw[:-2])))
+    raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0), 1e9)
+    bound = float(np.median(raw[:-2]))
     n = len(X)
     _, distreg, grad = solvers.objective_gradient(
         p, np.vstack([X, Xt]), [], [(slice(0, n), slice(n, 2 * n))], [1.0],
-        pred.LossSpec(), metric)
-    tape = con.dist_reg_tape(p, X, Xt, metric)
+        bound)
+    tape = con.dist_reg_tape(p, X, Xt, bound)
     exact = ad.gradient(tape, p.params).values
     assert np.allclose(grad, exact, rtol=1e-10, atol=1e-14)
     assert np.any(grad != 0.0)
-    assert distreg[0] == pytest.approx(_mean_dist_reg(p, X, Xt, metric),
+    assert distreg[0] == pytest.approx(_mean_dist_reg(p, X, Xt, bound),
                                        rel=1e-12)

@@ -7,6 +7,7 @@ from invariantlab import datagen
 from invariantlab import predictors as pred
 
 ARCH = pred.Architecture((3, 8, 2))
+BOUND = 20.0  # the default [solver] loss_bound
 
 
 def _data(n=20, seed=0, d=3, classes=2):
@@ -59,46 +60,42 @@ def test_input_dimension_checked():
         pred.logits_batch(p, np.ones((4, 5)))
 
 
-def _cross_entropy(q, y, spec):
+def _cross_entropy(q, y, bound=BOUND):
     """The clamped CE of one distribution q and label y."""
     with np.errstate(divide="ignore"):
         logp = np.log(np.asarray(q, dtype=float))[None, :]
-    return pred.cross_entropy_vjp(logp, np.array([y]), spec)[0]
+    return pred.cross_entropy_vjp(logp, np.array([y]), bound)[0]
 
 
 def test_cross_entropy_exact_endpoints():
-    spec = pred.LossSpec(bound=20.0)
-    assert _cross_entropy([0.0, 1.0], 1, spec) == 0.0
-    assert _cross_entropy([1.0, 0.0], 1, spec) == 20.0
+    assert _cross_entropy([0.0, 1.0], 1) == 0.0
+    assert _cross_entropy([1.0, 0.0], 1) == 20.0
     q = np.array([0.25, 0.75])
-    assert _cross_entropy(q, 1, spec) == pytest.approx(-np.log(0.75))
+    assert _cross_entropy(q, 1) == pytest.approx(-np.log(0.75))
 
 
 def test_cross_entropy_clamped_by_bound():
-    spec = pred.LossSpec(bound=0.1)
-    assert _cross_entropy([0.5, 0.5], 0, spec) == pytest.approx(0.1)
+    assert _cross_entropy([0.5, 0.5], 0, bound=0.1) == pytest.approx(0.1)
 
 
 def test_empirical_risk_matches_per_example_mean():
-    spec = pred.LossSpec()
     p = pred.init_predictor(ARCH, 0)
     data = _data()
     per = [_cross_entropy(pred.predict_batch(p, data.X[i:i + 1])[0],
-                          int(data.y[i]), spec) for i in range(len(data))]
-    assert pred.empirical_risk(p, data, spec) == pytest.approx(
+                          int(data.y[i])) for i in range(len(data))]
+    assert pred.empirical_risk(p, data, BOUND) == pytest.approx(
         float(np.mean(per)), abs=1e-12)
 
 
 def test_graph_loss_matches_numpy_loss():
-    spec = pred.LossSpec()
     p = pred.init_predictor(ARCH, 2)
     data = _data(seed=5)
     params = {n: ad.Node(a) for n, a in
               p.params.layout.unflatten(p.params.values).items()}
     logp = pred.log_probs_graph(p.arch, params, data.X)
-    node = pred.cross_entropy_graph(logp, data.y, spec)
+    node = pred.cross_entropy_graph(logp, data.y, BOUND)
     assert float(node.value) == pytest.approx(
-        pred.empirical_risk(p, data, spec), abs=1e-10)
+        pred.empirical_risk(p, data, BOUND), abs=1e-10)
 
 
 def test_accuracy_on_constant_labels():
@@ -114,8 +111,3 @@ def test_save_load_round_trip_is_exact():
     q = pred.load_text(pred.save_text(p))
     assert q.arch == p.arch
     assert np.array_equal(q.params.values, p.params.values)
-
-
-def test_loss_spec_validation():
-    with pytest.raises(ValueError):
-        pred.LossSpec(bound=0.0)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from invariantlab import constraints as cons
 from invariantlab import datagen
 from invariantlab import predictors as pred
 from invariantlab import transforms as tr
@@ -337,13 +336,16 @@ def test_theorem2_already_feasible_minimizer_converges_immediately():
 
 # -- invariance measurement ------------------------------------------------------------
 
+BOUND = 20.0  # the default [solver] loss_bound
+
+
 def test_measure_invariance_zero_for_identity_range():
     spec = datagen.ConceptShiftSpec(n_per_env=50)
     data = datagen.gen_concept_shift(spec, seed=0)[0]
     model = tr.RotationModel((0, 1), (0.0, 0.0))
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
     summary = verify.measure_g_invariance(
-        p, data, model, cons.DistanceMetric(), samples_per_point=3)
+        p, data, model, BOUND, samples_per_point=3)
     assert np.allclose(summary.values, 0.0, atol=1e-12)
     assert summary.median == 0.0
 
@@ -355,7 +357,7 @@ def test_measure_invariance_zero_for_constant_predictor():
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
     q = pred.with_params(p, np.zeros_like(p.params.values))
     summary = verify.measure_g_invariance(
-        q, data, G, cons.DistanceMetric(), samples_per_point=2)
+        q, data, G, BOUND, samples_per_point=2)
     assert np.allclose(summary.values, 0.0, atol=1e-12)
 
 
@@ -365,7 +367,7 @@ def test_measure_invariance_positive_for_sensitive_predictor():
     G = datagen.concept_shift_transform(spec)
     p = pred.init_predictor(pred.Architecture((5, 8, 2)), 3)
     summary = verify.measure_g_invariance(
-        p, data, G, cons.DistanceMetric(), samples_per_point=4)
+        p, data, G, BOUND, samples_per_point=4)
     assert summary.median > 0.0
     assert summary.values.shape == (len(data),)
 
@@ -376,8 +378,7 @@ def test_measure_invariance_validates_arguments():
     G = datagen.concept_shift_transform(spec)
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
     with pytest.raises(ValueError):
-        verify.measure_g_invariance(p, data, G, cons.DistanceMetric(),
-                                    samples_per_point=0)
+        verify.measure_g_invariance(p, data, G, BOUND, samples_per_point=0)
 
 
 def test_invariance_csv_format():
