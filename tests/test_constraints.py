@@ -157,21 +157,36 @@ def test_graph_gradient_matches_finite_differences():
     assert np.max(np.abs(exact - approx) / denom) <= 1e-4
 
 
-def test_closed_form_gradient_matches_graph_at_the_clamp():
-    # the bound sits at the median per-row KL, so half the rows clamp
-    # and pass no gradient; the last two pairs are identical rows
+@pytest.mark.parametrize("kind", ["kl", "ce"])
+def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
+    # the bound sits at the median per-row loss of the clamped term (KL
+    # of a constraint pair, or CE), so half its rows clamp and pass no
+    # gradient; for KL the last two pairs are identical rows
     p = pred.init_predictor(ARCH, 3)
     X, Xt = _pairs(n=12, seed=4)
-    Xt[-2:] = X[-2:]
-    raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0), 1e9)
-    bound = float(np.median(raw[:-2]))
     n = len(X)
-    _, distreg, grad = solvers.objective_gradient(
-        p, np.vstack([X, Xt]), [], [(slice(0, n), slice(n, 2 * n))], [1.0],
-        bound)
-    tape = con.dist_reg_tape(p, X, Xt, bound)
+    if kind == "kl":
+        Xt[-2:] = X[-2:]
+        raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0), 1e9)
+        bound = float(np.median(raw[:-2]))
+        ce_terms, pairs = [], [(slice(0, n), slice(n, 2 * n))]
+        tape = con.dist_reg_tape(p, X, Xt, bound)
+    else:
+        y = np.random.default_rng(5).integers(0, 2, size=n)
+        logp = np.log(pred.predict_batch(p, X))
+        bound = float(np.median(-logp[np.arange(n), y]))
+        ce_terms, pairs = [(slice(0, n), y)], []
+        tape = ad.Tape(lambda params: pred.cross_entropy_graph(
+            pred.log_probs_graph(p.arch, params, X), y, bound),
+            p.params.layout)
+    loss, distreg, grad = solvers.objective_gradient(
+        p, np.vstack([X, Xt]), ce_terms, pairs, [1.0] * len(pairs), bound)
     exact = ad.gradient(tape, p.params).values
     assert np.allclose(grad, exact, rtol=1e-10, atol=1e-14)
     assert np.any(grad != 0.0)
-    assert distreg[0] == pytest.approx(_mean_dist_reg(p, X, Xt, bound),
-                                       rel=1e-12)
+    value = distreg[0] if kind == "kl" else loss
+    assert value == pytest.approx(float(ad.evaluate(tape, p.params)),
+                                  rel=1e-12)
+    if kind == "kl":
+        assert distreg[0] == pytest.approx(_mean_dist_reg(p, X, Xt, bound),
+                                           rel=1e-12)
