@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -236,7 +237,7 @@ class ParameterLayout:
 
     entries: tuple  # of (name, shape) pairs
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(math.prod(shape) for _, shape in self.entries)
 

@@ -199,26 +199,28 @@ def run_train(args) -> int:
         return 2
     wall = time.time() - t0
     bound = scfg.loss_bound
-    distreg = {d.env: float(np.mean(cons.dist_reg(
-        p, d.X, G, np.random.default_rng([seed, 3]), bound)))
-        for d in train_data}
-    worst, worst_env = solvers.worst_domain_risk(p, train_data, bound)
-
     lines = [f"algorithm={scfg.algorithm}", f"seed={seed}",
              f"holdout={holdout}"]
-    accs = []
+    accs, risks, distreg = [], {}, {}
     for d in sorted(data, key=lambda d: d.env):
-        acc = pred.accuracy(p, d)
-        accs.append(acc)
-        lines.append(f"acc_{d.env}={acc!r}")
-        lines.append(f"risk_{d.env}={pred.empirical_risk(p, d, bound)!r}")
+        # one clean forward per environment, freed before the next
+        q = pred.predict_batch(p, d.X)
+        accs.append(pred.accuracy(p, d, q))
+        risks[d.env] = pred.empirical_risk(p, d, bound, q)
+        if d.env != holdout:
+            distreg[d.env] = float(np.mean(cons.dist_reg(
+                p, d.X, G, np.random.default_rng([seed, 3]), bound, q)))
+        del q
+        lines += [f"acc_{d.env}={accs[-1]!r}",
+                  f"risk_{d.env}={risks[d.env]!r}"]
+    worst, worst_env = solvers.worst_domain_risk(
+        {d.env: risks[d.env] for d in train_data})
     lines.append(f"avg_accuracy={float(np.mean(accs))!r}")
     lines.append(f"worst_domain_risk={worst!r}")
     lines.append(f"worst_domain_env={worst_env}")
     lines.append("lambda=" + " ".join(repr(float(v))
                                       for v in trace.lam[-1]))
-    for env in sorted(distreg):
-        lines.append(f"distreg_{env}={distreg[env]!r}")
+    lines += [f"distreg_{env}={v!r}" for env, v in distreg.items()]
     lines.extend(_config_echo(cfg))
     lines.append(f"wall_clock_seconds={wall!r}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")

@@ -7,8 +7,9 @@ constant `SMOOTHING`, clamped into [0, bound], where bound is the
 solver's `loss_bound`.  `distance` compares two stacks of distributions
 row by row.  `dist_reg` is the one numpy form of the constraint: it
 draws the codes and returns the per-row distances, whose mean is L on
-the sample.  Training takes distReg and its gradient from
-`dist_reg_vjp` on the pairs its preset names; the graph form
+the sample; a caller holding the clean predictions passes them in.
+Training takes distReg and its gradient from `dist_reg_vjp` on the
+step's softmax rows of the pairs its preset names; the graph form
 `dist_reg_graph` is the tests' oracle for that gradient.
 """
 
@@ -33,37 +34,39 @@ def distance(P: np.ndarray, Q: np.ndarray, bound: float) -> np.ndarray:
     if P.shape != Q.shape:
         raise DimensionError(f"distribution shapes differ: {P.shape} vs "
                              f"{Q.shape}")
-    vals = np.sum(P * np.log((P + SMOOTHING) / (Q + SMOOTHING)), axis=1)
+    vals = pred.class_reduce(
+        np.add, P * np.log((P + SMOOTHING) / (Q + SMOOTHING)))
     return np.clip(vals, 0.0, bound)
 
 
 def dist_reg(p: pred.Predictor, X: np.ndarray, G,
-             rng: np.random.Generator, bound: float) -> np.ndarray:
+             rng: np.random.Generator, bound: float,
+             clean=None) -> np.ndarray:
     """d(phi(x), phi(G(x, e))) for each row x of X, a fresh code e per row.
 
     The constraint on the sample, L(phi) = E_x d(phi(x), phi(G(x, e))),
-    is the mean of these values.
+    is the mean of these values.  `clean` is `predict_batch(p, X)` when
+    the caller has it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("empty sample")
     Xt = transforms.generate_batch(G, X, rng)
-    return distance(pred.predict_batch(p, X), pred.predict_batch(p, Xt),
-                    bound)
+    clean = pred.predict_batch(p, X) if clean is None else clean
+    return distance(clean, pred.predict_batch(p, Xt), bound)
 
 
-def dist_reg_vjp(logp: np.ndarray, logq: np.ndarray, bound: float) -> tuple:
-    """distReg of paired log-prob rows, and its gradient w.r.t. each side.
+def dist_reg_vjp(P: np.ndarray, Q: np.ndarray, bound: float) -> tuple:
+    """distReg of paired probability rows, and its gradient w.r.t. each
+    side's log-probs.
 
     Returns (mean clamped distance, d/dlogp, d/dlogq).  The first side
     is the KL reference distribution; a row whose KL sits outside
     [0, bound] passes no gradient.
     """
-    P = np.exp(logp)
-    Q = np.exp(logq)
-    scale = 1.0 / logp.shape[0]
+    scale = 1.0 / P.shape[0]
     ratio = np.log((P + SMOOTHING) / (Q + SMOOTHING))
-    raw = np.sum(P * ratio, axis=1)
+    raw = pred.class_reduce(np.add, P * ratio)
     per_row = np.minimum(np.maximum(raw, 0.0), bound)
     live = (raw >= 0.0) & (raw <= bound)
     w = np.where(live, scale, 0.0)[:, None]

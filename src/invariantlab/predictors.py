@@ -2,7 +2,9 @@
 
 A predictor is a small feed-forward net `x -> softmax(logits)`.  One
 numpy forward pass (`forward`) serves evaluation and training; training
-keeps its activations and runs the closed-form `backward` through them.
+keeps its activations in the run's buffers, and the closed-form
+`backward` fills one flat gradient's per-layer views.  Class-axis maxima
+and sums go through `class_reduce`, without numpy's per-row cost.
 The loss is cross-entropy clamped into [0, bound], where bound is the
 solver's `loss_bound`.  The graph-building `log_probs_graph` and
 `cross_entropy_graph` give the same quantities through `autodiff` and
@@ -78,35 +80,50 @@ def with_params(p: Predictor, values: np.ndarray) -> Predictor:
 
 # -- forward passes ---------------------------------------------------------
 
-def forward(arch: Architecture, params: dict, X: np.ndarray) -> list:
-    """Every layer's output for the rows of X: [X, hidden..., logits]."""
+def forward(arch: Architecture, params: dict, X: np.ndarray,
+            out=None) -> list:
+    """Every layer's output for the rows of X: [X, hidden..., logits],
+    written into `out`'s arrays, one per layer, when given."""
     act = _ACTIVATIONS[arch.activation]
     acts = [X]
     n_layers = len(arch.layer_sizes) - 1
     for i in range(n_layers):
-        z = acts[-1] @ params[f"W{i}"]
+        z = np.matmul(acts[-1], params[f"W{i}"],
+                      out=None if out is None else out[i])
         z += params[f"b{i}"]
         acts.append(act(z) if i < n_layers - 1 else z)
     return acts
 
 
-def backward(arch: Architecture, params: dict, acts: list,
-             g: np.ndarray) -> dict:
-    """Gradient of sum(g * logits) per parameter, from `forward`'s acts."""
+def backward(arch: Architecture, params: dict, acts: list, g: np.ndarray,
+             grads: dict) -> None:
+    """Write the gradient of sum(g * logits) into `grads`, one array per
+    parameter, from `forward`'s acts."""
     deriv = _DERIVATIVES[arch.activation]
-    grads = {}
     for i in reversed(range(len(acts) - 1)):
-        grads[f"W{i}"] = acts[i].T @ g
-        grads[f"b{i}"] = g.sum(axis=0)
+        np.matmul(acts[i].T, g, out=grads[f"W{i}"])
+        g.sum(axis=0, out=grads[f"b{i}"])
         if i > 0:
             g = (g @ params[f"W{i}"].T) * deriv(acts[i])
-    return grads
 
 
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Rows of log-softmax(z), shifted by each row's max."""
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def class_reduce(op, z: np.ndarray) -> np.ndarray:
+    """`op.reduce(z, axis=1)` for op np.maximum or np.add, bit for bit: a
+    loop over up to 7 class columns skips numpy's per-row set-up, and
+    from 8 on, where numpy's pairwise sum regroups terms, numpy reduces."""
+    if z.shape[1] > 7:
+        return op.reduce(z, axis=1)
+    out = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        op(out, z[:, j], out=out)
+    return out
+
+
+def log_softmax(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows of log-softmax(z), shifted by each row's max, into `out`."""
+    z = np.subtract(z, class_reduce(np.maximum, z)[:, None], out=out)
+    z -= np.log(class_reduce(np.add, np.exp(z)))[:, None]
+    return z
 
 
 def logits_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
@@ -121,9 +138,9 @@ def logits_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
 def predict_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
     """Class distributions, one row per input, rows on the simplex."""
     z = logits_batch(p, X)
-    z = z - z.max(axis=1, keepdims=True)
-    q = np.exp(z)
-    return q / q.sum(axis=1, keepdims=True)
+    q = np.exp(z - class_reduce(np.maximum, z)[:, None], out=z)
+    q /= class_reduce(np.add, q)[:, None]
+    return q
 
 
 def log_probs_graph(arch: Architecture, params: dict,
@@ -143,24 +160,25 @@ def log_probs_graph(arch: Architecture, params: dict,
 
 # -- losses -----------------------------------------------------------------
 
-def empirical_risk(p: Predictor, data, bound: float) -> float:
-    """Mean cross-entropy clamped at `bound` over an environment dataset."""
+def empirical_risk(p: Predictor, data, bound: float, q=None) -> float:
+    """Mean cross-entropy clamped at `bound` over an environment dataset;
+    `q` is `predict_batch(p, data.X)` when the caller has it."""
     if len(data.y) == 0:
         raise ValueError("empty dataset")
-    q = predict_batch(p, data.X)
+    q = predict_batch(p, data.X) if q is None else q
     qy = np.clip(q[np.arange(len(data.y)), data.y], 1e-300, None)
     return float(np.mean(np.minimum(-np.log(qy), bound)))
 
 
-def accuracy(p: Predictor, data) -> float:
-    q = predict_batch(p, data.X)
+def accuracy(p: Predictor, data, q=None) -> float:
+    q = predict_batch(p, data.X) if q is None else q
     return float(np.mean(q.argmax(axis=1) == data.y))
 
 
-def cross_entropy_vjp(logp: np.ndarray, y: np.ndarray,
-                      bound: float) -> tuple:
-    """Mean cross-entropy of log-prob rows clamped at `bound`, and its
-    gradient.
+def cross_entropy_vjp(logp: np.ndarray, y: np.ndarray, bound: float,
+                      grad: np.ndarray) -> float:
+    """Mean cross-entropy of log-prob rows clamped at `bound`; its
+    gradient goes into `grad`, zeros of logp's shape.
 
     The gradient with respect to `logp` is -1/n on each row's label
     entry, and zero on rows whose loss sits at the clamp.
@@ -169,9 +187,8 @@ def cross_entropy_vjp(logp: np.ndarray, y: np.ndarray,
     nll = -logp[rows, y]
     live = nll <= bound
     value = float(np.minimum(nll, bound).sum() * (1.0 / y.size))
-    grad = np.zeros_like(logp)
     grad[rows, y] = np.where(live, -(1.0 / y.size), 0.0)
-    return value, grad
+    return value
 
 
 def cross_entropy_graph(log_probs: ad.Node, y: np.ndarray,

@@ -10,6 +10,8 @@ where distReg is the KL between the predictions on each constraint
 pair, and CE and distReg are clamped at the config's `loss_bound`.  Its
 gradient comes from one numpy forward pass over every row the step
 needs and closed-form vector-Jacobian products (`objective_gradient`).
+`train` builds one `StepPlan` per run, the step's row layout and every
+buffer the step writes, and drops it when the run returns.
 The presets (G(x) is a fresh draw from the transformation model):
 
     preset    constraint pairs   augmented CE batches       dual
@@ -26,7 +28,6 @@ batch and keeps one dual weight per environment.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -125,28 +126,20 @@ class TrainTrace:
             np.atleast_1d(np.asarray(distreg, dtype=float)).copy())
 
     def to_csv(self) -> str:
-        per_env = len(self.lam) > 0 and self.lam[0].size > 1
-        buf = io.StringIO()
-        head = ["step", "loss", "lambda"]
-        if per_env:
-            head += [f"lambda_{e}" for e in self.env_ids]
-        head.append("gamma")
-        head.append("distreg")
-        if per_env:
-            head += [f"distreg_{e}" for e in self.env_ids]
-        buf.write(",".join(head) + "\n")
-        fmt = "{:.17g}".format
-        for i, step in enumerate(self.steps):
-            row = [str(step), fmt(self.losses[i]),
-                   fmt(float(self.lam[i].mean()))]
-            if per_env:
-                row += [fmt(v) for v in self.lam[i]]
-            row.append(fmt(self.gamma))
-            row.append(fmt(float(self.distreg[i].mean())))
-            if per_env:
-                row += [fmt(v) for v in self.distreg[i]]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        envs = self.env_ids if self.lam and self.lam[0].size > 1 else []
+        text = ",".join(["step", "loss", "lambda",
+                         *(f"lambda_{e}" for e in envs), "gamma", "distreg",
+                         *(f"distreg_{e}" for e in envs)]) + "\n"
+        if not self.steps:
+            return text
+        lam, distreg = np.array(self.lam), np.array(self.distreg)
+        cols = [self.steps, self.losses, lam.mean(axis=1), *lam.T[:len(envs)],
+                np.full(len(self.steps), self.gamma), distreg.mean(axis=1),
+                *distreg.T[:len(envs)]]
+        # a step is exact as a float, and "g" prints it as an integer
+        line = ",".join(["{:.17g}"] * len(cols)) + "\n"
+        return text + "".join(
+            line.format(*row) for row in np.column_stack(cols).tolist())
 
 
 # -- step primitives ---------------------------------------------------------
@@ -159,83 +152,105 @@ def dual_step(lam: np.ndarray, distreg_value, gamma: float,
     return np.maximum(lam + eta_dual * step, 0.0)
 
 
+class StepPlan:
+    """A run's step layout and buffers, built once by `train`.
+
+    The stack holds each clean batch, then each transformed block in
+    draw order (`draws`: rows, batch index); CE terms and pairs are
+    slices of it.  Buffers: the stack `X` and labels `y`, the flat
+    parameters and gradient with per-layer views, each layer's output,
+    the log-probs, their softmax and the log-prob gradient.
+    """
+
+    def __init__(self, preset: Preset, arch: pred.Architecture, sizes):
+        ends, self.draws = [0], []
+
+        def block(k, drawn=True):
+            ends.append(ends[-1] + sizes[k])
+            if drawn:
+                self.draws.append((slice(ends[-2], ends[-1]), k))
+            return slice(ends[-2], ends[-1])
+
+        batches = range(len(sizes))
+        self.clean = [block(k, drawn=False) for k in batches]
+        self.pairs = [] if preset.pairing is None else [
+            (block(k) if preset.pairing == "g-g" else self.clean[k], block(k))
+            for k in batches]
+        ce_rows = [slice(0, ends[len(sizes)])] + [
+            block(k) if source == "fresh" else self.pairs[k][1]
+            for source in preset.augment for k in batches]
+        n, layout = ends[-1], arch.layout()
+        self.X, self.y = np.empty((n, arch.input_dim)), np.empty(n, np.intp)
+        self.ce_terms = [(rows, self.y[rows]) for rows in ce_rows]
+        self.theta, self.grad = np.empty(layout.size), np.empty(layout.size)
+        self.params = layout.unflatten(self.theta)
+        self.grads = layout.unflatten(self.grad)
+        self.acts = [np.empty((n, m)) for m in arch.layer_sizes[1:]]
+        self.logp, self.softmax, self.g = (
+            np.empty((n, arch.layer_sizes[-1])) for _ in range(3))
+
+
 def objective_gradient(p: pred.Predictor, X: np.ndarray, ce_terms, pairs,
-                       lam, bound: float):
+                       lam, bound: float, plan: StepPlan | None = None):
     """The step objective and its gradient from one forward pass over X.
 
     The objective is the sum of the CE over `ce_terms`, a list of (row
-    slice, labels), plus lam[k] / len(pairs) times the distReg of pair k
-    in `pairs`, a list of (row slice, row slice); CE and distReg are
-    both clamped at `bound`.  Returns
-    (CE sum, distReg per pair, flat gradient).
+    slice, labels) on disjoint rows, plus lam[k] / len(pairs) times the
+    distReg of pair k in `pairs`, a list of (row slice, row slice); CE
+    and distReg are both clamped at `bound`.  The buffers are `plan`'s;
+    without one the call makes a plan for X's rows.  Returns (CE sum,
+    distReg per pair, flat gradient), the gradient in the plan.
     """
-    params = p.params.layout.unflatten(p.params.values)
-    acts = pred.forward(p.arch, params, X)
-    logp = pred.log_softmax(acts[-1])
-    g = np.zeros_like(logp)
+    if plan is None:
+        plan = StepPlan(PRESETS["erm"], p.arch, [len(X)])
+    plan.theta[:] = p.params.values
+    acts = pred.forward(p.arch, plan.params, X, plan.acts)
+    logp = pred.log_softmax(acts[-1], plan.logp)
+    g = plan.g
+    g.fill(0.0)
     loss = 0.0
     for rows, y in ce_terms:
-        value, g_rows = pred.cross_entropy_vjp(logp[rows], y, bound)
-        loss += value
-        g[rows] += g_rows
+        loss += pred.cross_entropy_vjp(logp[rows], y, bound, g[rows])
+    P = np.exp(logp, out=plan.softmax)
     distreg = np.zeros(len(pairs))
     for k, (a, b) in enumerate(pairs):
-        distreg[k], g_a, g_b = cons.dist_reg_vjp(logp[a], logp[b], bound)
+        distreg[k], g_a, g_b = cons.dist_reg_vjp(P[a], P[b], bound)
         # a zero weight adds nothing, so the gradient equals the bare loss's
         if lam[k] != 0.0:
             w = float(lam[k]) * (1.0 / len(pairs))
             g[a] += w * g_a
             g[b] += w * g_b
     # through log-softmax: d/dz = d/dlogp - softmax * (row sum of d/dlogp)
-    g -= np.exp(logp) * g.sum(axis=1, keepdims=True)
-    grads = pred.backward(p.arch, params, acts, g)
-    return loss, distreg, p.params.layout.flatten(grads)
+    g -= P * pred.class_reduce(np.add, g)[:, None]
+    pred.backward(p.arch, plan.params, acts, g, plan.grads)
+    return loss, distreg, plan.grad
 
 
 def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
-                rng: np.random.Generator):
+                rng: np.random.Generator, plan: StepPlan | None = None):
     """One SGD step of the config's preset on loss + <lam, distReg>.
 
     `batches` lists (X, y) minibatches, one per environment under a
     per-env dual and one otherwise; the clean CE is taken over their
     stack, and each gets its own constraint pair and augmented batches.
     Transformed batches are drawn from `rng`: first every batch's
-    constraint pair, then the fresh augmented batches.  Returns (updated
-    predictor, minibatch loss, distReg per pair); the distReg is zero
-    when the preset has no constraint.
+    constraint pair, then the fresh augmented batches.  `plan` is the
+    run's `StepPlan` for these batch sizes; without one the step builds
+    its own.  Returns (updated predictor, minibatch loss, distReg per
+    pair); the distReg is zero when the preset has no constraint.
     """
-    preset = PRESETS[config.algorithm]
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-
-    # the step's rows: the clean stack, then each transformed block in
-    # draw order; pairs and augmented batches are slices of them
-    blocks = []
-
-    def add(Xb):
-        start = sum(len(b) for b in blocks)
-        blocks.append(Xb)
-        return slice(start, start + len(Xb))
-
-    def draw(X):
-        return add(transforms.generate_batch(G, X, rng))
-
-    clean = [add(bX) for bX, _ in batches]
-    if preset.pairing == "g-g":
-        pairs = [(draw(bX), draw(bX)) for bX, _ in batches]
-    elif preset.pairing == "x-g":
-        pairs = [(rows, draw(bX)) for rows, (bX, _) in zip(clean, batches)]
-    else:
-        pairs = []
-    ce_terms = [(slice(0, clean[-1].stop),
-                 np.concatenate([by for _, by in batches]))]
-    for source in preset.augment:
-        if source == "fresh":
-            ce_terms += [(draw(bX), by) for bX, by in batches]
-        else:
-            ce_terms += [(b, by) for (_, b), (_, by) in zip(pairs, batches)]
+    if plan is None:
+        plan = StepPlan(PRESETS[config.algorithm], p.arch,
+                        [len(by) for _, by in batches])
+    for rows, (bX, by) in zip(plan.clean, batches):
+        plan.X[rows], plan.y[rows] = bX, by
+    for rows, k in plan.draws:
+        plan.X[rows] = transforms.generate_batch(G, batches[k][0], rng)
+        plan.y[rows] = batches[k][1]
 
     loss, distreg, grad = objective_gradient(
-        p, np.vstack(blocks), ce_terms, pairs, lam, config.loss_bound)
+        p, plan.X, plan.ce_terms, plan.pairs, lam, config.loss_bound, plan)
     if not np.isfinite(loss):
         raise ad.NonFiniteError("non-finite loss")
     if not np.all(np.isfinite(distreg)):
@@ -243,7 +258,7 @@ def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
     flat = p.params.values - config.eta_primal * grad
     if not np.all(np.isfinite(flat)):
         raise ad.NonFiniteError("non-finite parameter update")
-    if not pairs:
+    if not plan.pairs:
         distreg = np.zeros(lam.size)
     return pred.with_params(p, flat), loss, distreg
 
@@ -272,13 +287,13 @@ def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
     return float(risk + penalty / len(datasets))
 
 
-def worst_domain_risk(p: pred.Predictor, datasets, bound: float) -> tuple:
-    """Max per-environment empirical risk; ties broken by lowest index."""
-    if not datasets:
-        raise ValueError("need at least one environment dataset")
-    risks = [pred.empirical_risk(p, d, bound) for d in datasets]
-    best = int(np.argmax(risks))
-    return risks[best], datasets[best].env
+def worst_domain_risk(risks: dict) -> tuple:
+    """The largest of per-environment risks {env: risk}, and its
+    environment; ties go to the environment listed first."""
+    if not risks:
+        raise ValueError("need at least one environment risk")
+    env = list(risks)[int(np.argmax(list(risks.values())))]
+    return risks[env], env
 
 
 # -- the training loop --------------------------------------------------------
@@ -306,13 +321,11 @@ def train(config: SolverConfig, datasets, G):
 
     X_all = np.vstack([d.X for d in datasets])
     y_all = np.concatenate([d.y for d in datasets])
-    env_slices = []
-    offset = 0
-    for d in datasets:
-        env_slices.append(slice(offset, offset + len(d)))
-        offset += len(d)
+    ends = np.cumsum([0] + [len(d) for d in datasets]).tolist()
+    env_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
 
     trace = TrainTrace(env_ids=env_ids, gamma=config.gamma)
+    plan = StepPlan(preset, arch, [config.batch_size] * len(lam))
 
     for step in range(config.steps):
         if per_env:
@@ -324,7 +337,7 @@ def train(config: SolverConfig, datasets, G):
         batches = [(X_all[idx], y_all[idx]) for idx in idxs]
         try:
             p, loss, distreg = primal_step(p, lam, batches, G, config,
-                                           gen_rng)
+                                           gen_rng, plan)
         except ad.NonFiniteError as e:
             raise TrainingFailure(f"step {step}: {e}", trace) from e
         if preset.dual == "ascent":

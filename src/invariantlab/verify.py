@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints as cons
+from . import predictors as pred
 
 
 class InfeasibleError(ValueError):
@@ -487,7 +488,9 @@ def measure_g_invariance(p, data, G, bound: float, samples_per_point: int,
     if samples_per_point < 1:
         raise ValueError("need at least one sample per point")
     rng = np.random.default_rng(seed)
-    values = np.mean([cons.dist_reg(p, data.X, G, rng, bound)
+    # every sample shares the one forward pass on the clean rows
+    clean = pred.predict_batch(p, data.X)
+    values = np.mean([cons.dist_reg(p, data.X, G, rng, bound, clean)
                       for _ in range(samples_per_point)], axis=0)
     return InvarianceSummary(values, float(np.median(values)))
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -453,6 +454,72 @@ def test_diverging_train_warns_nothing_and_exits_2(tmp_path, capsys):
         == []
     assert capsys.readouterr().err.startswith("runtime failure: ")
     assert (tmp_path / "x" / "trace.csv").exists()
+
+
+def test_failed_train_writes_the_exact_partial_trace(tmp_path, monkeypatch,
+                                                     capsys):
+    # G turns NaN after k transforms; mbdg-reg transforms one batch per
+    # step, so the run fails at step k and trace.csv holds steps 0..k-1
+    k = 6
+    build_task = cli.build_task
+
+    def failing_task(cfg, seed):
+        data, G = build_task(cfg, seed)
+        done = []
+
+        def apply_batch(X, codes):
+            done.append(len(X))
+            out = G.apply_batch(X, codes)
+            return out if len(done) <= k else out * np.nan
+
+        return data, SimpleNamespace(sample_codes=G.sample_codes,
+                                     apply_batch=apply_batch)
+
+    monkeypatch.setattr(cli, "build_task", failing_task)
+    cfg = _write_config(tmp_path, algorithm="mbdg-reg")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out),
+                     "--seed", "0", "--holdout", "e0.1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"runtime failure: step {k}: ")
+
+    config = cli.load_config(cfg)
+    data, G = failing_task(config, 0)
+    with pytest.raises(solvers.TrainingFailure) as exc:
+        solvers.train(cli.build_solver_config(config, 0),
+                      [d for d in data if d.env != "e0.1"], G)
+    text = (out / "trace.csv").read_text()
+    assert text == exc.value.trace.to_csv()
+    assert len(text.splitlines()) == k + 1
+
+
+def test_runs_in_one_process_match_runs_alone(tmp_path):
+    # per-env mbdg, single erm, then per-env mbdg again in this process:
+    # each run's files equal those of the same run in a fresh process
+    per_env = _write_config(
+        tmp_path, name="per-env.ini",
+        body=SMALL_TASK.format(algorithm="mbdg") + "dual_mode = per-env\n")
+    erm = _write_config(tmp_path, name="erm.ini", algorithm="erm")
+    runs = [("first", per_env), ("erm", erm), ("again", per_env)]
+
+    def argv(cfg, out):
+        return ["train", "--config", cfg, "--out", str(out), "--seed", "3",
+                "--holdout", "e0.1"]
+
+    for name, cfg in runs:
+        assert cli.main(argv(cfg, tmp_path / name)) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    for cfg in (per_env, erm):
+        subprocess.run([sys.executable, "-m", "invariantlab",
+                        *argv(cfg, tmp_path / f"alone-{Path(cfg).stem}")],
+                       env=env, check=True, timeout=120)
+    for name, cfg in runs:
+        alone = tmp_path / f"alone-{Path(cfg).stem}"
+        for file in ("trace.csv", "predictor.txt"):
+            assert (tmp_path / name / file).read_bytes() \
+                == (alone / file).read_bytes()
 
 
 # -- measure-invariance ------------------------------------------------------------

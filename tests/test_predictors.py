@@ -64,7 +64,8 @@ def _cross_entropy(q, y, bound=BOUND):
     """The clamped CE of one distribution q and label y."""
     with np.errstate(divide="ignore"):
         logp = np.log(np.asarray(q, dtype=float))[None, :]
-    return pred.cross_entropy_vjp(logp, np.array([y]), bound)[0]
+    return pred.cross_entropy_vjp(logp, np.array([y]), bound,
+                                  np.zeros_like(logp))
 
 
 def test_cross_entropy_exact_endpoints():
@@ -111,3 +112,13 @@ def test_save_load_round_trip_is_exact():
     q = pred.load_text(pred.save_text(p))
     assert q.arch == p.arch
     assert np.array_equal(q.params.values, p.params.values)
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+def test_class_reduce_matches_numpy_bitwise(n_classes):
+    # signed entries spread over 1e-5..1e5, where a regrouped sum shows
+    rng = np.random.default_rng(n_classes)
+    z = rng.standard_normal((1000, n_classes)) \
+        * 10.0 ** rng.uniform(-5.0, 5.0, size=(1000, n_classes))
+    assert np.array_equal(pred.class_reduce(np.maximum, z), z.max(axis=1))
+    assert np.array_equal(pred.class_reduce(np.add, z), z.sum(axis=1))

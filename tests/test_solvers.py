@@ -135,15 +135,14 @@ def test_empirical_lagrangian_checks_dual_count():
 def test_worst_domain_risk_picks_max_and_breaks_ties_low():
     spec, data = _concept(n=50)
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    risk, env = solvers.worst_domain_risk(p, data, BOUND)
     per = {d.env: pred.empirical_risk(p, d, BOUND) for d in data}
+    risk, env = solvers.worst_domain_risk(per)
     assert risk == max(per.values())
     assert per[env] == risk
-    twice = [data[0], data[0]]
-    _, env2 = solvers.worst_domain_risk(p, twice, BOUND)
-    assert env2 == data[0].env
+    tied = {"b": 0.5, "a": 0.5, "c": 0.25}
+    assert solvers.worst_domain_risk(tied) == (0.5, "b")
     with pytest.raises(ValueError):
-        solvers.worst_domain_risk(p, [], BOUND)
+        solvers.worst_domain_risk({})
 
 
 # -- primal step -------------------------------------------------------------------
@@ -421,6 +420,77 @@ def test_training_failure_carries_partial_trace():
     with pytest.raises(solvers.TrainingFailure) as exc:
         solvers.train(config, data, BrokenModel())
     assert isinstance(exc.value.trace, solvers.TrainTrace)
+
+
+class NaNAfter:
+    """`G`, but every transform after the first `calls` is NaN."""
+
+    def __init__(self, G, calls):
+        self.G, self.calls = G, calls
+
+    def sample_codes(self, n, rng):
+        return self.G.sample_codes(n, rng)
+
+    def apply_batch(self, X, codes):
+        self.calls -= 1
+        out = self.G.apply_batch(X, codes)
+        return out if self.calls >= 0 else out * np.nan
+
+
+def test_partial_trace_is_exact():
+    # mbdg-reg transforms one batch per step, so the step after k good
+    # transforms fails, with the k steps before it traced
+    spec, data = _concept(n=200)
+    k = 6
+    config = _small_config(algorithm="mbdg-reg", steps=10)
+    with pytest.raises(solvers.TrainingFailure) as exc:
+        solvers.train(config, data,
+                      NaNAfter(datagen.concept_shift_transform(spec), k))
+    assert str(exc.value).startswith(f"step {k}: ")
+    trace = exc.value.trace
+    assert trace.steps == list(range(k)) and len(trace.lam) == k
+    lines = trace.to_csv().splitlines()
+    assert lines[0] == "step,loss,lambda,gamma,distreg"
+    assert len(lines) == k + 1
+    for step, line in enumerate(lines[1:]):
+        values = [float(v) for v in line.split(",")]
+        assert values[0] == step and len(values) == 5
+        assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("dual_mode", ["single", "per-env"])
+@pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
+def test_steps_that_plan_for_themselves_match_train(algorithm, dual_mode):
+    # train's loop by hand, each primal_step building its own plan
+    spec, data = _concept(n=200)
+    G = datagen.concept_shift_transform(spec)
+    config = _small_config(algorithm=algorithm, dual_mode=dual_mode)
+    p_train, trace = solvers.train(config, data, G)
+
+    preset = solvers.PRESETS[algorithm]
+    per_env = dual_mode == "per-env" and preset.pairing is not None
+    p = pred.init_predictor(pred.Architecture((5, config.hidden, 2)),
+                            config.seed)
+    batch_rng = np.random.default_rng([config.seed, 1])
+    gen_rng = np.random.default_rng([config.seed, 2])
+    lam = np.full(len(data) if per_env else 1,
+                  config.weight if preset.dual == "fixed" else 0.0)
+    X_all = np.vstack([d.X for d in data])
+    y_all = np.concatenate([d.y for d in data])
+    ends = [0, len(data[0]), len(X_all)] if per_env else [0, len(X_all)]
+    for step in range(config.steps):
+        idxs = [batch_rng.integers(a, b, size=config.batch_size)
+                for a, b in zip(ends, ends[1:])]
+        p, loss, distreg = solvers.primal_step(
+            p, lam, [(X_all[i], y_all[i]) for i in idxs], G, config,
+            gen_rng)
+        if preset.dual == "ascent":
+            lam = solvers.dual_step(lam, distreg, config.gamma,
+                                    config.eta_dual)
+        assert loss == trace.losses[step]
+        assert np.array_equal(distreg, trace.distreg[step])
+        assert np.array_equal(lam, trace.lam[step])
+    assert np.array_equal(p.params.values, p_train.params.values)
 
 
 # -- trace format ------------------------------------------------------------------

@@ -1,0 +1,116 @@
+"""SHA-256 fingerprints of what the `invariantlab` commands write.
+
+    PYTHONPATH=src python3 tools/fingerprints.py
+
+Runs `train` for every preset, in single and per-env dual mode, on
+perfbench's concept-shift and covariate-shift configs (the same task
+text, solver section and held-out environment), for seeds 0 and 3.  For
+each run it prints the hashes of `trace.csv`, of `summary.txt` without
+its `wall_clock_seconds` line, and of `predictor.txt`.  It then runs
+`measure-invariance` on each task's mbdg predictor and hashes
+`invariance.csv` and the printed median.  Last it runs the five
+`verify` suites and hashes each one's output lines.
+
+A refactor that must not change behaviour runs this before and after
+and diffs the two outputs; any differing line names the output that
+moved.  The CRITERION lines come from
+`pytest -s tests/test_acceptance.py`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads as wl  # noqa: E402
+from invariantlab import cli  # noqa: E402
+
+TASKS = {"concept": (wl.CONCEPT_TASK, "e0.1"),
+         "covariate": (wl.COVARIATE_TASK, "a90")}
+SEEDS = (0, 3)
+DUAL_MODES = ("single", "per-env")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _main(argv) -> tuple:
+    """The CLI run in-process: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _summary_bytes(path: Path) -> bytes:
+    return "".join(line for line in path.read_text().splitlines(True)
+                   if not line.startswith("wall_clock_seconds=")).encode()
+
+
+def train_lines(work: Path):
+    for task, (text, holdout) in TASKS.items():
+        for seed in SEEDS:
+            for mode in DUAL_MODES:
+                for preset in wl.PRESETS:
+                    label = f"{task}/seed{seed}/{mode}/{preset}"
+                    out = work / label
+                    config = work / f"{task}-{mode}-{preset}.ini"
+                    config.write_text(text + wl.SOLVER.format(
+                        algorithm=preset, dual_mode=mode, steps=wl.STEPS))
+                    code, _ = _main(["train", "--config", str(config),
+                                     "--seed", str(seed), "--holdout",
+                                     holdout, "--out", str(out)])
+                    yield f"{label} exit {code}"
+                    yield (f"{label} trace.csv "
+                           f"{_sha((out / 'trace.csv').read_bytes())}")
+                    if code != 0:
+                        continue
+                    yield (f"{label} summary.txt "
+                           f"{_sha(_summary_bytes(out / 'summary.txt'))}")
+                    yield (f"{label} predictor.txt "
+                           f"{_sha((out / 'predictor.txt').read_bytes())}")
+
+
+def invariance_lines(work: Path):
+    for task, (_, holdout) in TASKS.items():
+        for seed in SEEDS:
+            label = f"{task}/seed{seed}/single/mbdg"
+            out = work / label
+            code, stdout = _main([
+                "measure-invariance", "--config",
+                str(work / f"{task}-single-mbdg.ini"), "--seed", str(seed),
+                "--holdout", holdout, "--out", str(out)])
+            yield f"{label} measure-invariance exit {code}"
+            yield (f"{label} invariance.csv "
+                   f"{_sha((out / 'invariance.csv').read_bytes())}")
+            yield f"{label} stdout {_sha(stdout.encode())}"
+
+
+def verify_lines():
+    for suite in cli.SUITES:
+        code, stdout = _main(["verify", suite])
+        yield f"verify/{suite} exit {code} {_sha(stdout.encode())}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for line in train_lines(work):
+            print(line, flush=True)
+        for line in invariance_lines(work):
+            print(line, flush=True)
+    for line in verify_lines():
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
