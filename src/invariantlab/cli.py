@@ -247,8 +247,9 @@ def run_compare(args) -> int:
     if any(c["task"] != configs[0]["task"] for c in configs):
         raise ConfigError("configs must share the task section")
     outputs = [_output(c, args) for c in configs]
-    if len({o.seed for o in outputs}) > 1:
-        raise ConfigError("configs must share the value of key seed")
+    for key in ("seed", "dir"):
+        if len({getattr(o, key) for o in outputs}) > 1:
+            raise ConfigError(f"configs must share the value of key {key}")
     seed = outputs[0].seed
     out = _make_dir(outputs[0])
 

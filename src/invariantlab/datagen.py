@@ -57,6 +57,8 @@ class CovariateShiftSpec:
     def __post_init__(self):
         if not math.isfinite(self.sigma):
             raise ValueError("sigma must be a finite number")
+        if self.sigma < 0.0:
+            raise ValueError("sigma must be non-negative")
         if not 0 < len(self.mean0) == len(self.mean1):
             raise ValueError("mean0 and mean1 must be non-empty and of "
                              "equal length")
@@ -93,6 +95,8 @@ class ConceptShiftSpec:
         for name in ("shape_mean", "shape_sigma", "color_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number")
+        if self.shape_sigma < 0.0:
+            raise ValueError("shape_sigma must be non-negative")
         if not 0.0 <= self.rho_shape <= 1.0:
             raise ValueError("rho_shape must lie in [0, 1]")
         if any(not 0.0 <= p <= 1.0 for p in self.agreements.values()):

@@ -74,10 +74,6 @@ def init_predictor(arch: Architecture, seed: int) -> Predictor:
     return Predictor(arch, ParameterVector(layout.flatten(arrays), layout))
 
 
-def with_params(p: Predictor, values: np.ndarray) -> Predictor:
-    return Predictor(p.arch, ParameterVector(values, p.params.layout))
-
-
 # -- forward passes ---------------------------------------------------------
 
 def forward(arch: Architecture, params: dict, X: np.ndarray,

@@ -10,8 +10,9 @@ where distReg is the KL between the predictions on each constraint
 pair, and CE and distReg are clamped at the config's `loss_bound`.  Its
 gradient comes from one numpy forward pass over every row the step
 needs and closed-form vector-Jacobian products (`objective_gradient`).
-`train` builds one `StepPlan` per run, the step's row layout and every
-buffer the step writes, and drops it when the run returns.
+`train` keeps the run's parameters, the step's row layout and every
+buffer the step writes in one `StepPlan`; each step updates the
+parameters in place, and the predictor is built once, at return.
 The presets (G(x) is a fresh draw from the transformation model):
 
     preset    constraint pairs   augmented CE batches       dual
@@ -119,11 +120,11 @@ class TrainTrace:
     gamma: float = 0.0
 
     def append(self, step, loss, lam, distreg):
+        # kept, not copied: train never writes into an array it appends
         self.steps.append(step)
         self.losses.append(float(loss))
-        self.lam.append(np.atleast_1d(np.asarray(lam, dtype=float)).copy())
-        self.distreg.append(
-            np.atleast_1d(np.asarray(distreg, dtype=float)).copy())
+        self.lam.append(lam)
+        self.distreg.append(distreg)
 
     def to_csv(self) -> str:
         envs = self.env_ids if self.lam and self.lam[0].size > 1 else []
@@ -147,22 +148,22 @@ class TrainTrace:
 def dual_step(lam: np.ndarray, distreg_value, gamma: float,
               eta_dual: float) -> np.ndarray:
     """Projected dual ascent: [lambda + eta_d * (distReg - gamma)]_+."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    step = np.atleast_1d(np.asarray(distreg_value, dtype=np.float64)) - gamma
-    return np.maximum(lam + eta_dual * step, 0.0)
+    return np.maximum(lam + eta_dual * (distreg_value - gamma), 0.0)
 
 
 class StepPlan:
-    """A run's step layout and buffers, built once by `train`.
+    """A run's parameters, step layout and buffers, built once by `train`.
 
-    The stack holds each clean batch, then each transformed block in
-    draw order (`draws`: rows, batch index); CE terms and pairs are
-    slices of it.  Buffers: the stack `X` and labels `y`, the flat
-    parameters and gradient with per-layer views, each layer's output,
-    the log-probs, their softmax and the log-prob gradient.
+    `theta` is a copy of `p`'s flat parameters, with per-layer views
+    `params`, that the steps update in place.  The stack holds each
+    clean batch, then each transformed block in draw order (`draws`:
+    rows, batch index); CE terms and pairs are slices of it.  Buffers:
+    the stack `X` and labels `y`, the flat gradient with per-layer
+    views, each layer's output, the log-probs, their softmax and the
+    log-prob gradient.
     """
 
-    def __init__(self, preset: Preset, arch: pred.Architecture, sizes):
+    def __init__(self, preset: Preset, p: pred.Predictor, sizes):
         ends, self.draws = [0], []
 
         def block(k, drawn=True):
@@ -179,88 +180,81 @@ class StepPlan:
         ce_rows = [slice(0, ends[len(sizes)])] + [
             block(k) if source == "fresh" else self.pairs[k][1]
             for source in preset.augment for k in batches]
-        n, layout = ends[-1], arch.layout()
+        n, arch, n_params = ends[-1], p.arch, p.params.layout.size
+        self.arch, self.layout = arch, p.params.layout
         self.X, self.y = np.empty((n, arch.input_dim)), np.empty(n, np.intp)
         self.ce_terms = [(rows, self.y[rows]) for rows in ce_rows]
-        self.theta, self.grad = np.empty(layout.size), np.empty(layout.size)
-        self.params = layout.unflatten(self.theta)
-        self.grads = layout.unflatten(self.grad)
+        self.theta, self.grad = p.params.values.copy(), np.empty(n_params)
+        self.params = self.layout.unflatten(self.theta)
+        self.grads = self.layout.unflatten(self.grad)
         self.acts = [np.empty((n, m)) for m in arch.layer_sizes[1:]]
         self.logp, self.softmax, self.g = (
             np.empty((n, arch.layer_sizes[-1])) for _ in range(3))
 
 
-def objective_gradient(p: pred.Predictor, X: np.ndarray, ce_terms, pairs,
-                       lam, bound: float, plan: StepPlan | None = None):
-    """The step objective and its gradient from one forward pass over X.
+def objective_gradient(plan: StepPlan, lam, bound: float):
+    """The step objective at `plan.theta` and its gradient from one
+    forward pass over the plan's stack `X`.
 
-    The objective is the sum of the CE over `ce_terms`, a list of (row
+    The objective is the sum of the CE over `plan.ce_terms`, (row
     slice, labels) on disjoint rows, plus lam[k] / len(pairs) times the
-    distReg of pair k in `pairs`, a list of (row slice, row slice); CE
-    and distReg are both clamped at `bound`.  The buffers are `plan`'s;
-    without one the call makes a plan for X's rows.  Returns (CE sum,
-    distReg per pair, flat gradient), the gradient in the plan.
+    distReg of pair k in `plan.pairs`, (row slice, row slice); CE and
+    distReg are both clamped at `bound`.  Returns (CE sum, distReg per
+    pair, flat gradient), the gradient in the plan.
     """
-    if plan is None:
-        plan = StepPlan(PRESETS["erm"], p.arch, [len(X)])
-    plan.theta[:] = p.params.values
-    acts = pred.forward(p.arch, plan.params, X, plan.acts)
+    acts = pred.forward(plan.arch, plan.params, plan.X, plan.acts)
     logp = pred.log_softmax(acts[-1], plan.logp)
     g = plan.g
     g.fill(0.0)
     loss = 0.0
-    for rows, y in ce_terms:
+    for rows, y in plan.ce_terms:
         loss += pred.cross_entropy_vjp(logp[rows], y, bound, g[rows])
     P = np.exp(logp, out=plan.softmax)
-    distreg = np.zeros(len(pairs))
-    for k, (a, b) in enumerate(pairs):
+    distreg = np.zeros(len(plan.pairs))
+    for k, (a, b) in enumerate(plan.pairs):
         distreg[k], g_a, g_b = cons.dist_reg_vjp(P[a], P[b], bound)
         # a zero weight adds nothing, so the gradient equals the bare loss's
         if lam[k] != 0.0:
-            w = float(lam[k]) * (1.0 / len(pairs))
+            w = float(lam[k]) * (1.0 / len(plan.pairs))
             g[a] += w * g_a
             g[b] += w * g_b
     # through log-softmax: d/dz = d/dlogp - softmax * (row sum of d/dlogp)
     g -= P * pred.class_reduce(np.add, g)[:, None]
-    pred.backward(p.arch, plan.params, acts, g, plan.grads)
+    pred.backward(plan.arch, plan.params, acts, g, plan.grads)
     return loss, distreg, plan.grad
 
 
-def primal_step(p: pred.Predictor, lam, batches, G, config: SolverConfig,
-                rng: np.random.Generator, plan: StepPlan | None = None):
-    """One SGD step of the config's preset on loss + <lam, distReg>.
+def primal_step(plan: StepPlan, lam: np.ndarray, batches, G,
+                config: SolverConfig, rng: np.random.Generator):
+    """One SGD step of the config's preset on loss + <lam, distReg>,
+    applied to `plan.theta` in place.
 
-    `batches` lists (X, y) minibatches, one per environment under a
-    per-env dual and one otherwise; the clean CE is taken over their
-    stack, and each gets its own constraint pair and augmented batches.
-    Transformed batches are drawn from `rng`: first every batch's
-    constraint pair, then the fresh augmented batches.  `plan` is the
-    run's `StepPlan` for these batch sizes; without one the step builds
-    its own.  Returns (updated predictor, minibatch loss, distReg per
-    pair); the distReg is zero when the preset has no constraint.
+    `plan` is the run's `StepPlan` for the config's preset and these
+    batch sizes.  `batches` lists (X, y) minibatches, one per
+    environment under a per-env dual and one otherwise; the clean CE is
+    taken over their stack, and each gets its own constraint pair and
+    augmented batches.  Transformed batches are drawn from `rng`: first
+    every batch's constraint pair, then the fresh augmented batches.
+    Returns (minibatch loss, distReg per pair); the distReg is zero when
+    the preset has no constraint.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if plan is None:
-        plan = StepPlan(PRESETS[config.algorithm], p.arch,
-                        [len(by) for _, by in batches])
     for rows, (bX, by) in zip(plan.clean, batches):
         plan.X[rows], plan.y[rows] = bX, by
     for rows, k in plan.draws:
         plan.X[rows] = transforms.generate_batch(G, batches[k][0], rng)
         plan.y[rows] = batches[k][1]
 
-    loss, distreg, grad = objective_gradient(
-        p, plan.X, plan.ce_terms, plan.pairs, lam, config.loss_bound, plan)
+    loss, distreg, grad = objective_gradient(plan, lam, config.loss_bound)
     if not np.isfinite(loss):
         raise ad.NonFiniteError("non-finite loss")
     if not np.all(np.isfinite(distreg)):
         raise ad.NonFiniteError("non-finite distReg")
-    flat = p.params.values - config.eta_primal * grad
-    if not np.all(np.isfinite(flat)):
+    plan.theta -= config.eta_primal * grad
+    if not np.all(np.isfinite(plan.theta)):
         raise ad.NonFiniteError("non-finite parameter update")
     if not plan.pairs:
         distreg = np.zeros(lam.size)
-    return pred.with_params(p, flat), loss, distreg
+    return loss, distreg
 
 
 def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
@@ -310,7 +304,6 @@ def train(config: SolverConfig, datasets, G):
     input_dim = datasets[0].X.shape[1]
     n_classes = int(max(d.y.max() for d in datasets)) + 1
     arch = pred.Architecture((input_dim, config.hidden, n_classes))
-    p = pred.init_predictor(arch, config.seed)
 
     batch_rng = np.random.default_rng([config.seed, 1])
     gen_rng = np.random.default_rng([config.seed, 2])
@@ -322,26 +315,25 @@ def train(config: SolverConfig, datasets, G):
     X_all = np.vstack([d.X for d in datasets])
     y_all = np.concatenate([d.y for d in datasets])
     ends = np.cumsum([0] + [len(d) for d in datasets]).tolist()
-    env_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    # one index span per sampled batch: each environment's, or all rows
+    spans = list(zip(ends, ends[1:])) if per_env else [(0, ends[-1])]
 
     trace = TrainTrace(env_ids=env_ids, gamma=config.gamma)
-    plan = StepPlan(preset, arch, [config.batch_size] * len(lam))
+    plan = StepPlan(preset, pred.init_predictor(arch, config.seed),
+                    [config.batch_size] * len(spans))
 
     for step in range(config.steps):
-        if per_env:
-            idxs = [batch_rng.integers(sl.start, sl.stop,
-                                       size=config.batch_size)
-                    for sl in env_slices]
-        else:
-            idxs = [batch_rng.integers(0, len(y_all), size=config.batch_size)]
+        idxs = [batch_rng.integers(a, b, size=config.batch_size)
+                for a, b in spans]
         batches = [(X_all[idx], y_all[idx]) for idx in idxs]
         try:
-            p, loss, distreg = primal_step(p, lam, batches, G, config,
-                                           gen_rng, plan)
+            loss, distreg = primal_step(plan, lam, batches, G, config,
+                                        gen_rng)
         except ad.NonFiniteError as e:
             raise TrainingFailure(f"step {step}: {e}", trace) from e
         if preset.dual == "ascent":
             lam = dual_step(lam, distreg, config.gamma, config.eta_dual)
         trace.append(step, loss, lam, distreg)
 
-    return p, trace
+    return pred.Predictor(arch, ad.ParameterVector(plan.theta,
+                                                   plan.layout)), trace

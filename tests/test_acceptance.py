@@ -211,10 +211,12 @@ def _random_composition_max_error(seed):
     lam = float(rng.uniform(0.0, 2.0))
     data = datagen.EnvironmentDataset("r", X, y)
 
-    # the training step's gradient of CE(X) + lam * distReg(X, Xt)
-    _, _, exact = solvers.objective_gradient(
-        p, np.vstack([X, Xt]), [(slice(0, n), y)],
-        [(slice(0, n), slice(n, 2 * n))], [lam], LOSS_BOUND)
+    # the training step's gradient of CE(X) + lam * distReg(X, Xt): the
+    # plan of a preset with (x, G(x)) pairs and no augmented batch
+    plan = solvers.StepPlan(solvers.Preset("x-g", (), "ascent"), p, [n])
+    plan.X[:] = np.vstack([X, Xt])
+    plan.y[:n] = y
+    _, _, exact = solvers.objective_gradient(plan, [lam], LOSS_BOUND)
 
     # a G whose code is a row index, G(X[i], i) = Xt[i], so distReg pairs
     # the rows the exact gradient pairs

@@ -12,8 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from invariantlab import (cli, datagen, predictors as pred, solvers,
-                          transforms, verify)
+from invariantlab import (autodiff as ad, cli, datagen, predictors as pred,
+                          solvers, transforms, verify)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,12 +165,14 @@ _PROBE_BASES = {"mbdg": SMALL_TASK.format(algorithm="mbdg"),
     ("mbdg", "task", "agreements = e0.9:0.9 e0.9:0.8 e0.1:0.1",
      "agreements"),
     ("mbdg", "task", "shape_sigma = nan", "shape_sigma"),
+    ("mbdg", "task", "shape_sigma = -1.0", "shape_sigma"),
     ("covariate", "task", "mean0 = 1 2 3", "mean0"),
     ("covariate", "task", "noise_dims = -1", "noise_dims"),
     ("covariate", "task", "n_per_env = 0", "n_per_env"),
     ("covariate", "task", "train_envs = a0:nan", "train_envs"),
     ("covariate", "task", "train_envs = a0:0 a0:0.5", "train_envs"),
     ("covariate", "task", "sigma = nan", "sigma"),
+    ("covariate", "task", "sigma = -0.4", "sigma"),
     ("covariate", "transform", "plane = 0", "plane"),
     ("covariate", "transform", "plane = 0 5", "plane"),
     ("covariate", "transform", "angle_range = 0", "angle_range"),
@@ -400,6 +402,19 @@ def test_compare_reads_the_seed_of_its_configs(tmp_path, capsys):
     assert err.startswith("config error: ") and "seed" in err
 
 
+def test_compare_rejects_configs_with_different_dirs(tmp_path, capsys):
+    # one comparison.csv cannot go to two directories
+    paths = [_write_config(tmp_path, name=f"{name}.ini",
+                           body=SMALL_TASK.format(algorithm=algorithm)
+                           + f"\n[output]\ndir = {tmp_path / name}\n")
+             for name, algorithm in (("a", "erm"), ("b", "mbdg"))]
+    assert cli.main(["compare", "--config", paths[0], "--config",
+                     paths[1]]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: configs must share the value of key dir\n"
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_compare_reads_every_config_before_training(tmp_path, capsys,
                                                     monkeypatch):
     def train(*args, **kwargs):
@@ -548,7 +563,8 @@ def test_measure_invariance_clamps_at_the_configs_loss_bound(tmp_path):
     out.mkdir()
     p = pred.init_predictor(pred.Architecture((5, 8, 2)), 0)
     # large weights make the prediction swing with the color coordinates
-    p = pred.with_params(p, 10.0 * p.params.values)
+    p = pred.Predictor(p.arch, ad.ParameterVector(10.0 * p.params.values,
+                                                  p.params.layout))
     (out / "predictor.txt").write_text(pred.save_text(p))
     assert cli.main(["measure-invariance", "--config", cfg, "--out",
                      str(out), "--seed", "0"]) == 0

@@ -179,8 +179,12 @@ def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
         tape = ad.Tape(lambda params: pred.cross_entropy_graph(
             pred.log_probs_graph(p.arch, params, X), y, bound),
             p.params.layout)
+    # a plan over the stack of X and Xt, holding the term under test
+    plan = solvers.StepPlan(solvers.PRESETS["erm"], p, [2 * n])
+    plan.X[:] = np.vstack([X, Xt])
+    plan.ce_terms, plan.pairs = ce_terms, pairs
     loss, distreg, grad = solvers.objective_gradient(
-        p, np.vstack([X, Xt]), ce_terms, pairs, [1.0] * len(pairs), bound)
+        plan, [1.0] * len(pairs), bound)
     exact = ad.gradient(tape, p.params).values
     assert np.allclose(grad, exact, rtol=1e-10, atol=1e-14)
     assert np.any(grad != 0.0)
