@@ -190,14 +190,14 @@ def run_train(args) -> int:
     if not train_data:
         raise ConfigError("invalid value for key holdout: no training "
                           "environments left")
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         p, trace = solvers.train(scfg, train_data, G)
     except solvers.TrainingFailure as e:
         (out / "trace.csv").write_text(e.trace.to_csv())
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     bound = scfg.loss_bound
     lines = [f"algorithm={scfg.algorithm}", f"seed={seed}",
              f"holdout={holdout}"]

@@ -8,9 +8,9 @@ solver's `loss_bound`.  `distance` compares two stacks of distributions
 row by row.  `dist_reg` is the one numpy form of the constraint: it
 draws the codes and returns the per-row distances, whose mean is L on
 the sample; a caller holding the clean predictions passes them in.
-Training takes distReg and its gradient from `dist_reg_vjp` on the
-step's softmax rows of the pairs its preset names; the graph form
-`dist_reg_graph` is the tests' oracle for that gradient.
+Training takes distReg and its gradient from one `dist_reg_vjp` pass
+over the step's softmax rows of every pair its preset names; the graph
+form `dist_reg_graph` is the tests' oracle for that gradient.
 """
 
 from __future__ import annotations
@@ -56,23 +56,29 @@ def dist_reg(p: pred.Predictor, X: np.ndarray, G,
     return distance(clean, pred.predict_batch(p, Xt), bound)
 
 
-def dist_reg_vjp(P: np.ndarray, Q: np.ndarray, bound: float) -> tuple:
-    """distReg of paired probability rows, and its gradient w.r.t. each
-    side's log-probs.
+def dist_reg_vjp(P: np.ndarray, Q: np.ndarray, scale: np.ndarray,
+                 spans: list, bound: float) -> tuple:
+    """distReg of paired probability rows, span by span, and its
+    gradient w.r.t. each side's log-probs.
 
-    Returns (mean clamped distance, d/dlogp, d/dlogq).  The first side
-    is the KL reference distribution; a row whose KL sits outside
-    [0, bound] passes no gradient.
+    Row i of P pairs with row i of Q; `spans` slice the rows into the
+    constraint pairs, and `scale` holds each row's 1/n for its pair's n
+    rows.  Returns (mean clamped distance per pair, d/dlogp, d/dlogq)
+    of the summed pairs.  The first side is the KL reference
+    distribution; a row whose KL sits outside [0, bound] passes no
+    gradient.
     """
-    scale = 1.0 / P.shape[0]
-    ratio = np.log((P + SMOOTHING) / (Q + SMOOTHING))
+    P_s, Q_s = P + SMOOTHING, Q + SMOOTHING
+    ratio = np.log(P_s / Q_s)
     raw = pred.class_reduce(np.add, P * ratio)
     per_row = np.minimum(np.maximum(raw, 0.0), bound)
     live = (raw >= 0.0) & (raw <= bound)
     w = np.where(live, scale, 0.0)[:, None]
-    g_p = w * P * (ratio + P / (P + SMOOTHING))
-    g_q = -w * P * Q / (Q + SMOOTHING)
-    return float(per_row.sum() * scale), g_p, g_q
+    g_p = w * P * (ratio + P / P_s)
+    g_q = -w * P * Q / Q_s
+    distreg = np.array([per_row[s].sum() * (1.0 / (s.stop - s.start))
+                        for s in spans])
+    return distreg, g_p, g_q
 
 
 # -- graph version (differentiable w.r.t. theta) -----------------------------

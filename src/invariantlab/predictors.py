@@ -4,7 +4,9 @@ A predictor is a small feed-forward net `x -> softmax(logits)`.  One
 numpy forward pass (`forward`) serves evaluation and training; training
 keeps its activations in the run's buffers, and the closed-form
 `backward` fills one flat gradient's per-layer views.  Class-axis maxima
-and sums go through `class_reduce`, without numpy's per-row cost.
+and sums go through `class_reduce`, without numpy's per-row cost, and
+the bias gradients' sums over rows go through `row_sum`, without
+numpy's axis-0 cost.
 The loss is cross-entropy clamped into [0, bound], where bound is the
 solver's `loss_bound`.  The graph-building `log_probs_graph` and
 `cross_entropy_graph` give the same quantities through `autodiff` and
@@ -24,8 +26,11 @@ from .autodiff import DimensionError, ParameterLayout, ParameterVector
 # holds one array per layer
 _ACTIVATIONS = {"tanh": lambda z: np.tanh(z, out=z),
                 "relu": lambda z: np.maximum(z, 0.0, out=z)}
-# each activation's derivative, written in terms of its output
-_DERIVATIVES = {"tanh": lambda h: 1.0 - h ** 2, "relu": lambda h: h > 0.0}
+# each activation's derivative, written in terms of its output and over
+# it, so a wide batch allocates no array for it
+_DERIVATIVES = {
+    "tanh": lambda h: np.subtract(1.0, np.square(h, out=h), out=h),
+    "relu": lambda h: np.greater(h, 0.0, out=h)}
 _GRAPH_ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
 
 
@@ -94,13 +99,27 @@ def forward(arch: Architecture, params: dict, X: np.ndarray,
 def backward(arch: Architecture, params: dict, acts: list, g: np.ndarray,
              grads: dict) -> None:
     """Write the gradient of sum(g * logits) into `grads`, one array per
-    parameter, from `forward`'s acts."""
+    parameter, from `forward`'s acts; each hidden layer's output in acts
+    is overwritten with its activation's derivative."""
     deriv = _DERIVATIVES[arch.activation]
     for i in reversed(range(len(acts) - 1)):
         np.matmul(acts[i].T, g, out=grads[f"W{i}"])
-        g.sum(axis=0, out=grads[f"b{i}"])
+        row_sum(g, grads[f"b{i}"])
         if i > 0:
-            g = (g @ params[f"W{i}"].T) * deriv(acts[i])
+            g = g @ params[f"W{i}"].T
+            g *= deriv(acts[i])
+
+
+def row_sum(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`g.sum(axis=0, out=out)` for a C-contiguous 2-d g, bit for bit.
+
+    From two columns on, numpy adds row after row, as einsum's "ij->j"
+    does at about half the cost.  A single column is contiguous, and
+    numpy sums it pairwise, so it goes to numpy.
+    """
+    if g.shape[1] == 1:
+        return g.sum(axis=0, out=out)
+    return np.einsum("ij->j", g, out=out)
 
 
 def class_reduce(op, z: np.ndarray) -> np.ndarray:
@@ -171,20 +190,26 @@ def accuracy(p: Predictor, data, q=None) -> float:
     return float(np.mean(q.argmax(axis=1) == data.y))
 
 
-def cross_entropy_vjp(logp: np.ndarray, y: np.ndarray, bound: float,
+def cross_entropy_vjp(logp: np.ndarray, picks: np.ndarray,
+                      scale: np.ndarray, spans: list, bound: float,
                       grad: np.ndarray) -> float:
-    """Mean cross-entropy of log-prob rows clamped at `bound`; its
-    gradient goes into `grad`, zeros of logp's shape.
+    """The sum of CE terms, each the mean cross-entropy clamped at
+    `bound` over its rows, from one gather of log-probs; the gradient
+    goes into `grad`, zeros of logp's shape.
 
-    The gradient with respect to `logp` is -1/n on each row's label
+    `picks` holds the flat index (row * classes + label) of each term's
+    rows' label entries, term after term, with disjoint rows; `spans`
+    slices `picks` into the terms.  The gradient with respect to `logp`
+    is `scale`, each pick's -1/n for its term's n rows, on each picked
     entry, and zero on rows whose loss sits at the clamp.
     """
-    rows = np.arange(y.size)
-    nll = -logp[rows, y]
-    live = nll <= bound
-    value = float(np.minimum(nll, bound).sum() * (1.0 / y.size))
-    grad[rows, y] = np.where(live, -(1.0 / y.size), 0.0)
-    return value
+    nll = -logp.take(picks)
+    clamped = np.minimum(nll, bound)
+    grad.put(picks, np.where(nll <= bound, scale, 0.0))
+    loss = 0.0
+    for s in spans:
+        loss += float(clamped[s].sum() * (1.0 / (s.stop - s.start)))
+    return loss
 
 
 def cross_entropy_graph(log_probs: ad.Node, y: np.ndarray,

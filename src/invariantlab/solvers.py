@@ -157,10 +157,10 @@ class StepPlan:
     `theta` is a copy of `p`'s flat parameters, with per-layer views
     `params`, that the steps update in place.  The stack holds each
     clean batch, then each transformed block in draw order (`draws`:
-    rows, batch index); CE terms and pairs are slices of it.  Buffers:
-    the stack `X` and labels `y`, the flat gradient with per-layer
-    views, each layer's output, the log-probs, their softmax and the
-    log-prob gradient.
+    rows, batch index); CE terms and pairs are slices of it, laid out by
+    `set_terms`.  Buffers: the stack `X` and labels `y`, the flat
+    gradient with per-layer views, each layer's output, the log-probs,
+    their softmax and the log-prob gradient.
     """
 
     def __init__(self, preset: Preset, p: pred.Predictor, sizes):
@@ -174,50 +174,93 @@ class StepPlan:
 
         batches = range(len(sizes))
         self.clean = [block(k, drawn=False) for k in batches]
-        self.pairs = [] if preset.pairing is None else [
+        pairs = [] if preset.pairing is None else [
             (block(k) if preset.pairing == "g-g" else self.clean[k], block(k))
             for k in batches]
         ce_rows = [slice(0, ends[len(sizes)])] + [
-            block(k) if source == "fresh" else self.pairs[k][1]
+            block(k) if source == "fresh" else pairs[k][1]
             for source in preset.augment for k in batches]
         n, arch, n_params = ends[-1], p.arch, p.params.layout.size
         self.arch, self.layout = arch, p.params.layout
         self.X, self.y = np.empty((n, arch.input_dim)), np.empty(n, np.intp)
-        self.ce_terms = [(rows, self.y[rows]) for rows in ce_rows]
         self.theta, self.grad = p.params.values.copy(), np.empty(n_params)
         self.params = self.layout.unflatten(self.theta)
         self.grads = self.layout.unflatten(self.grad)
         self.acts = [np.empty((n, m)) for m in arch.layer_sizes[1:]]
         self.logp, self.softmax, self.g = (
             np.empty((n, arch.layer_sizes[-1])) for _ in range(3))
+        self.set_terms(ce_rows, pairs)
+
+    def set_terms(self, ce_rows: list, pairs: list) -> None:
+        """Lay out CE terms on the stack's row slices `ce_rows`, disjoint,
+        and constraint pairs `pairs`, (row slice, row slice) of equal
+        length, for the step's one CE gather and one KL pass.
+
+        The CE rows, term after term, are `ce_rows`, their label
+        entries' flat indices `ce_base` + labels, each row's -1/n
+        `ce_scale` and each term's span `ce_spans` of them.  The pairs'
+        sides are the rows `pair_a` and `pair_b`, with each row's 1/n
+        `pair_scale`, its pair `pair_of_row` and each pair's span
+        `pair_spans`.
+        """
+        n, n_classes = self.logp.shape
+        self.ce_rows, scale, self.ce_spans = _gather(ce_rows)
+        self.ce_base = np.arange(n)[self.ce_rows] * n_classes
+        self.ce_scale = -scale
+        self.pairs = pairs
+        self.pair_a, self.pair_scale, self.pair_spans = _gather(
+            [a for a, _ in pairs])
+        self.pair_b = _gather([b for _, b in pairs])[0]
+        sizes = [a.stop - a.start for a, _ in pairs]
+        self.pair_of_row = np.repeat(np.arange(len(pairs)), sizes)[:, None]
+
+
+def _gather(slices: list) -> tuple:
+    """The stack rows of `slices` in order, each row's 1/n for its
+    slice's n rows, and each slice's span of those rows.  The rows are
+    one slice where each of `slices` runs on from the last, else their
+    index array."""
+    sizes = [s.stop - s.start for s in slices]
+    ends = np.cumsum([0] + sizes).tolist()
+    first = slices[0].start if slices else 0
+    if all(a.stop == b.start for a, b in zip(slices, slices[1:])):
+        rows = slice(first, first + ends[-1])
+    else:
+        rows = np.concatenate([np.arange(s.start, s.stop) for s in slices])
+    return (rows, np.repeat([1.0 / m for m in sizes], sizes),
+            [slice(a, b) for a, b in zip(ends, ends[1:])])
 
 
 def objective_gradient(plan: StepPlan, lam, bound: float):
     """The step objective at `plan.theta` and its gradient from one
     forward pass over the plan's stack `X`.
 
-    The objective is the sum of the CE over `plan.ce_terms`, (row
-    slice, labels) on disjoint rows, plus lam[k] / len(pairs) times the
-    distReg of pair k in `plan.pairs`, (row slice, row slice); CE and
-    distReg are both clamped at `bound`.  Returns (CE sum, distReg per
-    pair, flat gradient), the gradient in the plan.
+    The objective is the sum of the CE terms `plan.set_terms` laid out,
+    with the plan's labels `y`, plus lam[k] / len(pairs) times the
+    distReg of pair k; CE and distReg are both clamped at `bound`.
+    Returns (CE sum, distReg per pair, flat gradient), the gradient in
+    the plan; with no pairs the distReg is a zero per dual weight.
     """
     acts = pred.forward(plan.arch, plan.params, plan.X, plan.acts)
     logp = pred.log_softmax(acts[-1], plan.logp)
     g = plan.g
     g.fill(0.0)
-    loss = 0.0
-    for rows, y in plan.ce_terms:
-        loss += pred.cross_entropy_vjp(logp[rows], y, bound, g[rows])
+    loss = pred.cross_entropy_vjp(
+        logp, plan.ce_base + plan.y[plan.ce_rows], plan.ce_scale,
+        plan.ce_spans, bound, g)
     P = np.exp(logp, out=plan.softmax)
-    distreg = np.zeros(len(plan.pairs))
-    for k, (a, b) in enumerate(plan.pairs):
-        distreg[k], g_a, g_b = cons.dist_reg_vjp(P[a], P[b], bound)
-        # a zero weight adds nothing, so the gradient equals the bare loss's
-        if lam[k] != 0.0:
-            w = float(lam[k]) * (1.0 / len(plan.pairs))
-            g[a] += w * g_a
-            g[b] += w * g_b
+    distreg = np.zeros(len(lam))
+    if plan.pairs:
+        distreg, g_a, g_b = cons.dist_reg_vjp(
+            P[plan.pair_a], P[plan.pair_b], plan.pair_scale, plan.pair_spans,
+            bound)
+        # zero weights add nothing, so the gradient equals the bare loss's;
+        # beside a nonzero one, a zero weight adds +-0.0 to finite rows that
+        # are never -0.0, which leaves their bits as they are
+        if any(lam):
+            w = np.multiply(lam, 1.0 / len(plan.pairs))[plan.pair_of_row]
+            g[plan.pair_a] += w * g_a
+            g[plan.pair_b] += w * g_b
     # through log-softmax: d/dz = d/dlogp - softmax * (row sum of d/dlogp)
     g -= P * pred.class_reduce(np.add, g)[:, None]
     pred.backward(plan.arch, plan.params, acts, g, plan.grads)
@@ -245,15 +288,13 @@ def primal_step(plan: StepPlan, lam: np.ndarray, batches, G,
         plan.y[rows] = batches[k][1]
 
     loss, distreg, grad = objective_gradient(plan, lam, config.loss_bound)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise ad.NonFiniteError("non-finite loss")
-    if not np.all(np.isfinite(distreg)):
+    if not np.isfinite(distreg).all():
         raise ad.NonFiniteError("non-finite distReg")
     plan.theta -= config.eta_primal * grad
-    if not np.all(np.isfinite(plan.theta)):
+    if not np.isfinite(plan.theta).all():
         raise ad.NonFiniteError("non-finite parameter update")
-    if not plan.pairs:
-        distreg = np.zeros(lam.size)
     return loss, distreg
 
 
@@ -325,7 +366,8 @@ def train(config: SolverConfig, datasets, G):
     for step in range(config.steps):
         idxs = [batch_rng.integers(a, b, size=config.batch_size)
                 for a, b in spans]
-        batches = [(X_all[idx], y_all[idx]) for idx in idxs]
+        batches = [(X_all.take(idx, axis=0), y_all.take(idx))
+                   for idx in idxs]
         try:
             loss, distreg = primal_step(plan, lam, batches, G, config,
                                         gen_rng)

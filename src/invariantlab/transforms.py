@@ -60,10 +60,8 @@ class ColorResampleModel:
 
     def sample_codes(self, n: int, rng: np.random.Generator) -> np.ndarray:
         k = len(self.indices)
-        hot = rng.integers(0, k, size=n)
-        codes = np.zeros((n, k))
-        codes[np.arange(n), hot] = 1.0
-        return codes
+        # row j of the identity is the one-hot code of color j
+        return np.eye(k).take(rng.integers(0, k, size=n), axis=0)
 
     def apply_batch(self, X: np.ndarray, codes: np.ndarray) -> np.ndarray:
         if max(self.indices) >= X.shape[1]:

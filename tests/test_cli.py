@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -79,6 +80,19 @@ def test_train_writes_artifacts(tmp_path):
     assert len(trace) == 41
     p = pred.load_text((out / "predictor.txt").read_text())
     assert p.arch.input_dim == 5
+
+
+def test_wall_clock_is_not_negative_when_the_system_clock_steps_back(
+        tmp_path, monkeypatch):
+    # a system clock that an adjustment sets back by an hour per reading
+    readings = iter(range(10 ** 6, 0, -3600))
+    monkeypatch.setattr(time, "time", lambda: float(next(readings)))
+    cfg = _write_config(tmp_path, algorithm="erm")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    wall = [line for line in (out / "summary.txt").read_text().splitlines()
+            if line.startswith("wall_clock_seconds=")]
+    assert float(wall[0].split("=")[1]) >= 0.0
 
 
 def test_train_is_byte_deterministic_up_to_wall_clock(tmp_path):

@@ -169,20 +169,22 @@ def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
         Xt[-2:] = X[-2:]
         raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0), 1e9)
         bound = float(np.median(raw[:-2]))
-        ce_terms, pairs = [], [(slice(0, n), slice(n, 2 * n))]
+        ce_rows, pairs = [], [(slice(0, n), slice(n, 2 * n))]
         tape = con.dist_reg_tape(p, X, Xt, bound)
     else:
         y = np.random.default_rng(5).integers(0, 2, size=n)
         logp = np.log(pred.predict_batch(p, X))
         bound = float(np.median(-logp[np.arange(n), y]))
-        ce_terms, pairs = [(slice(0, n), y)], []
+        ce_rows, pairs = [slice(0, n)], []
         tape = ad.Tape(lambda params: pred.cross_entropy_graph(
             pred.log_probs_graph(p.arch, params, X), y, bound),
             p.params.layout)
     # a plan over the stack of X and Xt, holding the term under test
     plan = solvers.StepPlan(solvers.PRESETS["erm"], p, [2 * n])
     plan.X[:] = np.vstack([X, Xt])
-    plan.ce_terms, plan.pairs = ce_terms, pairs
+    if kind == "ce":
+        plan.y[:n] = y
+    plan.set_terms(ce_rows, pairs)
     loss, distreg, grad = solvers.objective_gradient(
         plan, [1.0] * len(pairs), bound)
     exact = ad.gradient(tape, p.params).values

@@ -64,8 +64,9 @@ def _cross_entropy(q, y, bound=BOUND):
     """The clamped CE of one distribution q and label y."""
     with np.errstate(divide="ignore"):
         logp = np.log(np.asarray(q, dtype=float))[None, :]
-    return pred.cross_entropy_vjp(logp, np.array([y]), bound,
-                                  np.zeros_like(logp))
+    # one term of one row, whose label entry has flat index y
+    return pred.cross_entropy_vjp(logp, np.array([y]), np.array([-1.0]),
+                                  [slice(0, 1)], bound, np.zeros_like(logp))
 
 
 def test_cross_entropy_exact_endpoints():
@@ -122,3 +123,16 @@ def test_class_reduce_matches_numpy_bitwise(n_classes):
         * 10.0 ** rng.uniform(-5.0, 5.0, size=(1000, n_classes))
     assert np.array_equal(pred.class_reduce(np.maximum, z), z.max(axis=1))
     assert np.array_equal(pred.class_reduce(np.add, z), z.sum(axis=1))
+
+
+@pytest.mark.parametrize("width", range(1, 33))
+def test_row_sum_matches_numpy_bitwise(width):
+    # signed entries spread over 1e-8..1e8, where a regrouped sum shows;
+    # at width 1 numpy sums the contiguous column pairwise from 3 rows on
+    for n in (1, 2, 3, 7, 8, 9, 127, 128, 129, 384, 1152):
+        rng = np.random.default_rng([n, width])
+        g = rng.standard_normal((n, width)) \
+            * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, width))
+        out = np.empty(width)
+        assert pred.row_sum(g, out) is out
+        assert out.tobytes() == g.sum(axis=0).tobytes(), n

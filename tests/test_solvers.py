@@ -329,6 +329,94 @@ def test_fused_step_matches_autodiff_graph(algorithm, dual_mode, activation):
                                                       p.params.layout))
 
 
+def _per_term_objective(plan, ce_rows, pairs, lam, bound):
+    """`objective_gradient` with one CE and one KL VJP per term, in the
+    per-slice formulas; returns (CE sum, distReg per pair, log-prob
+    gradient after log-softmax, flat gradient)."""
+    acts = pred.forward(plan.arch, plan.params, plan.X)
+    logp = pred.log_softmax(acts[-1], np.empty_like(acts[-1]))
+    g = np.zeros_like(logp)
+    loss = 0.0
+    for rows in ce_rows:
+        y, idx = plan.y[rows], np.arange(rows.stop - rows.start)
+        nll = -logp[rows][idx, y]
+        loss += float(np.minimum(nll, bound).sum() * (1.0 / y.size))
+        g[rows][idx, y] = np.where(nll <= bound, -(1.0 / y.size), 0.0)
+    P = np.exp(logp)
+    distreg = np.zeros(len(pairs))
+    for k, (a, b) in enumerate(pairs):
+        Pa, Pb = P[a], P[b]
+        scale = 1.0 / Pa.shape[0]
+        ratio = np.log((Pa + cons.SMOOTHING) / (Pb + cons.SMOOTHING))
+        raw = pred.class_reduce(np.add, Pa * ratio)
+        distreg[k] = float(np.minimum(np.maximum(raw, 0.0), bound).sum()
+                           * scale)
+        w = np.where((raw >= 0.0) & (raw <= bound), scale, 0.0)[:, None]
+        if lam[k] != 0.0:
+            lam_w = float(lam[k]) * (1.0 / len(pairs))
+            g[a] += lam_w * (w * Pa * (ratio + Pa / (Pa + cons.SMOOTHING)))
+            g[b] += lam_w * (-w * Pa * Pb / (Pb + cons.SMOOTHING))
+    g -= P * pred.class_reduce(np.add, g)[:, None]
+    grad = np.empty(plan.layout.size)
+    pred.backward(plan.arch, plan.params, acts, g,
+                  plan.layout.unflatten(grad))
+    return loss, distreg, g, grad
+
+
+@pytest.mark.parametrize("pairing", ["g-g", "x-g"])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+def test_whole_stack_vjps_match_the_per_term_formulas_bitwise(
+        n_terms, n_pairs, pairing):
+    # blocks of odd lengths in a shuffled stack: term j is block j, and
+    # pair k is (term k's block under x-g, else a block of its own, and a
+    # block of the same length); the bound splits the rows' CE and KL
+    rng = np.random.default_rng([n_terms, n_pairs, len(pairing)])
+    lengths = list(rng.choice([3, 5, 7, 9], size=n_terms))
+    sides = []
+    for k in range(n_pairs):
+        if pairing == "g-g" or k >= n_terms:
+            lengths.append(lengths[k % n_terms])
+            sides.append(len(lengths) - 1)
+        else:
+            sides.append(k)
+        lengths.append(lengths[sides[-1]])
+        sides.append(len(lengths) - 1)
+    order = rng.permutation(len(lengths))
+    starts = np.cumsum([0] + [lengths[i] for i in order])
+    at = {i: slice(int(starts[j]), int(starts[j + 1]))
+          for j, i in enumerate(order)}
+    ce_rows = [at[j] for j in range(n_terms)]
+    pairs = [(at[a], at[b]) for a, b in zip(sides[::2], sides[1::2])]
+
+    p = pred.init_predictor(pred.Architecture((4, 5, 3)), 1)
+    plan = solvers.StepPlan(solvers.PRESETS["erm"], p, [int(starts[-1])])
+    plan.theta *= 8.0  # logits far apart, so some rows reach the clamp
+    plan.X[:] = rng.standard_normal(plan.X.shape)
+    plan.y[:] = rng.integers(0, 3, size=plan.y.size)
+    plan.set_terms(ce_rows, pairs)
+    # a pair with a zero weight: alone when x-g has one pair
+    lam = ([0.0, 0.7, 1.3] if pairing == "x-g" else [1.3, 0.0, 0.7])[:n_pairs]
+
+    logp = pred.log_softmax(pred.forward(p.arch, plan.params, plan.X)[-1],
+                            np.empty((plan.X.shape[0], 3)))
+    ce = np.concatenate([-logp[r][np.arange(r.stop - r.start), plan.y[r]]
+                         for r in ce_rows])
+    P = np.exp(logp)
+    kl = np.concatenate([cons.distance(P[a], P[b], np.inf) for a, b in pairs])
+    bound = float(np.median(np.concatenate([ce, kl])))
+    assert np.any(ce > bound) and np.any(ce < bound)
+    assert np.any(kl > bound) and np.any(kl < bound)
+
+    loss, distreg, grad = solvers.objective_gradient(plan, lam, bound)
+    ref_loss, ref_distreg, ref_g, ref_grad = _per_term_objective(
+        plan, ce_rows, pairs, lam, bound)
+    assert loss == ref_loss
+    assert distreg.tobytes() == ref_distreg.tobytes()
+    assert plan.g.tobytes() == ref_g.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
 # -- training loop -----------------------------------------------------------------
 
 def test_train_seed_determinism_bit_exact():

@@ -4,9 +4,12 @@
 
 Runs `train` for every preset, in single and per-env dual mode, on
 perfbench's concept-shift and covariate-shift configs (the same task
-text, solver section and held-out environment), for seeds 0 and 3.  For
-each run it prints the hashes of `trace.csv`, of `summary.txt` without
-its `wall_clock_seconds` line, and of `predictor.txt`.  It then runs
+text, solver section and held-out environment), for seeds 0 and 3.  It
+then repeats those runs with a one-unit hidden layer (`hidden1`) and with
+an odd batch size of 7 (`batch7`), the shapes where a bit-exact numpy
+shortcut is most likely to part from numpy.  For each run it prints the
+hashes of `trace.csv`, of `summary.txt` without its `wall_clock_seconds`
+line, and of `predictor.txt`.  It then runs
 `measure-invariance` on each task's mbdg predictor and hashes
 `invariance.csv` and the printed median.  Last it runs the five
 `verify` suites and hashes each one's output lines.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +40,11 @@ TASKS = {"concept": (wl.CONCEPT_TASK, "e0.1"),
          "covariate": (wl.COVARIATE_TASK, "a90")}
 SEEDS = (0, 3)
 DUAL_MODES = ("single", "per-env")
+# solver variants, as edits of perfbench's solver section; the first is
+# perfbench's own, and a variant's label suffix names it
+VARIANTS = {"": {},
+            "/hidden1": {"hidden = 16": "hidden = 1"},
+            "/batch7": {"batch_size = 128": "batch_size = 7"}}
 
 
 def _sha(data: bytes) -> str:
@@ -55,28 +64,35 @@ def _summary_bytes(path: Path) -> bytes:
                    if not line.startswith("wall_clock_seconds=")).encode()
 
 
+def _solver_text(variant: str, **fields) -> str:
+    text = wl.SOLVER.format(**fields)
+    for old, new in VARIANTS[variant].items():
+        if old not in text:
+            raise ValueError(f"perfbench's solver section has no {old!r}")
+        text = text.replace(old, new)
+    return text
+
+
 def train_lines(work: Path):
-    for task, (text, holdout) in TASKS.items():
-        for seed in SEEDS:
-            for mode in DUAL_MODES:
-                for preset in wl.PRESETS:
-                    label = f"{task}/seed{seed}/{mode}/{preset}"
-                    out = work / label
-                    config = work / f"{task}-{mode}-{preset}.ini"
-                    config.write_text(text + wl.SOLVER.format(
-                        algorithm=preset, dual_mode=mode, steps=wl.STEPS))
-                    code, _ = _main(["train", "--config", str(config),
-                                     "--seed", str(seed), "--holdout",
-                                     holdout, "--out", str(out)])
-                    yield f"{label} exit {code}"
-                    yield (f"{label} trace.csv "
-                           f"{_sha((out / 'trace.csv').read_bytes())}")
-                    if code != 0:
-                        continue
-                    yield (f"{label} summary.txt "
-                           f"{_sha(_summary_bytes(out / 'summary.txt'))}")
-                    yield (f"{label} predictor.txt "
-                           f"{_sha((out / 'predictor.txt').read_bytes())}")
+    for variant, task, seed, mode, preset in itertools.product(
+            VARIANTS, TASKS, SEEDS, DUAL_MODES, wl.PRESETS):
+        text, holdout = TASKS[task]
+        label = f"{task}/seed{seed}/{mode}/{preset}{variant}"
+        out = work / label
+        name = f"{task}-{mode}-{preset}{variant.replace('/', '-')}"
+        config = work / f"{name}.ini"
+        config.write_text(text + _solver_text(
+            variant, algorithm=preset, dual_mode=mode, steps=wl.STEPS))
+        code, _ = _main(["train", "--config", str(config), "--seed",
+                         str(seed), "--holdout", holdout, "--out", str(out)])
+        yield f"{label} exit {code}"
+        yield f"{label} trace.csv {_sha((out / 'trace.csv').read_bytes())}"
+        if code != 0:
+            continue
+        yield (f"{label} summary.txt "
+               f"{_sha(_summary_bytes(out / 'summary.txt'))}")
+        yield (f"{label} predictor.txt "
+               f"{_sha((out / 'predictor.txt').read_bytes())}")
 
 
 def invariance_lines(work: Path):
