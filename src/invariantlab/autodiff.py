@@ -1,16 +1,15 @@
-"""Minimal dense reverse-mode differentiation.
+"""Minimal dense reverse-mode differentiation, the tests' gradient oracle.
 
 Only the primitive set needed by this project is implemented (add, mul,
 matmul, exp, log, max, relu, tanh and reductions).  Values are float64
 numpy arrays; every primitive checks its output for NaN/Inf and raises
-instead of propagating.
+instead of propagating.  `gradient` differentiates a scalar function of
+a list of arrays through the graph, and `finite_diff_gradient` a scalar
+function of a flat array by central differences.  The package's
+parameters are a flat array, unflattened by `predictors.Architecture`.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -229,112 +228,37 @@ def backward(output: Node) -> dict:
     return grads
 
 
-# -- parameter vectors and tapes -------------------------------------------
+# -- the tests' gradient oracles --------------------------------------------
 
-@dataclass(frozen=True)
-class ParameterLayout:
-    """Maps named slices of a flat parameter vector to array shapes."""
+def gradient(f, arrays) -> list:
+    """Exact reverse-mode gradient of the scalar Node function `f`.
 
-    entries: tuple  # of (name, shape) pairs
-
-    @cached_property
-    def size(self) -> int:
-        return sum(math.prod(shape) for _, shape in self.entries)
-
-    def unflatten(self, flat: np.ndarray) -> dict:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.size,):
-            raise DimensionError(
-                f"parameter vector has size {flat.shape}, layout "
-                f"expects ({self.size},)")
-        out = {}
-        offset = 0
-        for name, shape in self.entries:
-            n = math.prod(shape)
-            out[name] = flat[offset:offset + n].reshape(shape)
-            offset += n
-        return out
-
-    def flatten(self, arrays: dict) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(arrays[name], dtype=np.float64).ravel()
-             for name, _ in self.entries])
-
-
-@dataclass(frozen=True)
-class ParameterVector:
-    """A flat float64 parameter vector plus its layer layout."""
-
-    values: np.ndarray
-    layout: ParameterLayout
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values",
-            _check_finite(np.asarray(self.values, dtype=np.float64)))
-        if self.values.shape != (self.layout.size,):
-            raise DimensionError(
-                f"values size {self.values.shape} does not cover layout "
-                f"size {self.layout.size}")
-
-
-@dataclass(frozen=True)
-class Tape:
-    """A recorded scalar-valued computation over a parameter vector.
-
-    `builder` maps a dict of parameter Nodes (keyed by layout entry name)
-    to a scalar Node.  Replaying the builder is deterministic, so repeated
-    evaluation reproduces the recorded output bit-for-bit.
+    `f` takes one Node per array of `arrays`; the result holds one
+    gradient per array, zeros for an array `f` does not use.
     """
-
-    builder: object
-    layout: ParameterLayout
-
-    def _run(self, theta: ParameterVector):
-        if theta.layout != self.layout:
-            raise DimensionError("parameter layout does not match tape")
-        params = {name: Node(arr)
-                  for name, arr in self.layout.unflatten(
-                      theta.values).items()}
-        out = self.builder(params)
-        if out.value.ndim != 0:
-            raise DimensionError("tape output must be scalar")
-        return params, out
+    nodes = [Node(a) for a in arrays]
+    grads = backward(f(*nodes))
+    return [grads.get(id(node), np.zeros(node.shape)) for node in nodes]
 
 
-def evaluate(tape: Tape, theta: ParameterVector) -> float:
-    """Forward-replay the tape and return its scalar value."""
-    _, out = tape._run(theta)
-    return float(out.value)
-
-
-def gradient(tape: Tape, theta: ParameterVector) -> ParameterVector:
-    """Exact reverse-mode gradient of the tape's scalar output."""
-    params, out = tape._run(theta)
-    grads = backward(out)
-    arrays = {name: grads.get(id(node), np.zeros(node.shape))
-              for name, node in params.items()}
-    return ParameterVector(tape.layout.flatten(arrays), tape.layout)
-
-
-def finite_diff_gradient(f, theta: ParameterVector,
-                         h: float = 1e-4) -> ParameterVector:
-    """Central-difference gradient of a scalar function of theta.
+def finite_diff_gradient(f, theta: np.ndarray,
+                         h: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of a scalar function of the flat
+    array theta.
 
     Independent of the reverse-mode path; used as its oracle.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    base = theta.values
+    base = np.asarray(theta, dtype=np.float64)
     grad = np.empty_like(base)
     for i in range(base.size):
         plus = base.copy()
         minus = base.copy()
         plus[i] += h
         minus[i] -= h
-        fp = f(ParameterVector(plus, theta.layout))
-        fm = f(ParameterVector(minus, theta.layout))
+        fp, fm = f(plus), f(minus)
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise NonFiniteError("non-finite function value in difference")
         grad[i] = (fp - fm) / (2.0 * h)
-    return ParameterVector(grad, theta.layout)
+    return grad

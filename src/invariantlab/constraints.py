@@ -10,7 +10,8 @@ draws the codes and returns the per-row distances, whose mean is L on
 the sample; a caller holding the clean predictions passes them in.
 Training takes distReg and its gradient from one `dist_reg_vjp` pass
 over the step's softmax rows of every pair its preset names; the graph
-form `dist_reg_graph` is the tests' oracle for that gradient.
+form `dist_reg_graph`, a function of each layer's (W, b) Nodes, is the
+tests' oracle for that gradient.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ def dist_reg_vjp(P: np.ndarray, Q: np.ndarray, scale: np.ndarray,
 
 # -- graph version (differentiable w.r.t. theta) -----------------------------
 
-def dist_reg_graph(arch: pred.Architecture, params: dict, X: np.ndarray,
+def dist_reg_graph(arch: pred.Architecture, params: list, X: np.ndarray,
                    Xt: np.ndarray, bound: float) -> ad.Node:
-    """distReg as a graph node; gradient flows through both predictions.
+    """distReg as a graph node over each layer's (W, b) Nodes in
+    `params`; gradient flows through both predictions.
 
     The prediction on X is the KL reference distribution.
     """
@@ -97,12 +99,3 @@ def dist_reg_graph(arch: pred.Architecture, params: dict, X: np.ndarray,
     per_pair = ad.sum_(p_probs * ratio, axis=1)
     return ad.mean(ad.minimum(ad.maximum(per_pair, 0.0), bound))
 
-
-def dist_reg_tape(p: pred.Predictor, X: np.ndarray, Xt: np.ndarray,
-                  bound: float) -> ad.Tape:
-    """A tape computing dist_reg as a function of the parameters."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Xt = np.atleast_2d(np.asarray(Xt, dtype=np.float64))
-    return ad.Tape(
-        lambda params: dist_reg_graph(p.arch, params, X, Xt, bound),
-        p.params.layout)

@@ -1,12 +1,13 @@
 """Parameterized classifiers producing label distributions, with losses.
 
-A predictor is a small feed-forward net `x -> softmax(logits)`.  One
-numpy forward pass (`forward`) serves evaluation and training; training
-keeps its activations in the run's buffers, and the closed-form
-`backward` fills one flat gradient's per-layer views.  Class-axis maxima
-and sums go through `class_reduce`, without numpy's per-row cost, and
-the bias gradients' sums over rows go through `row_sum`, without
-numpy's axis-0 cost.
+A predictor is a small feed-forward net `x -> softmax(logits)`: an
+`Architecture` and a flat float64 theta, which `unflatten` views as
+each layer's (W, b).  One numpy forward pass (`forward`) serves
+evaluation and training; training keeps its activations in the run's
+buffers, and the closed-form `backward` fills the (W, b) views of one
+flat gradient.  Class-axis maxima and sums go through `class_reduce`,
+without numpy's per-row cost, and the bias gradients' sums over rows go
+through `row_sum`, without numpy's axis-0 cost.
 The loss is cross-entropy clamped into [0, bound], where bound is the
 solver's `loss_bound`.  The graph-building `log_probs_graph` and
 `cross_entropy_graph` give the same quantities through `autodiff` and
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DimensionError, ParameterLayout, ParameterVector
+from .autodiff import DimensionError, NonFiniteError
 
 # applied in place to the fresh pre-activation array, so a wide batch
 # holds one array per layer
@@ -44,6 +45,8 @@ class Architecture:
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output layers")
+        if min(self.layer_sizes) < 1:
+            raise ValueError("every layer needs at least one unit")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -51,62 +54,77 @@ class Architecture:
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
-    def layout(self) -> ParameterLayout:
-        entries = []
-        for i, (n_in, n_out) in enumerate(
-                zip(self.layer_sizes, self.layer_sizes[1:])):
-            entries.append((f"W{i}", (n_in, n_out)))
-            entries.append((f"b{i}", (n_out,)))
-        return ParameterLayout(tuple(entries))
+    @property
+    def n_params(self) -> int:
+        return sum((n_in + 1) * n_out for n_in, n_out in
+                   zip(self.layer_sizes, self.layer_sizes[1:]))
+
+    def unflatten(self, theta: np.ndarray) -> list:
+        """Each layer's (W, b), views into theta in order W0, b0, W1, ..."""
+        layers, end = [], 0
+        for n_in, n_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            start, end = end, end + (n_in + 1) * n_out
+            layers.append((theta[start:end - n_out].reshape(n_in, n_out),
+                           theta[end - n_out:end]))
+        return layers
 
 
 @dataclass(frozen=True)
 class Predictor:
+    """An architecture and its flat float64 parameters theta."""
+
     arch: Architecture
-    params: ParameterVector
+    theta: np.ndarray
+
+    def __post_init__(self):
+        theta = np.asarray(self.theta, dtype=np.float64)
+        if theta.shape != (self.arch.n_params,):
+            raise DimensionError(f"parameter shape {theta.shape}, the "
+                                 f"architecture needs ({self.arch.n_params},)")
+        if not np.all(np.isfinite(theta)):
+            raise NonFiniteError("non-finite parameter value")
+        object.__setattr__(self, "theta", theta)
 
 
 def init_predictor(arch: Architecture, seed: int) -> Predictor:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], seeded."""
     rng = np.random.default_rng(seed)
-    layout = arch.layout()
-    arrays = {}
-    for name, shape in layout.entries:
-        fan_in = shape[0] if name.startswith("W") else arch.layer_sizes[
-            int(name[1:])]
-        bound = 1.0 / np.sqrt(fan_in)
-        arrays[name] = rng.uniform(-bound, bound, size=shape)
-    return Predictor(arch, ParameterVector(layout.flatten(arrays), layout))
+    arrays = []
+    for n_in, n_out in zip(arch.layer_sizes, arch.layer_sizes[1:]):
+        bound = 1.0 / np.sqrt(n_in)
+        arrays.append(rng.uniform(-bound, bound, size=n_in * n_out))
+        arrays.append(rng.uniform(-bound, bound, size=n_out))
+    return Predictor(arch, np.concatenate(arrays))
 
 
 # -- forward passes ---------------------------------------------------------
 
-def forward(arch: Architecture, params: dict, X: np.ndarray,
+def forward(arch: Architecture, params: list, X: np.ndarray,
             out=None) -> list:
     """Every layer's output for the rows of X: [X, hidden..., logits],
-    written into `out`'s arrays, one per layer, when given."""
+    from each layer's (W, b) in `params`, written into `out`'s arrays,
+    one per layer, when given."""
     act = _ACTIVATIONS[arch.activation]
     acts = [X]
-    n_layers = len(arch.layer_sizes) - 1
-    for i in range(n_layers):
-        z = np.matmul(acts[-1], params[f"W{i}"],
-                      out=None if out is None else out[i])
-        z += params[f"b{i}"]
-        acts.append(act(z) if i < n_layers - 1 else z)
+    for i, (W, b) in enumerate(params):
+        z = np.matmul(acts[-1], W, out=None if out is None else out[i])
+        z += b
+        acts.append(act(z) if i < len(params) - 1 else z)
     return acts
 
 
-def backward(arch: Architecture, params: dict, acts: list, g: np.ndarray,
-             grads: dict) -> None:
-    """Write the gradient of sum(g * logits) into `grads`, one array per
-    parameter, from `forward`'s acts; each hidden layer's output in acts
-    is overwritten with its activation's derivative."""
+def backward(arch: Architecture, params: list, acts: list, g: np.ndarray,
+             grads: list) -> None:
+    """Write the gradient of sum(g * logits) into `grads`, each layer's
+    (W, b) arrays as in `params`, from `forward`'s acts; each hidden
+    layer's output in acts is overwritten with its activation's
+    derivative."""
     deriv = _DERIVATIVES[arch.activation]
-    for i in reversed(range(len(acts) - 1)):
-        np.matmul(acts[i].T, g, out=grads[f"W{i}"])
-        row_sum(g, grads[f"b{i}"])
+    for i in reversed(range(len(params))):
+        np.matmul(acts[i].T, g, out=grads[i][0])
+        row_sum(g, grads[i][1])
         if i > 0:
-            g = g @ params[f"W{i}"].T
+            g = g @ params[i][0].T
             g *= deriv(acts[i])
 
 
@@ -146,8 +164,7 @@ def logits_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != p.arch.input_dim:
         raise DimensionError(
             f"input dim {X.shape[1]}, predictor expects {p.arch.input_dim}")
-    params = p.params.layout.unflatten(p.params.values)
-    return forward(p.arch, params, X)[-1]
+    return forward(p.arch, p.arch.unflatten(p.theta), X)[-1]
 
 
 def predict_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
@@ -158,15 +175,15 @@ def predict_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
     return q
 
 
-def log_probs_graph(arch: Architecture, params: dict,
+def log_probs_graph(arch: Architecture, params: list,
                     X: np.ndarray) -> ad.Node:
-    """Graph-building forward pass: rows of log-softmax(logits)."""
+    """Graph-building forward pass: rows of log-softmax(logits), from
+    each layer's (W, b) Nodes in `params`."""
     act = _GRAPH_ACTIVATIONS[arch.activation]
     h = ad.constant(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-    n_layers = len(arch.layer_sizes) - 1
-    for i in range(n_layers):
-        h = h @ params[f"W{i}"] + params[f"b{i}"]
-        if i < n_layers - 1:
+    for i, (W, b) in enumerate(params):
+        h = h @ W + b
+        if i < len(params) - 1:
             h = act(h)
     lse = ad.logsumexp(h, axis=1)
     return h - ad.Node(lse.value.reshape(-1, 1), (lse,),
@@ -227,7 +244,7 @@ def cross_entropy_graph(log_probs: ad.Node, y: np.ndarray,
 def save_text(p: Predictor) -> str:
     """Flat text format: layer sizes header, then the parameter list."""
     header = " ".join(str(n) for n in p.arch.layer_sizes)
-    body = " ".join(repr(float(v)) for v in p.params.values)
+    body = " ".join(repr(float(v)) for v in p.theta)
     return f"{header} {p.arch.activation}\n{body}\n"
 
 
@@ -236,4 +253,4 @@ def load_text(text: str) -> Predictor:
     head = lines[0].split()
     arch = Architecture(tuple(int(n) for n in head[:-1]), head[-1])
     values = np.array([float(v) for v in lines[1].split()])
-    return Predictor(arch, ParameterVector(values, arch.layout()))
+    return Predictor(arch, values)

@@ -10,9 +10,9 @@ where distReg is the KL between the predictions on each constraint
 pair, and CE and distReg are clamped at the config's `loss_bound`.  Its
 gradient comes from one numpy forward pass over every row the step
 needs and closed-form vector-Jacobian products (`objective_gradient`).
-`train` keeps the run's parameters, the step's row layout and every
-buffer the step writes in one `StepPlan`; each step updates the
-parameters in place, and the predictor is built once, at return.
+`train` keeps the run's flat parameters theta, the step's row layout
+and every buffer the step writes in one `StepPlan`; each step updates
+theta in place, and the predictor is built once, at return.
 The presets (G(x) is a fresh draw from the transformation model):
 
     preset    constraint pairs   augmented CE batches       dual
@@ -154,12 +154,13 @@ def dual_step(lam: np.ndarray, distreg_value, gamma: float,
 class StepPlan:
     """A run's parameters, step layout and buffers, built once by `train`.
 
-    `theta` is a copy of `p`'s flat parameters, with per-layer views
-    `params`, that the steps update in place.  The stack holds each
-    clean batch, then each transformed block in draw order (`draws`:
-    rows, batch index); CE terms and pairs are slices of it, laid out by
-    `set_terms`.  Buffers: the stack `X` and labels `y`, the flat
-    gradient with per-layer views, each layer's output, the log-probs,
+    `theta` is a copy of `p.theta` that the steps update in place;
+    `params` views it as each layer's (W, b), through
+    `Architecture.unflatten`.  The stack holds each clean batch, then
+    each transformed block in draw order (`draws`: rows, batch index);
+    CE terms and pairs are slices of it, laid out by `set_terms`.
+    Buffers: the stack `X` and labels `y`, the flat gradient `grad` with
+    the same (W, b) views `grads`, each layer's output, the log-probs,
     their softmax and the log-prob gradient.
     """
 
@@ -180,12 +181,12 @@ class StepPlan:
         ce_rows = [slice(0, ends[len(sizes)])] + [
             block(k) if source == "fresh" else pairs[k][1]
             for source in preset.augment for k in batches]
-        n, arch, n_params = ends[-1], p.arch, p.params.layout.size
-        self.arch, self.layout = arch, p.params.layout
+        n, arch = ends[-1], p.arch
+        self.arch = arch
         self.X, self.y = np.empty((n, arch.input_dim)), np.empty(n, np.intp)
-        self.theta, self.grad = p.params.values.copy(), np.empty(n_params)
-        self.params = self.layout.unflatten(self.theta)
-        self.grads = self.layout.unflatten(self.grad)
+        self.theta, self.grad = p.theta.copy(), np.empty(arch.n_params)
+        self.params = arch.unflatten(self.theta)
+        self.grads = arch.unflatten(self.grad)
         self.acts = [np.empty((n, m)) for m in arch.layer_sizes[1:]]
         self.logp, self.softmax, self.g = (
             np.empty((n, arch.layer_sizes[-1])) for _ in range(3))
@@ -377,5 +378,4 @@ def train(config: SolverConfig, datasets, G):
             lam = dual_step(lam, distreg, config.gamma, config.eta_dual)
         trace.append(step, loss, lam, distreg)
 
-    return pred.Predictor(arch, ad.ParameterVector(plan.theta,
-                                                   plan.layout)), trace
+    return pred.Predictor(arch, plan.theta), trace

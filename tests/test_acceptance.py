@@ -229,7 +229,7 @@ def _random_composition_max_error(seed):
         return pred.empirical_risk(q, data, LOSS_BOUND) \
             + lam * float(np.mean(dr))
 
-    approx = ad.finite_diff_gradient(objective, p.params).values
+    approx = ad.finite_diff_gradient(objective, p.theta)
     denom = np.maximum(np.abs(exact), 1e-6)
     return float(np.max(np.abs(exact - approx) / denom))
 

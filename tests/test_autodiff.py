@@ -5,10 +5,6 @@ from hypothesis import given, settings, strategies as st
 from invariantlab import autodiff as ad
 
 
-def _layout(*entries):
-    return ad.ParameterLayout(tuple(entries))
-
-
 def test_add_mul_forward_values():
     a = ad.Node(np.array([1.0, 2.0]))
     b = ad.Node(np.array([3.0, 4.0]))
@@ -73,101 +69,69 @@ def test_reductions_match_numpy():
     assert ad.mean(x).value == pytest.approx(2.5)
 
 
-def test_layout_flatten_unflatten_round_trip():
-    layout = _layout(("W", (2, 3)), ("b", (3,)))
-    flat = np.arange(9.0)
-    arrays = layout.unflatten(flat)
-    assert arrays["W"].shape == (2, 3)
-    assert np.array_equal(layout.flatten(arrays), flat)
-    with pytest.raises(ad.DimensionError):
-        layout.unflatten(np.zeros(5))
-
-
-def test_parameter_vector_validates_size_and_finiteness():
-    layout = _layout(("w", (2,)))
-    with pytest.raises(ad.DimensionError):
-        ad.ParameterVector(np.zeros(3), layout)
-    with pytest.raises(ad.NonFiniteError):
-        ad.ParameterVector(np.array([1.0, np.nan]), layout)
-
-
-def _quadratic_tape(layout):
+def _quadratic(w):
     # f(w) = sum(w^2) + 3*w[0]*w[1] via graph primitives
-    def build(params):
-        w = params["w"]
-        return ad.sum_(w * w) + 3.0 * ad.sum_(
-            w * ad.constant(np.array([0.0, 1.0]))) * ad.sum_(
-            w * ad.constant(np.array([1.0, 0.0])))
-    return ad.Tape(build, layout)
+    return ad.sum_(w * w) + 3.0 * ad.sum_(
+        w * ad.constant(np.array([0.0, 1.0]))) * ad.sum_(
+        w * ad.constant(np.array([1.0, 0.0])))
 
 
-def test_tape_evaluate_and_gradient_agree_with_closed_form():
-    layout = _layout(("w", (2,)))
-    tape = _quadratic_tape(layout)
-    theta = ad.ParameterVector(np.array([2.0, -1.0]), layout)
+def test_graph_value_and_gradient_agree_with_closed_form():
+    w = np.array([2.0, -1.0])
     # f = 4 + 1 + 3*(-1)*2 = -1; df/dw0 = 2w0 + 3w1, df/dw1 = 2w1 + 3w0
-    assert ad.evaluate(tape, theta) == pytest.approx(-1.0)
-    g = ad.gradient(tape, theta)
-    assert np.allclose(g.values, [2 * 2 + 3 * -1, 2 * -1 + 3 * 2])
+    assert float(_quadratic(ad.Node(w)).value) == pytest.approx(-1.0)
+    [g] = ad.gradient(_quadratic, [w])
+    assert np.allclose(g, [2 * 2 + 3 * -1, 2 * -1 + 3 * 2])
 
 
 def test_quadratic_descent_step_closed_form():
     # w = 1, f = w^2, step 0.1: w - 0.1 * 2w = 0.8
-    layout = _layout(("w", (1,)))
-    tape = ad.Tape(lambda p: ad.sum_(p["w"] * p["w"]), layout)
-    theta = ad.ParameterVector(np.array([1.0]), layout)
-    g = ad.gradient(tape, theta)
-    assert theta.values - 0.1 * g.values == pytest.approx([0.8])
+    w = np.array([1.0])
+    [g] = ad.gradient(lambda v: ad.sum_(v * v), [w])
+    assert w - 0.1 * g == pytest.approx([0.8])
 
 
-def test_tape_replay_is_deterministic():
-    layout = _layout(("w", (2,)))
-    tape = _quadratic_tape(layout)
-    theta = ad.ParameterVector(np.array([0.3, 0.7]), layout)
-    assert ad.evaluate(tape, theta) == ad.evaluate(tape, theta)
-
-
-def test_tape_rejects_mismatched_layout():
-    tape = _quadratic_tape(_layout(("w", (2,))))
-    other = ad.ParameterVector(np.zeros(3), _layout(("w", (3,))))
-    with pytest.raises(ad.DimensionError):
-        ad.evaluate(tape, other)
+def test_graph_replay_is_deterministic():
+    w = np.array([0.3, 0.7])
+    assert _quadratic(ad.Node(w)).value == _quadratic(ad.Node(w)).value
+    assert np.array_equal(ad.gradient(_quadratic, [w])[0],
+                          ad.gradient(_quadratic, [w])[0])
 
 
 def test_gradient_zero_for_unused_parameters():
-    layout = _layout(("w", (2,)), ("unused", (3,)))
-    tape = ad.Tape(lambda p: ad.sum_(p["w"] * p["w"]), layout)
-    theta = ad.ParameterVector(np.array([1.0, 2.0, 9.0, 9.0, 9.0]), layout)
-    g = ad.gradient(tape, theta)
-    assert np.allclose(g.values, [2.0, 4.0, 0.0, 0.0, 0.0])
+    w, unused = np.array([1.0, 2.0]), np.array([9.0, 9.0, 9.0])
+    g_w, g_unused = ad.gradient(lambda v, _: ad.sum_(v * v), [w, unused])
+    assert np.allclose(g_w, [2.0, 4.0])
+    assert np.array_equal(g_unused, np.zeros(3))
 
 
 def test_finite_diff_rejects_bad_step():
-    layout = _layout(("w", (1,)))
-    theta = ad.ParameterVector(np.zeros(1), layout)
     with pytest.raises(ValueError):
-        ad.finite_diff_gradient(lambda t: 0.0, theta, h=0.0)
+        ad.finite_diff_gradient(lambda t: 0.0, np.zeros(1), h=0.0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_gradient_matches_finite_differences_on_random_mlp(seed):
     rng = np.random.default_rng(seed)
-    layout = _layout(("W0", (3, 4)), ("b0", (4,)), ("W1", (4, 2)),
-                     ("b1", (2,)))
+    shapes = [(3, 4), (4,), (4, 2), (2,)]
     X = rng.standard_normal((5, 3))
 
-    def build(params):
-        h = ad.tanh(ad.constant(X) @ params["W0"] + params["b0"])
-        z = h @ params["W1"] + params["b1"]
+    def build(W0, b0, W1, b1):
+        h = ad.tanh(ad.constant(X) @ W0 + b0)
+        z = h @ W1 + b1
         return ad.mean(ad.logsumexp(z, axis=1))
 
-    tape = ad.Tape(build, layout)
-    theta = ad.ParameterVector(0.5 * rng.standard_normal(layout.size),
-                               layout)
-    exact = ad.gradient(tape, theta).values
+    def split(theta):
+        # theta holds W0, b0, W1, b1 in order, each row-major
+        ends = np.cumsum([np.prod(s) for s in shapes])[:-1]
+        return [a.reshape(s) for a, s in zip(np.split(theta, ends), shapes)]
+
+    theta = 0.5 * rng.standard_normal(sum(np.prod(s) for s in shapes))
+    exact = np.concatenate(
+        [g.ravel() for g in ad.gradient(build, split(theta))])
     approx = ad.finite_diff_gradient(
-        lambda t: ad.evaluate(tape, t), theta).values
+        lambda t: float(build(*map(ad.Node, split(t))).value), theta)
     denom = np.maximum(np.abs(exact), 1e-6)
     assert np.max(np.abs(exact - approx) / denom) <= 1e-4
 

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from invariantlab import (autodiff as ad, cli, datagen, predictors as pred,
-                          solvers, transforms, verify)
+from invariantlab import (cli, datagen, predictors as pred, solvers,
+                          transforms, verify)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -577,8 +577,7 @@ def test_measure_invariance_clamps_at_the_configs_loss_bound(tmp_path):
     out.mkdir()
     p = pred.init_predictor(pred.Architecture((5, 8, 2)), 0)
     # large weights make the prediction swing with the color coordinates
-    p = pred.Predictor(p.arch, ad.ParameterVector(10.0 * p.params.values,
-                                                  p.params.layout))
+    p = pred.Predictor(p.arch, 10.0 * p.theta)
     (out / "predictor.txt").write_text(pred.save_text(p))
     assert cli.main(["measure-invariance", "--config", cfg, "--out",
                      str(out), "--seed", "0"]) == 0
@@ -601,7 +600,10 @@ def test_measure_invariance_missing_predictor(tmp_path):
     "",
     None,  # a directory
     "5 1 2 tanh\n" + " ".join(["nan"] * 10) + "\n",
-], ids=["other-task", "corrupt", "empty", "directory", "nan"])
+    "5 0 2 tanh\n0 0\n",  # a zero-width hidden layer
+    "5 16 2 tanh\n1 2 3\n",  # 3 values for 130 parameters
+], ids=["other-task", "corrupt", "empty", "directory", "nan", "zero-width",
+        "wrong-count"])
 def test_measure_invariance_rejects_an_unusable_predictor(tmp_path, capsys,
                                                           text):
     cfg = _write_config(tmp_path)

@@ -133,15 +133,28 @@ def test_dist_reg_positive_under_real_rotation():
 
 # -- graph version ----------------------------------------------------------------
 
-def _graph_params(p):
-    return {n: ad.Node(a) for n, a in
-            p.params.layout.unflatten(p.params.values).items()}
+def _graph_params(arch, theta):
+    return [(ad.Node(W), ad.Node(b)) for W, b in arch.unflatten(theta)]
+
+
+def _graph_value(build, arch, theta):
+    """build(params) at theta, params each layer's (W, b) graph Nodes."""
+    return float(build(_graph_params(arch, theta)).value)
+
+
+def _graph_gradient(build, p):
+    """The flat gradient of build(params) at p's theta."""
+    arrays = [a for layer in p.arch.unflatten(p.theta) for a in layer]
+    grads = ad.gradient(
+        lambda *nodes: build(list(zip(nodes[::2], nodes[1::2]))), arrays)
+    return np.concatenate([g.ravel() for g in grads])
 
 
 def test_graph_value_matches_numpy():
     p = pred.init_predictor(ARCH, 5)
     X, Xt = _pairs(seed=7)
-    node = con.dist_reg_graph(p.arch, _graph_params(p), X, Xt, BOUND)
+    node = con.dist_reg_graph(p.arch, _graph_params(p.arch, p.theta), X, Xt,
+                              BOUND)
     assert float(node.value) == pytest.approx(_mean_dist_reg(p, X, Xt),
                                               abs=1e-10)
 
@@ -149,10 +162,13 @@ def test_graph_value_matches_numpy():
 def test_graph_gradient_matches_finite_differences():
     p = pred.init_predictor(ARCH, 9)
     X, Xt = _pairs(n=8, seed=9)
-    tape = con.dist_reg_tape(p, X, Xt, BOUND)
-    exact = ad.gradient(tape, p.params).values
+
+    def build(params):
+        return con.dist_reg_graph(p.arch, params, X, Xt, BOUND)
+
+    exact = _graph_gradient(build, p)
     approx = ad.finite_diff_gradient(
-        lambda t: ad.evaluate(tape, t), p.params).values
+        lambda t: _graph_value(build, p.arch, t), p.theta)
     denom = np.maximum(np.abs(exact), 1e-6)
     assert np.max(np.abs(exact - approx) / denom) <= 1e-4
 
@@ -170,15 +186,18 @@ def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
         raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0), 1e9)
         bound = float(np.median(raw[:-2]))
         ce_rows, pairs = [], [(slice(0, n), slice(n, 2 * n))]
-        tape = con.dist_reg_tape(p, X, Xt, bound)
+
+        def build(params):
+            return con.dist_reg_graph(p.arch, params, X, Xt, bound)
     else:
         y = np.random.default_rng(5).integers(0, 2, size=n)
         logp = np.log(pred.predict_batch(p, X))
         bound = float(np.median(-logp[np.arange(n), y]))
         ce_rows, pairs = [slice(0, n)], []
-        tape = ad.Tape(lambda params: pred.cross_entropy_graph(
-            pred.log_probs_graph(p.arch, params, X), y, bound),
-            p.params.layout)
+
+        def build(params):
+            return pred.cross_entropy_graph(
+                pred.log_probs_graph(p.arch, params, X), y, bound)
     # a plan over the stack of X and Xt, holding the term under test
     plan = solvers.StepPlan(solvers.PRESETS["erm"], p, [2 * n])
     plan.X[:] = np.vstack([X, Xt])
@@ -187,11 +206,11 @@ def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
     plan.set_terms(ce_rows, pairs)
     loss, distreg, grad = solvers.objective_gradient(
         plan, [1.0] * len(pairs), bound)
-    exact = ad.gradient(tape, p.params).values
+    exact = _graph_gradient(build, p)
     assert np.allclose(grad, exact, rtol=1e-10, atol=1e-14)
     assert np.any(grad != 0.0)
     value = distreg[0] if kind == "kl" else loss
-    assert value == pytest.approx(float(ad.evaluate(tape, p.params)),
+    assert value == pytest.approx(_graph_value(build, p.arch, p.theta),
                                   rel=1e-12)
     if kind == "kl":
         assert distreg[0] == pytest.approx(_mean_dist_reg(p, X, Xt, bound),

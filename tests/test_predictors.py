@@ -21,17 +21,51 @@ def test_architecture_validation():
         pred.Architecture((3,))
     with pytest.raises(ValueError):
         pred.Architecture((3, 2), activation="sigmoid")
+    for sizes in [(5, 0, 2), (0, 2), (3, 4, 0)]:
+        with pytest.raises(ValueError):
+            pred.Architecture(sizes)
     assert ARCH.input_dim == 3
+    assert ARCH.n_params == 3 * 8 + 8 + 8 * 2 + 2
+
+
+def test_unflatten_views_theta_in_layer_order():
+    arch = pred.Architecture((2, 3, 2))
+    theta = np.arange(float(arch.n_params))
+    (W0, b0), (W1, b1) = arch.unflatten(theta)
+    assert [a.shape for a in (W0, b0, W1, b1)] == [(2, 3), (3,), (3, 2),
+                                                   (2,)]
+    # W0, b0, W1, b1 in order, each W row-major, together all of theta
+    assert np.array_equal(np.concatenate([a.ravel() for a in
+                                          (W0, b0, W1, b1)]), theta)
+    assert all(np.shares_memory(a, theta) for a in (W0, b0, W1, b1))
+    W0[1, 2] = -1.0
+    b1[0] = -2.0
+    assert theta[5] == -1.0 and theta[-2] == -2.0
+
+
+def test_predictor_validates_size_and_finiteness():
+    with pytest.raises(ad.DimensionError):
+        pred.Predictor(ARCH, np.zeros(ARCH.n_params + 1))
+    with pytest.raises(ad.DimensionError):
+        pred.Predictor(ARCH, np.zeros((1, ARCH.n_params)))
+    theta = np.zeros(ARCH.n_params)
+    theta[3] = np.nan
+    with pytest.raises(ad.NonFiniteError):
+        pred.Predictor(ARCH, theta)
+    theta[3] = np.inf
+    with pytest.raises(ad.NonFiniteError):
+        pred.Predictor(ARCH, theta)
+    p = pred.Predictor(ARCH, [0] * ARCH.n_params)
+    assert p.theta.dtype == np.float64
 
 
 def test_init_is_deterministic_and_bounded():
     p1 = pred.init_predictor(ARCH, 7)
     p2 = pred.init_predictor(ARCH, 7)
-    assert np.array_equal(p1.params.values, p2.params.values)
-    W0 = p1.params.layout.unflatten(p1.params.values)["W0"]
+    assert np.array_equal(p1.theta, p2.theta)
+    W0 = p1.arch.unflatten(p1.theta)[0][0]
     assert np.all(np.abs(W0) <= 1.0 / np.sqrt(3))
-    assert not np.array_equal(
-        p1.params.values, pred.init_predictor(ARCH, 8).params.values)
+    assert not np.array_equal(p1.theta, pred.init_predictor(ARCH, 8).theta)
 
 
 @settings(max_examples=50, deadline=None)
@@ -47,8 +81,7 @@ def test_predictions_lie_on_the_simplex(seed):
 def test_graph_forward_matches_numpy_forward():
     p = pred.init_predictor(ARCH, 3)
     X = np.random.default_rng(1).standard_normal((5, 3))
-    params = {n: ad.Node(a) for n, a in
-              p.params.layout.unflatten(p.params.values).items()}
+    params = [(ad.Node(W), ad.Node(b)) for W, b in p.arch.unflatten(p.theta)]
     logp = pred.log_probs_graph(p.arch, params, X)
     assert np.allclose(np.exp(logp.value), pred.predict_batch(p, X),
                        atol=1e-12)
@@ -92,8 +125,7 @@ def test_empirical_risk_matches_per_example_mean():
 def test_graph_loss_matches_numpy_loss():
     p = pred.init_predictor(ARCH, 2)
     data = _data(seed=5)
-    params = {n: ad.Node(a) for n, a in
-              p.params.layout.unflatten(p.params.values).items()}
+    params = [(ad.Node(W), ad.Node(b)) for W, b in p.arch.unflatten(p.theta)]
     logp = pred.log_probs_graph(p.arch, params, data.X)
     node = pred.cross_entropy_graph(logp, data.y, BOUND)
     assert float(node.value) == pytest.approx(
@@ -112,7 +144,7 @@ def test_save_load_round_trip_is_exact():
     p = pred.init_predictor(pred.Architecture((4, 7, 3), "relu"), 11)
     q = pred.load_text(pred.save_text(p))
     assert q.arch == p.arch
-    assert np.array_equal(q.params.values, p.params.values)
+    assert np.array_equal(q.theta, p.theta)
 
 
 @pytest.mark.parametrize("n_classes", range(2, 13))

@@ -17,14 +17,12 @@ SRC = ROOT / "src" / "invariantlab"
 
 # kept without a runtime caller, each for the reason given
 ALLOWED = {
-    "autodiff.evaluate": "graph engine: the value half of the tests' "
-                         "gradient oracle",
-    "autodiff.gradient": "graph engine: the tests' reverse-mode oracle for "
+    "autodiff.gradient": "graph engine: the tests' reverse-mode oracle, "
+                         "per input array of a scalar Node function, for "
                          "the closed-form training gradient",
     "autodiff.finite_diff_gradient": "oracle: criterion 8 checks every "
-                                     "gradient against finite differences",
-    "constraints.dist_reg_tape": "oracle: distReg as a tape for the "
-                                 "graph engine's gradient",
+                                     "gradient of a flat theta against "
+                                     "finite differences",
     "datagen.bayes_oracle": "oracle: closed-form policy accuracies of the "
                             "concept task",
     "datagen.load_datasets": "oracle: the reader that checks the datagen "

@@ -156,8 +156,7 @@ def _primal_step(p, X, y, G, config):
     plan = solvers.StepPlan(solvers.PRESETS[config.algorithm], p, [len(y)])
     loss, distreg = solvers.primal_step(plan, np.array([0.0]), [(X, y)], G,
                                         config, np.random.default_rng(0))
-    return pred.Predictor(p.arch, ad.ParameterVector(
-        plan.theta, p.params.layout)), loss, distreg
+    return pred.Predictor(p.arch, plan.theta), loss, distreg
 
 
 def test_primal_step_zero_dual_ignores_transform():
@@ -170,7 +169,7 @@ def test_primal_step_zero_dual_ignores_transform():
     without, _, _ = _primal_step(p, X, y, None,
                                  _small_config(algorithm="erm"))
     assert distreg[0] > 0.0
-    assert np.array_equal(with_G.params.values, without.params.values)
+    assert np.array_equal(with_G.theta, without.theta)
 
 
 def test_primal_step_decreases_minibatch_loss():
@@ -191,7 +190,7 @@ def test_primal_step_with_tiny_rate_barely_moves():
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
     q, _, _ = _primal_step(p, X, y, None,
                            _small_config(algorithm="erm", eta_primal=1e-12))
-    assert np.max(np.abs(q.params.values - p.params.values)) < 1e-9
+    assert np.max(np.abs(q.theta - p.theta)) < 1e-9
 
 
 # Work per step at batch 32 on two environments: (transformed rows,
@@ -264,8 +263,7 @@ def _graph_step(p, lam, batches, G, config, rng):
             augmented += [(draw(bX), by) for bX, by in batches]
         else:
             augmented += [(Xt, by) for (_, Xt), (_, by) in zip(pairs, batches)]
-    params = {name: ad.Node(arr) for name, arr in
-              p.params.layout.unflatten(p.params.values).items()}
+    params = [(ad.Node(W), ad.Node(b)) for W, b in p.arch.unflatten(p.theta)]
     X = np.vstack([bX for bX, _ in batches])
     y = np.concatenate([by for _, by in batches])
     loss = pred.cross_entropy_graph(
@@ -279,9 +277,9 @@ def _graph_step(p, lam, batches, G, config, rng):
     for lam_e, node in zip(lam, nodes):
         total = total + (float(lam_e) * (1.0 / len(nodes))) * node
     grads = ad.backward(total)
-    new = p.params.layout.flatten(
-        {name: node.value - config.eta_primal * grads[id(node)]
-         for name, node in params.items()})
+    new = np.concatenate(
+        [(node.value - config.eta_primal * grads[id(node)]).ravel()
+         for layer in params for node in layer])
     return new, float(loss.value), np.array([float(n.value) for n in nodes])
 
 
@@ -320,13 +318,12 @@ def test_fused_step_matches_autodiff_graph(algorithm, dual_mode, activation):
             plan, lam, batches, G, config, np.random.default_rng([2, step]))
         new, loss_g, distreg_g = _graph_step(
             p, lam, batches, G, config, np.random.default_rng([2, step]))
-        old = p.params.values
+        old = p.theta
         assert _rel_err(plan.theta - old, new - old) <= 1e-10
         assert _rel_err(loss, loss_g) <= 1e-10
         if distreg_g.size:
             assert _rel_err(distreg, distreg_g) <= 1e-10
-        p = pred.Predictor(p.arch, ad.ParameterVector(plan.theta.copy(),
-                                                      p.params.layout))
+        p = pred.Predictor(p.arch, plan.theta.copy())
 
 
 def _per_term_objective(plan, ce_rows, pairs, lam, bound):
@@ -357,9 +354,8 @@ def _per_term_objective(plan, ce_rows, pairs, lam, bound):
             g[a] += lam_w * (w * Pa * (ratio + Pa / (Pa + cons.SMOOTHING)))
             g[b] += lam_w * (-w * Pa * Pb / (Pb + cons.SMOOTHING))
     g -= P * pred.class_reduce(np.add, g)[:, None]
-    grad = np.empty(plan.layout.size)
-    pred.backward(plan.arch, plan.params, acts, g,
-                  plan.layout.unflatten(grad))
+    grad = np.empty(plan.arch.n_params)
+    pred.backward(plan.arch, plan.params, acts, g, plan.arch.unflatten(grad))
     return loss, distreg, g, grad
 
 
@@ -425,7 +421,7 @@ def test_train_seed_determinism_bit_exact():
     config = _small_config(algorithm="mbdg", steps=10)
     p1, t1 = solvers.train(config, data, G)
     p2, t2 = solvers.train(config, data, G)
-    assert np.array_equal(p1.params.values, p2.params.values)
+    assert np.array_equal(p1.theta, p2.theta)
     assert t1.to_csv() == t2.to_csv()
 
 
@@ -438,7 +434,7 @@ def test_mbdg_with_frozen_zero_dual_matches_erm_trajectory():
                              data, None)
     p_m, trace = solvers.train(
         _small_config(algorithm="mbdg", steps=15, eta_dual=0.0), data, G)
-    assert np.array_equal(p_erm.params.values, p_m.params.values)
+    assert np.array_equal(p_erm.theta, p_m.theta)
     assert all(v == 0.0 for row in trace.lam for v in row)
 
 
@@ -590,7 +586,7 @@ def test_steps_that_plan_for_themselves_match_train(algorithm, dual_mode):
         assert loss == trace.losses[step]
         assert np.array_equal(distreg, trace.distreg[step])
         assert np.array_equal(lam, trace.lam[step])
-    assert np.array_equal(plan.theta, p_train.params.values)
+    assert np.array_equal(plan.theta, p_train.theta)
 
 
 def test_plan_steps_a_copy_of_the_predictors_parameters():
@@ -599,9 +595,9 @@ def test_plan_steps_a_copy_of_the_predictors_parameters():
     G = datagen.concept_shift_transform(spec)
     config = _small_config(algorithm="mbdg")
     p = pred.init_predictor(pred.Architecture((5, config.hidden, 2)), 0)
-    before = p.params.values.copy()
+    before = p.theta.copy()
     plan = solvers.StepPlan(solvers.PRESETS["mbdg"], p, [config.batch_size])
-    assert not np.shares_memory(plan.theta, p.params.values)
+    assert not np.shares_memory(plan.theta, p.theta)
     rng = np.random.default_rng(0)
     lam = np.array([0.5])
     for _ in range(10):
@@ -609,7 +605,7 @@ def test_plan_steps_a_copy_of_the_predictors_parameters():
         solvers.primal_step(plan, lam, [(data[0].X[idx], data[0].y[idx])],
                             G, config, rng)
     assert not np.array_equal(plan.theta, before)
-    assert np.array_equal(p.params.values, before)
+    assert np.array_equal(p.theta, before)
 
 
 # -- trace format ------------------------------------------------------------------

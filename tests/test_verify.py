@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from invariantlab import autodiff as ad
 from invariantlab import datagen
 from invariantlab import predictors as pred
 from invariantlab import transforms as tr
@@ -356,8 +355,7 @@ def test_measure_invariance_zero_for_constant_predictor():
     data = datagen.gen_concept_shift(spec, seed=0)[0]
     G = datagen.concept_shift_transform(spec)
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    q = pred.Predictor(p.arch, ad.ParameterVector(
-        np.zeros_like(p.params.values), p.params.layout))
+    q = pred.Predictor(p.arch, np.zeros_like(p.theta))
     summary = verify.measure_g_invariance(
         q, data, G, BOUND, samples_per_point=2)
     assert np.allclose(summary.values, 0.0, atol=1e-12)
