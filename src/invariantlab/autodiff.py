@@ -1,7 +1,7 @@
 """Minimal dense reverse-mode differentiation, the tests' gradient oracle.
 
 Only the primitive set needed by this project is implemented (add, mul,
-matmul, exp, log, max, relu, tanh and reductions).  Values are float64
+matmul, exp, log, max, tanh and reductions).  Values are float64
 numpy arrays; every primitive checks its output for NaN/Inf and raises
 instead of propagating.  `gradient` differentiates a scalar function of
 a list of arrays through the graph, and `finite_diff_gradient` a scalar
@@ -141,11 +141,6 @@ def log(x: Node) -> Node:
 def tanh(x: Node) -> Node:
     out = np.tanh(x.value)
     return Node(out, (x,), (lambda g: g * (1.0 - out ** 2),))
-
-
-def relu(x: Node) -> Node:
-    mask = x.value > 0.0
-    return Node(np.where(mask, x.value, 0.0), (x,), (lambda g: g * mask,))
 
 
 def maximum(x: Node, other) -> Node:

@@ -304,6 +304,9 @@ def run_measure_invariance(args) -> int:
         if p.arch.input_dim != held.X.shape[1]:
             raise ValueError(f"input dim {p.arch.input_dim}, the task has "
                              f"{held.X.shape[1]} features")
+        if p.arch.layer_sizes[-1] != datagen.n_classes(data):
+            raise ValueError(f"{p.arch.layer_sizes[-1]} outputs, the task "
+                             f"has {datagen.n_classes(data)} classes")
     except (OSError, ValueError, IndexError, NonFiniteError) as e:
         raise ConfigError(f"invalid value for key predictor: {e}") from None
     # the distance train uses, clamped at the config's loss bound
@@ -418,7 +421,10 @@ def run_verify(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite: {args.suite}", file=sys.stderr)
         return 1
-    checks = SUITES[args.suite]()
+    try:
+        checks = SUITES[args.suite]()
+    except verify_mod.VerificationError as e:
+        checks = [(f"{args.suite}: {e}", False)]
     all_ok = True
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}")

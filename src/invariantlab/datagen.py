@@ -39,6 +39,12 @@ class EnvironmentDataset:
         return len(self.y)
 
 
+def n_classes(datasets) -> int:
+    """1 + the largest label, and at least 2: a softmax over one class is
+    constant, so a sample whose labels are all 0 still gets two."""
+    return max(2, 1 + int(max(d.y.max() for d in datasets)))
+
+
 @dataclass(frozen=True)
 class CovariateShiftSpec:
     """Base two-Gaussian mixture pushed through G per environment."""

@@ -1,6 +1,6 @@
 """Parameterized classifiers producing label distributions, with losses.
 
-A predictor is a small feed-forward net `x -> softmax(logits)`: an
+A predictor is a small tanh MLP `x -> softmax(logits)`: an
 `Architecture` and a flat float64 theta, which `unflatten` views as
 each layer's (W, b).  One numpy forward pass (`forward`) serves
 evaluation and training; training keeps its activations in the run's
@@ -23,32 +23,17 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DimensionError, NonFiniteError
 
-# applied in place to the fresh pre-activation array, so a wide batch
-# holds one array per layer
-_ACTIVATIONS = {"tanh": lambda z: np.tanh(z, out=z),
-                "relu": lambda z: np.maximum(z, 0.0, out=z)}
-# each activation's derivative, written in terms of its output and over
-# it, so a wide batch allocates no array for it
-_DERIVATIVES = {
-    "tanh": lambda h: np.subtract(1.0, np.square(h, out=h), out=h),
-    "relu": lambda h: np.greater(h, 0.0, out=h)}
-_GRAPH_ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
-
-
 @dataclass(frozen=True)
 class Architecture:
     """Layer sizes from input to output, e.g. (5, 16, 2)."""
 
     layer_sizes: tuple
-    activation: str = "tanh"
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output layers")
         if min(self.layer_sizes) < 1:
             raise ValueError("every layer needs at least one unit")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def input_dim(self) -> int:
@@ -104,12 +89,12 @@ def forward(arch: Architecture, params: list, X: np.ndarray,
     """Every layer's output for the rows of X: [X, hidden..., logits],
     from each layer's (W, b) in `params`, written into `out`'s arrays,
     one per layer, when given."""
-    act = _ACTIVATIONS[arch.activation]
     acts = [X]
     for i, (W, b) in enumerate(params):
         z = np.matmul(acts[-1], W, out=None if out is None else out[i])
         z += b
-        acts.append(act(z) if i < len(params) - 1 else z)
+        # in place, so a wide batch holds one array per layer
+        acts.append(np.tanh(z, out=z) if i < len(params) - 1 else z)
     return acts
 
 
@@ -117,15 +102,15 @@ def backward(arch: Architecture, params: list, acts: list, g: np.ndarray,
              grads: list) -> None:
     """Write the gradient of sum(g * logits) into `grads`, each layer's
     (W, b) arrays as in `params`, from `forward`'s acts; each hidden
-    layer's output in acts is overwritten with its activation's
-    derivative."""
-    deriv = _DERIVATIVES[arch.activation]
+    layer's output h in acts is overwritten with tanh' = 1 - h**2."""
     for i in reversed(range(len(params))):
         np.matmul(acts[i].T, g, out=grads[i][0])
         row_sum(g, grads[i][1])
         if i > 0:
             g = g @ params[i][0].T
-            g *= deriv(acts[i])
+            # over h, so a wide batch allocates no array for it
+            h = acts[i]
+            g *= np.subtract(1.0, np.square(h, out=h), out=h)
 
 
 def row_sum(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -179,12 +164,11 @@ def log_probs_graph(arch: Architecture, params: list,
                     X: np.ndarray) -> ad.Node:
     """Graph-building forward pass: rows of log-softmax(logits), from
     each layer's (W, b) Nodes in `params`."""
-    act = _GRAPH_ACTIVATIONS[arch.activation]
     h = ad.constant(np.atleast_2d(np.asarray(X, dtype=np.float64)))
     for i, (W, b) in enumerate(params):
         h = h @ W + b
         if i < len(params) - 1:
-            h = act(h)
+            h = ad.tanh(h)
     lse = ad.logsumexp(h, axis=1)
     return h - ad.Node(lse.value.reshape(-1, 1), (lse,),
                        (lambda g: g.sum(axis=1),))
@@ -245,12 +229,14 @@ def save_text(p: Predictor) -> str:
     """Flat text format: layer sizes header, then the parameter list."""
     header = " ".join(str(n) for n in p.arch.layer_sizes)
     body = " ".join(repr(float(v)) for v in p.theta)
-    return f"{header} {p.arch.activation}\n{body}\n"
+    return f"{header} tanh\n{body}\n"
 
 
 def load_text(text: str) -> Predictor:
     lines = text.strip().split("\n")
     head = lines[0].split()
-    arch = Architecture(tuple(int(n) for n in head[:-1]), head[-1])
+    if head[-1] != "tanh":
+        raise ValueError(f"unknown activation {head[-1]!r}")
+    arch = Architecture(tuple(int(n) for n in head[:-1]))
     values = np.array([float(v) for v in lines[1].split()])
     return Predictor(arch, values)

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import constraints as cons
+from . import datagen
 from . import predictors as pred
 from . import transforms
 
@@ -344,8 +345,8 @@ def train(config: SolverConfig, datasets, G):
     env_ids = [d.env for d in datasets]
 
     input_dim = datasets[0].X.shape[1]
-    n_classes = int(max(d.y.max() for d in datasets)) + 1
-    arch = pred.Architecture((input_dim, config.hidden, n_classes))
+    arch = pred.Architecture((input_dim, config.hidden,
+                              datagen.n_classes(datasets)))
 
     batch_rng = np.random.default_rng([config.seed, 1])
     gen_rng = np.random.default_rng([config.seed, 2])

@@ -74,11 +74,6 @@ class GapReport:
     theta_witness: np.ndarray
     lam_witness: np.ndarray
 
-    def __post_init__(self):
-        if self.feasible and self.gap < -1e-9:
-            raise VerificationError(
-                f"weak duality violated: gap {self.gap}")
-
 
 # -- enumeration solvers ------------------------------------------------------
 

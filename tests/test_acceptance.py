@@ -202,7 +202,8 @@ def _random_composition_max_error(seed):
     rng = np.random.default_rng(seed)
     dims = (int(rng.integers(2, 5)), int(rng.integers(3, 8)),
             int(rng.integers(2, 4)))
-    arch = pred.Architecture(dims, str(rng.choice(["tanh", "relu"])))
+    rng.integers(0, 2)  # once chose the activation; keeps the later draws
+    arch = pred.Architecture(dims)
     p = pred.init_predictor(arch, int(rng.integers(0, 2 ** 31)))
     n = int(rng.integers(3, 8))
     X = rng.standard_normal((n, dims[0]))

@@ -602,8 +602,12 @@ def test_measure_invariance_missing_predictor(tmp_path):
     "5 1 2 tanh\n" + " ".join(["nan"] * 10) + "\n",
     "5 0 2 tanh\n0 0\n",  # a zero-width hidden layer
     "5 16 2 tanh\n1 2 3\n",  # 3 values for 130 parameters
+    "5 4 2 relu\n" + " ".join(["0.1"] * 34) + "\n",
+    # the concept task has 2 classes
+    pred.save_text(pred.init_predictor(pred.Architecture((5, 4, 7)), 0)),
+    pred.save_text(pred.init_predictor(pred.Architecture((5, 4, 1)), 0)),
 ], ids=["other-task", "corrupt", "empty", "directory", "nan", "zero-width",
-        "wrong-count"])
+        "wrong-count", "other-activation", "7-outputs", "1-output"])
 def test_measure_invariance_rejects_an_unusable_predictor(tmp_path, capsys,
                                                           text):
     cfg = _write_config(tmp_path)
@@ -675,6 +679,35 @@ def test_verify_fast_suites_pass(suite, capsys):
     assert cli.main(["verify", suite]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_prints_fail_for_a_failed_gap_check(monkeypatch, capsys):
+    exact = verify.solve_dual
+
+    def solve_dual(spec, gamma):
+        # a dual value above the primal one breaks weak duality
+        D, lam = exact(spec, gamma)
+        return D + 1.0, lam
+
+    monkeypatch.setattr(verify, "solve_dual", solve_dual)
+    assert cli.main(["verify", "duality"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL weak-duality-100-random-specs" in out.splitlines()
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["duality", "slackness"])
+def test_verify_prints_fail_for_a_check_that_raises(suite, monkeypatch,
+                                                    capsys):
+    def solve_dual(spec, gamma):
+        raise verify.VerificationError("dual witness gives 1.0, not 0.5")
+
+    monkeypatch.setattr(verify, "solve_dual", solve_dual)
+    assert cli.main(["verify", suite]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        f"FAIL {suite}: dual witness gives 1.0, not 0.5"]
+    assert "Traceback" not in err
 
 
 def test_verify_suites_do_not_call_the_grid_oracle(monkeypatch, capsys):

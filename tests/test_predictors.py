@@ -19,8 +19,6 @@ def _data(n=20, seed=0, d=3, classes=2):
 def test_architecture_validation():
     with pytest.raises(ValueError):
         pred.Architecture((3,))
-    with pytest.raises(ValueError):
-        pred.Architecture((3, 2), activation="sigmoid")
     for sizes in [(5, 0, 2), (0, 2), (3, 4, 0)]:
         with pytest.raises(ValueError):
             pred.Architecture(sizes)
@@ -141,7 +139,7 @@ def test_accuracy_on_constant_labels():
 
 
 def test_save_load_round_trip_is_exact():
-    p = pred.init_predictor(pred.Architecture((4, 7, 3), "relu"), 11)
+    p = pred.init_predictor(pred.Architecture((4, 7, 3)), 11)
     q = pred.load_text(pred.save_text(p))
     assert q.arch == p.arch
     assert np.array_equal(q.theta, p.theta)
