@@ -251,11 +251,14 @@ def run_compare(args) -> int:
         if len({getattr(o, key) for o in outputs}) > 1:
             raise ConfigError(f"configs must share the value of key {key}")
     seed = outputs[0].seed
-    out = _make_dir(outputs[0])
 
     # every config is read before any training starts
     runs = [(path, build_solver_config(cfg, seed), *build_task(cfg, seed))
             for path, cfg in zip(args.config, configs)]
+    # a covariate task's data also turns on its [transform] plane
+    if len({getattr(G, "plane", None) for *_, G in runs}) > 1:
+        raise ConfigError("configs must share the value of key plane")
+    out = _make_dir(outputs[0])
     algorithms = [scfg.algorithm for _, scfg, _, _ in runs]
     rows = []
     for path, scfg, data, G in runs:

@@ -12,8 +12,9 @@ gradient comes from one numpy forward pass over every row the step
 needs and closed-form vector-Jacobian products (`objective_gradient`).
 `train` keeps the run's flat parameters theta, the step's row layout
 and every buffer the step writes in one `StepPlan`; each step updates
-theta in place, and the predictor is built once, at return.
-The presets (G(x) is a fresh draw from the transformation model):
+theta in place, and the predictor is built once, at return.  A step
+draws every G(x) it needs in one call.  The presets (G(x) is a fresh
+draw from the transformation model):
 
     preset    constraint pairs   augmented CE batches       dual
     erm       none               none                       off (0)
@@ -157,8 +158,8 @@ class StepPlan:
 
     `theta` is a copy of `p.theta` that the steps update in place;
     `params` views it as each layer's (W, b), through
-    `Architecture.unflatten`.  The stack holds each clean batch, then
-    each transformed block in draw order (`draws`: rows, batch index);
+    `Architecture.unflatten`.  The stack holds `n_clean` clean rows, batch
+    after batch, then the drawn rows, row i drawn from row `sources[i]`;
     CE terms and pairs are slices of it, laid out by `set_terms`.
     Buffers: the stack `X` and labels `y`, the flat gradient `grad` with
     the same (W, b) views `grads`, each layer's output, the log-probs,
@@ -166,24 +167,24 @@ class StepPlan:
     """
 
     def __init__(self, preset: Preset, p: pred.Predictor, sizes):
-        ends, self.draws = [0], []
+        ends, sources = [0], []
 
         def block(k, drawn=True):
             ends.append(ends[-1] + sizes[k])
             if drawn:
-                self.draws.append((slice(ends[-2], ends[-1]), k))
+                sources.append(clean[k])
             return slice(ends[-2], ends[-1])
 
         batches = range(len(sizes))
-        self.clean = [block(k, drawn=False) for k in batches]
+        clean = [block(k, drawn=False) for k in batches]
         pairs = [] if preset.pairing is None else [
-            (block(k) if preset.pairing == "g-g" else self.clean[k], block(k))
+            (block(k) if preset.pairing == "g-g" else clean[k], block(k))
             for k in batches]
         ce_rows = [slice(0, ends[len(sizes)])] + [
             block(k) if source == "fresh" else pairs[k][1]
             for source in preset.augment for k in batches]
-        n, arch = ends[-1], p.arch
-        self.arch = arch
+        self.sources = _gather(sources)[0]
+        n, arch, self.n_clean = ends[-1], p.arch, ends[len(sizes)]
         self.X, self.y = np.empty((n, arch.input_dim)), np.empty(n, np.intp)
         self.theta, self.grad = p.theta.copy(), np.empty(arch.n_params)
         self.params = arch.unflatten(self.theta)
@@ -243,7 +244,7 @@ def objective_gradient(plan: StepPlan, lam, bound: float):
     Returns (CE sum, distReg per pair, flat gradient), the gradient in
     the plan; with no pairs the distReg is a zero per dual weight.
     """
-    acts = pred.forward(plan.arch, plan.params, plan.X, plan.acts)
+    acts = pred.forward(plan.params, plan.X, plan.acts)
     logp = pred.log_softmax(acts[-1], plan.logp)
     g = plan.g
     g.fill(0.0)
@@ -265,29 +266,29 @@ def objective_gradient(plan: StepPlan, lam, bound: float):
             g[plan.pair_b] += w * g_b
     # through log-softmax: d/dz = d/dlogp - softmax * (row sum of d/dlogp)
     g -= P * pred.class_reduce(np.add, g)[:, None]
-    pred.backward(plan.arch, plan.params, acts, g, plan.grads)
+    pred.backward(plan.params, acts, g, plan.grads)
     return loss, distreg, plan.grad
 
 
-def primal_step(plan: StepPlan, lam: np.ndarray, batches, G,
+def primal_step(plan: StepPlan, lam: np.ndarray, X, y, G,
                 config: SolverConfig, rng: np.random.Generator):
     """One SGD step of the config's preset on loss + <lam, distReg>,
     applied to `plan.theta` in place.
 
     `plan` is the run's `StepPlan` for the config's preset and these
-    batch sizes.  `batches` lists (X, y) minibatches, one per
+    batch sizes.  `X`, `y` stack the step's minibatches, one per
     environment under a per-env dual and one otherwise; the clean CE is
-    taken over their stack, and each gets its own constraint pair and
-    augmented batches.  Transformed batches are drawn from `rng`: first
-    every batch's constraint pair, then the fresh augmented batches.
-    Returns (minibatch loss, distReg per pair); the distReg is zero when
-    the preset has no constraint.
+    taken over the stack, and each batch gets its own constraint pair
+    and augmented batches.  One call draws every transformed batch from
+    `rng`: first every batch's constraint pair, then the fresh augmented
+    batches.  Returns (minibatch loss, distReg per pair); the distReg is
+    zero when the preset has no constraint.
     """
-    for rows, (bX, by) in zip(plan.clean, batches):
-        plan.X[rows], plan.y[rows] = bX, by
-    for rows, k in plan.draws:
-        plan.X[rows] = transforms.generate_batch(G, batches[k][0], rng)
-        plan.y[rows] = batches[k][1]
+    n = plan.n_clean
+    plan.X[:n], plan.y[:n] = X, y
+    if n < len(plan.y):
+        plan.X[n:] = transforms.generate_batch(G, plan.X[plan.sources], rng)
+        plan.y[n:] = plan.y[plan.sources]
 
     loss, distreg, grad = objective_gradient(plan, lam, config.loss_bound)
     if not math.isfinite(loss):
@@ -366,13 +367,11 @@ def train(config: SolverConfig, datasets, G):
                     [config.batch_size] * len(spans))
 
     for step in range(config.steps):
-        idxs = [batch_rng.integers(a, b, size=config.batch_size)
-                for a, b in spans]
-        batches = [(X_all.take(idx, axis=0), y_all.take(idx))
-                   for idx in idxs]
+        idx = np.concatenate([batch_rng.integers(a, b, size=config.batch_size)
+                              for a, b in spans])
         try:
-            loss, distreg = primal_step(plan, lam, batches, G, config,
-                                        gen_rng)
+            loss, distreg = primal_step(plan, lam, X_all.take(idx, axis=0),
+                                        y_all.take(idx), G, config, gen_rng)
         except ad.NonFiniteError as e:
             raise TrainingFailure(f"step {step}: {e}", trace) from e
         if preset.dual == "ascent":

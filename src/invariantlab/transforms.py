@@ -27,9 +27,11 @@ class RotationModel:
     def __post_init__(self):
         if len(self.plane) != 2 or self.plane[0] == self.plane[1]:
             raise ValueError("plane must name two distinct coordinates")
-        if len(self.angle_range) != 2 \
-                or not np.all(np.isfinite(self.angle_range)):
-            raise ValueError("angle_range must be two finite numbers")
+        # a finite width hi - lo needs finite ends, and `uniform` needs it
+        if len(self.angle_range) != 2 or not np.isfinite(
+                float(self.angle_range[1]) - float(self.angle_range[0])):
+            raise ValueError("angle_range must be two finite numbers "
+                             "with a finite width")
 
     def sample_codes(self, n: int, rng: np.random.Generator) -> np.ndarray:
         lo, hi = self.angle_range

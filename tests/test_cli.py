@@ -190,6 +190,8 @@ _PROBE_BASES = {"mbdg": SMALL_TASK.format(algorithm="mbdg"),
     ("covariate", "transform", "plane = 0", "plane"),
     ("covariate", "transform", "plane = 0 5", "plane"),
     ("covariate", "transform", "angle_range = 0", "angle_range"),
+    # ends that are finite, a width that is not
+    ("covariate", "transform", "angle_range = 1e308 -1e308", "angle_range"),
 ])
 def test_config_fault_names_key(tmp_path, capsys, base, section, line, key):
     # the probe's line replaces the base's line for the same key
@@ -455,6 +457,41 @@ def test_compare_rejects_mismatched_tasks(tmp_path):
         "n_per_env = 500", "n_per_env = 600")
     b = _write_config(tmp_path, name="b.ini", body=other)
     assert cli.main(["compare", "--config", a, "--config", b]) == 1
+
+
+def _covariate_configs(tmp_path, transforms):
+    """One erm config of a covariate task with two-coordinate noise per
+    [transform] body in `transforms`."""
+    body = COVARIATE_TASK.replace("n_per_env = 100",
+                                  "n_per_env = 100\nnoise_dims = 1")
+    body = body.replace("[transform]\nplane = 0 1\n", "[transform]\n{}\n")
+    return [_write_config(tmp_path, name=f"{i}.ini",
+                          body=body.format(t) + "algorithm = erm\n")
+            for i, t in enumerate(transforms)]
+
+
+def test_compare_rejects_configs_with_different_planes(tmp_path, capsys):
+    # the plane shapes a covariate task's data, so the rows would be
+    # trained and scored on different data
+    a, b = _covariate_configs(tmp_path, ["plane = 0 1", "plane = 1 2"])
+    assert cli.main(["compare", "--config", a, "--config", b,
+                     "--out", str(tmp_path / "cmp")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: configs must share the value of key plane\n"
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_allows_what_leaves_the_data_alone(tmp_path, capsys):
+    # angle_range changes only G; a concept task ignores [transform]
+    pairs = [_covariate_configs(tmp_path, ["angle_range = 0 1",
+                                           "angle_range = 0 2"]),
+             [_write_config(tmp_path, name=f"c{i}.ini",
+                            body=SMALL_TASK.format(algorithm="erm")
+                            + f"\n[transform]\nplane = {plane}\n")
+              for i, plane in enumerate(["0 1", "1 2"])]]
+    for a, b in pairs:
+        assert cli.main(["compare", "--config", a, "--config", b,
+                         "--out", str(tmp_path / "cmp")]) == 0
 
 
 def test_compare_reports_a_diverging_run(tmp_path, capsys):

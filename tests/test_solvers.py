@@ -154,7 +154,7 @@ def test_worst_domain_risk_picks_max_and_breaks_ties_low():
 def _primal_step(p, X, y, G, config):
     # one step from p on its own plan; returns (stepped p, loss, distReg)
     plan = solvers.StepPlan(solvers.PRESETS[config.algorithm], p, [len(y)])
-    loss, distreg = solvers.primal_step(plan, np.array([0.0]), [(X, y)], G,
+    loss, distreg = solvers.primal_step(plan, np.array([0.0]), X, y, G,
                                         config, np.random.default_rng(0))
     return pred.Predictor(p.arch, plan.theta), loss, distreg
 
@@ -194,18 +194,19 @@ def test_primal_step_with_tiny_rate_barely_moves():
 
 
 # Work per step at batch 32 on two environments: (transformed rows,
-# forward calls, forward rows, constraint pairs, dual ascent calls).
+# generate_batch calls, forward calls, forward rows, constraint pairs,
+# dual ascent calls).
 PRESET_WORK = {
-    ("erm", "single"): (0, 1, 32, 0, 0),
-    ("mbda", "single"): (32, 1, 64, 0, 0),
-    ("mbdg", "single"): (64, 1, 96, 1, 1),
-    ("mbdg-da", "single"): (64, 1, 96, 1, 1),
-    ("mbdg-reg", "single"): (32, 1, 64, 1, 0),
-    ("erm", "per-env"): (0, 1, 32, 0, 0),
-    ("mbda", "per-env"): (32, 1, 64, 0, 0),
-    ("mbdg", "per-env"): (128, 1, 192, 2, 1),
-    ("mbdg-da", "per-env"): (128, 1, 192, 2, 1),
-    ("mbdg-reg", "per-env"): (64, 1, 128, 2, 0),
+    ("erm", "single"): (0, 0, 1, 32, 0, 0),
+    ("mbda", "single"): (32, 1, 1, 64, 0, 0),
+    ("mbdg", "single"): (64, 1, 1, 96, 1, 1),
+    ("mbdg-da", "single"): (64, 1, 1, 96, 1, 1),
+    ("mbdg-reg", "single"): (32, 1, 1, 64, 1, 0),
+    ("erm", "per-env"): (0, 0, 1, 32, 0, 0),
+    ("mbda", "per-env"): (32, 1, 1, 64, 0, 0),
+    ("mbdg", "per-env"): (128, 1, 1, 192, 2, 1),
+    ("mbdg-da", "per-env"): (128, 1, 1, 192, 2, 1),
+    ("mbdg-reg", "per-env"): (64, 1, 1, 128, 2, 0),
 }
 
 
@@ -213,7 +214,7 @@ PRESET_WORK = {
 def test_preset_work_per_step(algorithm, dual_mode, monkeypatch):
     spec, data = _concept(n=200)
     G = datagen.concept_shift_transform(spec)
-    counts = [0, 0, 0, 0, 0]
+    counts = [0] * 6
 
     def counting(fn, tally):
         # tally(args, result) -> {slot: amount to add}
@@ -225,14 +226,14 @@ def test_preset_work_per_step(algorithm, dual_mode, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(tr, "generate_batch", counting(
-        tr.generate_batch, lambda a, r: {0: a[1].shape[0]}))
+        tr.generate_batch, lambda a, r: {0: a[1].shape[0], 1: 1}))
     monkeypatch.setattr(pred, "forward", counting(
-        pred.forward, lambda a, r: {1: 1, 2: a[2].shape[0]}))
+        pred.forward, lambda a, r: {2: 1, 3: a[1].shape[0]}))
     # a preset with no constraint returns a zero distReg; pairs are > 0
     monkeypatch.setattr(solvers, "primal_step", counting(
-        solvers.primal_step, lambda a, r: {3: np.count_nonzero(r[1])}))
+        solvers.primal_step, lambda a, r: {4: np.count_nonzero(r[1])}))
     monkeypatch.setattr(solvers, "dual_step", counting(
-        solvers.dual_step, lambda a, r: {4: 1}))
+        solvers.dual_step, lambda a, r: {5: 1}))
     steps = 3
     solvers.train(_small_config(algorithm=algorithm, dual_mode=dual_mode,
                                 steps=steps), data, G)
@@ -240,13 +241,16 @@ def test_preset_work_per_step(algorithm, dual_mode, monkeypatch):
         PRESET_WORK[algorithm, dual_mode]
 
 
-def _graph_step(p, lam, batches, G, config, rng):
+def _graph_step(p, lam, X, y, G, config, rng):
     """The step built as an autodiff graph, one forward per batch.
 
-    Draws like `primal_step`; returns (new parameters, loss, distReg).
+    The stack `X`, `y` holds one batch per dual weight.  Draws from it
+    block by block, in `primal_step`'s order; returns (new parameters,
+    loss, distReg).
     """
     preset = solvers.PRESETS[config.algorithm]
     bound = config.loss_bound
+    batches = list(zip(np.split(X, lam.size), np.split(y, lam.size)))
 
     def draw(X):
         return tr.generate_batch(G, X, rng)
@@ -264,8 +268,6 @@ def _graph_step(p, lam, batches, G, config, rng):
         else:
             augmented += [(Xt, by) for (_, Xt), (_, by) in zip(pairs, batches)]
     params = [(ad.Node(W), ad.Node(b)) for W, b in p.arch.unflatten(p.theta)]
-    X = np.vstack([bX for bX, _ in batches])
-    y = np.concatenate([by for _, by in batches])
     loss = pred.cross_entropy_graph(
         pred.log_probs_graph(p.arch, params, X), y, bound)
     for Xa, ya in augmented:
@@ -310,14 +312,14 @@ def test_fused_step_matches_autodiff_graph(algorithm, dual_mode):
         envs = data if per_env else [datagen.EnvironmentDataset(
             "all", np.vstack([d.X for d in data]),
             np.concatenate([d.y for d in data]))]
-        batches = []
-        for d in envs:
-            idx = batch_rng.integers(0, len(d), size=config.batch_size)
-            batches.append((d.X[idx], d.y[idx]))
+        idxs = [batch_rng.integers(0, len(d), size=config.batch_size)
+                for d in envs]
+        X = np.vstack([d.X[idx] for d, idx in zip(envs, idxs)])
+        y = np.concatenate([d.y[idx] for d, idx in zip(envs, idxs)])
         loss, distreg = solvers.primal_step(
-            plan, lam, batches, G, config, np.random.default_rng([2, step]))
+            plan, lam, X, y, G, config, np.random.default_rng([2, step]))
         new, loss_g, distreg_g = _graph_step(
-            p, lam, batches, G, config, np.random.default_rng([2, step]))
+            p, lam, X, y, G, config, np.random.default_rng([2, step]))
         old = p.theta
         assert _rel_err(plan.theta - old, new - old) <= 1e-10
         assert _rel_err(loss, loss_g) <= 1e-10
@@ -326,11 +328,11 @@ def test_fused_step_matches_autodiff_graph(algorithm, dual_mode):
         p = pred.Predictor(p.arch, plan.theta.copy())
 
 
-def _per_term_objective(plan, ce_rows, pairs, lam, bound):
+def _per_term_objective(arch, plan, ce_rows, pairs, lam, bound):
     """`objective_gradient` with one CE and one KL VJP per term, in the
     per-slice formulas; returns (CE sum, distReg per pair, log-prob
     gradient after log-softmax, flat gradient)."""
-    acts = pred.forward(plan.arch, plan.params, plan.X)
+    acts = pred.forward(plan.params, plan.X)
     logp = pred.log_softmax(acts[-1], np.empty_like(acts[-1]))
     g = np.zeros_like(logp)
     loss = 0.0
@@ -354,8 +356,8 @@ def _per_term_objective(plan, ce_rows, pairs, lam, bound):
             g[a] += lam_w * (w * Pa * (ratio + Pa / (Pa + cons.SMOOTHING)))
             g[b] += lam_w * (-w * Pa * Pb / (Pb + cons.SMOOTHING))
     g -= P * pred.class_reduce(np.add, g)[:, None]
-    grad = np.empty(plan.arch.n_params)
-    pred.backward(plan.arch, plan.params, acts, g, plan.arch.unflatten(grad))
+    grad = np.empty(arch.n_params)
+    pred.backward(plan.params, acts, g, arch.unflatten(grad))
     return loss, distreg, g, grad
 
 
@@ -394,7 +396,7 @@ def test_whole_stack_vjps_match_the_per_term_formulas_bitwise(
     # a pair with a zero weight: alone when x-g has one pair
     lam = ([0.0, 0.7, 1.3] if pairing == "x-g" else [1.3, 0.0, 0.7])[:n_pairs]
 
-    logp = pred.log_softmax(pred.forward(p.arch, plan.params, plan.X)[-1],
+    logp = pred.log_softmax(pred.forward(plan.params, plan.X)[-1],
                             np.empty((plan.X.shape[0], 3)))
     ce = np.concatenate([-logp[r][np.arange(r.stop - r.start), plan.y[r]]
                          for r in ce_rows])
@@ -406,7 +408,7 @@ def test_whole_stack_vjps_match_the_per_term_formulas_bitwise(
 
     loss, distreg, grad = solvers.objective_gradient(plan, lam, bound)
     ref_loss, ref_distreg, ref_g, ref_grad = _per_term_objective(
-        plan, ce_rows, pairs, lam, bound)
+        p.arch, plan, ce_rows, pairs, lam, bound)
     assert loss == ref_loss
     assert distreg.tobytes() == ref_distreg.tobytes()
     assert plan.g.tobytes() == ref_g.tobytes()
@@ -589,11 +591,10 @@ def test_steps_that_plan_for_themselves_match_train(algorithm, dual_mode):
     y_all = np.concatenate([d.y for d in data])
     ends = [0, len(data[0]), len(X_all)] if per_env else [0, len(X_all)]
     for step in range(config.steps):
-        idxs = [batch_rng.integers(a, b, size=config.batch_size)
-                for a, b in zip(ends, ends[1:])]
+        idx = np.concatenate([batch_rng.integers(a, b, size=config.batch_size)
+                              for a, b in zip(ends, ends[1:])])
         loss, distreg = solvers.primal_step(
-            plan, lam, [(X_all[i], y_all[i]) for i in idxs], G, config,
-            gen_rng)
+            plan, lam, X_all[idx], y_all[idx], G, config, gen_rng)
         if preset.dual == "ascent":
             lam = solvers.dual_step(lam, distreg, config.gamma,
                                     config.eta_dual)
@@ -616,8 +617,8 @@ def test_plan_steps_a_copy_of_the_predictors_parameters():
     lam = np.array([0.5])
     for _ in range(10):
         idx = rng.integers(0, len(data[0]), size=config.batch_size)
-        solvers.primal_step(plan, lam, [(data[0].X[idx], data[0].y[idx])],
-                            G, config, rng)
+        solvers.primal_step(plan, lam, data[0].X[idx], data[0].y[idx], G,
+                            config, rng)
     assert not np.array_equal(plan.theta, before)
     assert np.array_equal(p.theta, before)
 

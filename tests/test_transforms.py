@@ -113,3 +113,18 @@ def test_generate_batch_uses_fresh_code_per_row():
     out = tr.generate_batch(model, X, np.random.default_rng(3))
     # identical inputs must land at many distinct angles
     assert len({tuple(np.round(row, 9)) for row in out}) > 40
+
+
+@pytest.mark.parametrize("model", [
+    tr.RotationModel(), tr.ColorResampleModel((3, 4)),
+    tr.ColorResampleModel((0, 1, 2))], ids=["rotation", "color2", "color3"])
+@pytest.mark.parametrize("split", [[128] * 6, [7] * 3, [1, 2, 3], [129, 127]],
+                         ids=["128x6", "7x3", "1-2-3", "129-127"])
+def test_one_draw_of_the_total_equals_the_split_draws(model, split):
+    # a step draws every transformed block in one call, byte-identical
+    # to one call per block only if the codes and the stream after agree
+    one, parts = np.random.default_rng(7), np.random.default_rng(7)
+    joined = np.concatenate([model.sample_codes(n, parts) for n in split])
+    assert np.array_equal(model.sample_codes(sum(split), one), joined)
+    assert np.array_equal(model.sample_codes(5, one),
+                          model.sample_codes(5, parts))
