@@ -118,7 +118,7 @@ def _read(section: dict, name: str, cls, **fixed):
 
 
 def build_task(cfg: dict, seed: int):
-    """Returns (datasets, transformation model) for the config."""
+    """Returns (datasets, transformation model, task spec) for the config."""
     model = _read(cfg.get("transform", {}), "transform",
                   transforms.RotationModel)
     task = dict(cfg["task"])
@@ -126,10 +126,10 @@ def build_task(cfg: dict, seed: int):
     if kind == "concept-shift":
         spec = _read(task, "task", datagen.ConceptShiftSpec)
         return (datagen.gen_concept_shift(spec, seed),
-                datagen.concept_shift_transform(spec))
+                datagen.concept_shift_transform(spec), spec)
     if kind == "covariate-shift":
         spec = _read(task, "task", datagen.CovariateShiftSpec, model=model)
-        return datagen.gen_covariate_shift(spec, seed), model
+        return datagen.gen_covariate_shift(spec, seed), model, spec
     raise ConfigError(f"invalid value for key kind: {kind!r}")
 
 
@@ -162,7 +162,7 @@ def _set_up(args):
     cfg = load_config(args.config)
     output = _output(cfg, args)
     _make_dir(output)
-    data, G = build_task(cfg, output.seed)
+    data, G, _ = build_task(cfg, output.seed)
     return cfg, output, data, G
 
 
@@ -205,8 +205,8 @@ def run_train(args) -> int:
     for d in sorted(data, key=lambda d: d.env):
         # one clean forward per environment, freed before the next
         q = pred.predict_batch(p, d.X)
-        accs.append(pred.accuracy(p, d, q))
-        risks[d.env] = pred.empirical_risk(p, d, bound, q)
+        accs.append(pred.accuracy(q, d.y))
+        risks[d.env] = pred.empirical_risk(q, d.y, bound)
         if d.env != holdout:
             distreg[d.env] = float(np.mean(cons.dist_reg(
                 p, d.X, G, np.random.default_rng([seed, 3]), bound, q)))
@@ -244,8 +244,6 @@ def run_compare(args) -> int:
     if len(args.config) < 2:
         raise ConfigError("compare needs at least two --config paths")
     configs = [load_config(path) for path in args.config]
-    if any(c["task"] != configs[0]["task"] for c in configs):
-        raise ConfigError("configs must share the task section")
     outputs = [_output(c, args) for c in configs]
     for key in ("seed", "dir"):
         if len({getattr(o, key) for o in outputs}) > 1:
@@ -255,14 +253,19 @@ def run_compare(args) -> int:
     # every config is read before any training starts
     runs = [(path, build_solver_config(cfg, seed), *build_task(cfg, seed))
             for path, cfg in zip(args.config, configs)]
-    # a covariate task's data also turns on its [transform] plane
-    if len({getattr(G, "plane", None) for *_, G in runs}) > 1:
-        raise ConfigError("configs must share the value of key plane")
+    # the data must match: each parsed [task] value, and a covariate
+    # task's [transform] plane; its angle_range changes only G
+    tasks = [{"kind": type(spec), **vars(spec), "model": None,
+              "plane": getattr(G, "plane", None)} for *_, G, spec in runs]
+    for task in tasks:
+        key = next((k for k in tasks[0] if task[k] != tasks[0][k]), None)
+        if key:
+            raise ConfigError(f"configs must share the value of key {key}")
     out = _make_dir(outputs[0])
-    algorithms = [scfg.algorithm for _, scfg, _, _ in runs]
+    algorithms = [scfg.algorithm for _, scfg, *_ in runs]
     rows = []
-    for path, scfg, data, G in runs:
-        # the [task] sections match, so every config yields the same envs
+    for path, scfg, data, G, _ in runs:
+        # the tasks match, so every config yields the same envs
         envs = sorted(d.env for d in data)
         accs = []
         for holdout in envs:
@@ -274,7 +277,7 @@ def run_compare(args) -> int:
                       file=sys.stderr)
                 return 2
             held = next(d for d in data if d.env == holdout)
-            accs.append(pred.accuracy(p, held))
+            accs.append(pred.accuracy(pred.predict_batch(p, held.X), held.y))
         label = scfg.algorithm
         if algorithms.count(label) > 1:
             # configs that share an algorithm are told apart by their path

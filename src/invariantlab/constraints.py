@@ -7,7 +7,7 @@ constant `SMOOTHING`, clamped into [0, bound], where bound is the
 solver's `loss_bound`.  `distance` compares two stacks of distributions
 row by row.  `dist_reg` is the one numpy form of the constraint: it
 draws the codes and returns the per-row distances, whose mean is L on
-the sample; a caller holding the clean predictions passes them in.
+the sample; the caller passes in the clean predictions.
 Training takes distReg and its gradient from one `dist_reg_vjp` pass
 over the step's softmax rows of every pair its preset names; the graph
 form `dist_reg_graph`, a function of each layer's (W, b) Nodes, is the
@@ -42,18 +42,16 @@ def distance(P: np.ndarray, Q: np.ndarray, bound: float) -> np.ndarray:
 
 def dist_reg(p: pred.Predictor, X: np.ndarray, G,
              rng: np.random.Generator, bound: float,
-             clean=None) -> np.ndarray:
+             clean: np.ndarray) -> np.ndarray:
     """d(phi(x), phi(G(x, e))) for each row x of X, a fresh code e per row.
 
     The constraint on the sample, L(phi) = E_x d(phi(x), phi(G(x, e))),
-    is the mean of these values.  `clean` is `predict_batch(p, X)` when
-    the caller has it.
+    is the mean of these values.  `clean` is `predict_batch(p, X)`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("empty sample")
     Xt = transforms.generate_batch(G, X, rng)
-    clean = pred.predict_batch(p, X) if clean is None else clean
     return distance(clean, pred.predict_batch(p, Xt), bound)
 
 

@@ -142,17 +142,13 @@ def log_softmax(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return z
 
 
-def logits_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
+def predict_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
+    """Class distributions, one row per input, rows on the simplex."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != p.arch.input_dim:
         raise DimensionError(
             f"input dim {X.shape[1]}, predictor expects {p.arch.input_dim}")
-    return forward(p.arch.unflatten(p.theta), X)[-1]
-
-
-def predict_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
-    """Class distributions, one row per input, rows on the simplex."""
-    z = logits_batch(p, X)
+    z = forward(p.arch.unflatten(p.theta), X)[-1]
     q = np.exp(z - class_reduce(np.maximum, z)[:, None], out=z)
     q /= class_reduce(np.add, q)[:, None]
     return q
@@ -175,19 +171,17 @@ def log_probs_graph(arch: Architecture, params: list,
 
 # -- losses -----------------------------------------------------------------
 
-def empirical_risk(p: Predictor, data, bound: float, q=None) -> float:
-    """Mean cross-entropy clamped at `bound` over an environment dataset;
-    `q` is `predict_batch(p, data.X)` when the caller has it."""
-    if len(data.y) == 0:
+def empirical_risk(q: np.ndarray, y: np.ndarray, bound: float) -> float:
+    """Mean cross-entropy clamped at `bound` of the predictions
+    `q = predict_batch(p, X)` against the labels y."""
+    if len(y) == 0:
         raise ValueError("empty dataset")
-    q = predict_batch(p, data.X) if q is None else q
-    qy = np.clip(q[np.arange(len(data.y)), data.y], 1e-300, None)
+    qy = np.clip(q[np.arange(len(y)), y], 1e-300, None)
     return float(np.mean(np.minimum(-np.log(qy), bound)))
 
 
-def accuracy(p: Predictor, data, q=None) -> float:
-    q = predict_batch(p, data.X) if q is None else q
-    return float(np.mean(q.argmax(axis=1) == data.y))
+def accuracy(q: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(q.argmax(axis=1) == y))
 
 
 def cross_entropy_vjp(logp: np.ndarray, picks: np.ndarray,

@@ -60,7 +60,6 @@ PRESETS = {
     "mbdg-da": Preset("x-g", ("fresh", "pair"), "ascent"),
     "mbdg-reg": Preset("x-g", ("pair",), "fixed"),
 }
-ALGORITHMS = tuple(PRESETS)
 
 
 class TrainingFailure(RuntimeError):
@@ -306,23 +305,23 @@ def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
     """R_hat + (1/|E|) sum_e [L_hat^e - gamma] * lambda(e).
 
     `lam` holds one dual weight shared by every environment, or one per
-    environment.  L_hat^e is the mean of `constraints.dist_reg` over
-    environment e's data, each row under a fresh code drawn from `rng`;
-    the risk and the distance are clamped at `bound`.
+    environment.  One clean forward of environment e serves its risk and
+    L_hat^e, the mean of `constraints.dist_reg` over its rows, each under
+    a fresh code from `rng`; the risk and distance are clamped at `bound`.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     if lam.size not in (1, len(datasets)):
         raise ValueError("dual variable count does not match environments")
     if lam.size == 1:
         lam = np.full(len(datasets), lam[0])
-    n_total = sum(len(d) for d in datasets)
-    risk = sum(pred.empirical_risk(p, d, bound) * len(d)
-               for d in datasets) / n_total
-    penalty = 0.0
+    risk = penalty = 0.0
     for lam_e, d in zip(lam, datasets):
-        L_e = float(np.mean(cons.dist_reg(p, d.X, G, rng, bound)))
+        q = pred.predict_batch(p, d.X)
+        risk += pred.empirical_risk(q, d.y, bound) * len(d)
+        L_e = float(np.mean(cons.dist_reg(p, d.X, G, rng, bound, q)))
         penalty += (L_e - gamma) * lam_e
-    return float(risk + penalty / len(datasets))
+    n_total = sum(len(d) for d in datasets)
+    return float(risk / n_total + penalty / len(datasets))
 
 
 def worst_domain_risk(risks: dict) -> tuple:

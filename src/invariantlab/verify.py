@@ -71,8 +71,6 @@ class GapReport:
     D_star: float
     gap: float
     feasible: bool
-    theta_witness: np.ndarray
-    lam_witness: np.ndarray
 
 
 # -- enumeration solvers ------------------------------------------------------
@@ -243,13 +241,11 @@ def _cartesian_power(grid: np.ndarray, n: int) -> np.ndarray:
 
 def gap_report(spec: ConstrainedProblemSpec, gamma: float) -> GapReport:
     try:
-        P, theta = solve_primal_grid(spec, gamma)
-        feasible = True
+        P, feasible = solve_primal_grid(spec, gamma)[0], True
     except InfeasibleError:
-        P, theta, feasible = np.inf, spec.thetas[0], False
-    D, lam = solve_dual(spec, gamma)
-    return GapReport(float(P), float(D), float(P - D), feasible,
-                     np.atleast_1d(theta), np.atleast_1d(lam))
+        P, feasible = np.inf, False
+    D, _ = solve_dual(spec, gamma)
+    return GapReport(float(P), float(D), float(P - D), feasible)
 
 
 # -- perturbation and sandwich ------------------------------------------------
@@ -402,7 +398,6 @@ def empirical_gap_experiment(pop: EmpiricalPopulation, n_list, trials: int,
 class SlacknessReport:
     residual: float
     lam_witness: np.ndarray
-    theta_witness: np.ndarray
     ok: bool
 
 
@@ -414,7 +409,7 @@ def complementary_slackness_check(spec: ConstrainedProblemSpec,
     _, lam = solve_dual(spec, gamma)
     idx = int(np.argmin(np.abs(spec.thetas - theta).sum(axis=1)))
     residual = float(abs(np.dot(lam, spec.L[idx] - gamma)))
-    return SlacknessReport(residual, lam, theta, residual <= 1e-3)
+    return SlacknessReport(residual, lam, residual <= 1e-3)
 
 
 @dataclass(frozen=True)
@@ -492,10 +487,10 @@ def measure_g_invariance(p, data, G, bound: float, samples_per_point: int,
 
 # -- instance builders --------------------------------------------------------
 
-def convex_1d_instance(step: float = 1e-3,
-                       gamma: float = 0.1) -> ConstrainedProblemSpec:
-    """min theta^2 subject to 0.5 - theta <= gamma over [-1, 1]."""
-    thetas = np.arange(-1.0, 1.0 + step / 2, step)
+def convex_1d_instance(gamma: float = 0.1) -> ConstrainedProblemSpec:
+    """min theta^2 subject to 0.5 - theta <= gamma over [-1, 1], on the
+    grid of step 1e-3 that holds theta = 0.5, where L = 0, exactly."""
+    thetas = np.arange(-1000, 1001) / 1000
     return ConstrainedProblemSpec(
         thetas[:, None], thetas ** 2, (0.5 - thetas)[:, None], gamma)
 

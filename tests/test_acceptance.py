@@ -68,7 +68,8 @@ def variant_accuracies(concept_spec):
         for seed in range(5):
             p, _, held, _, _ = _train_concept(
                 algorithm, seed, "e0.1", concept_spec)
-            accs.append(pred.accuracy(p, held))
+            accs.append(pred.accuracy(pred.predict_batch(p, held.X),
+                                      held.y))
         out[algorithm] = accs
     return out
 
@@ -77,11 +78,12 @@ def variant_accuracies(concept_spec):
 
 def test_criterion_1_erm_vs_constrained_separation(seed0_runs):
     p_erm, _, held, _, _ = seed0_runs[("erm", "e0.1")]
-    erm_acc = pred.accuracy(p_erm, held)
+    erm_acc = pred.accuracy(pred.predict_batch(p_erm, held.X), held.y)
     mbdg_accs = {}
     for holdout in ENVS:
         p, _, held_m, _, _ = seed0_runs[("mbdg", holdout)]
-        mbdg_accs[holdout] = pred.accuracy(p, held_m)
+        mbdg_accs[holdout] = pred.accuracy(pred.predict_batch(p, held_m.X),
+                                           held_m.y)
     avg = float(np.mean(list(mbdg_accs.values())))
     ceiling = max([erm_acc, *mbdg_accs.values()])
     ok = (erm_acc <= 0.20 and mbdg_accs["e0.1"] >= 0.60
@@ -116,8 +118,8 @@ def test_criterion_3_margin_enforcement(seed0_runs):
     for algorithm in ("mbdg", "mbdg-reg"):
         p, _, _, train_data, G = seed0_runs[(algorithm, "e0.1")]
         dr[algorithm] = [float(np.mean(cons.dist_reg(
-            p, d.X, G, np.random.default_rng([0, 3]),
-            LOSS_BOUND))) for d in train_data]
+            p, d.X, G, np.random.default_rng([0, 3]), LOSS_BOUND,
+            pred.predict_batch(p, d.X)))) for d in train_data]
     mbdg_ok = all(v <= GAMMA + 0.01 for v in dr["mbdg"])
     reg_ok = any(v > GAMMA for v in dr["mbdg-reg"])
     detail = (f"mbdg_max={max(dr['mbdg']):.4f} <= {GAMMA + 0.01}, "
@@ -226,8 +228,10 @@ def _random_composition_max_error(seed):
 
     def objective(theta):
         q = pred.Predictor(arch, theta)
-        dr = cons.dist_reg(q, X, G, np.random.default_rng(seed), LOSS_BOUND)
-        return pred.empirical_risk(q, data, LOSS_BOUND) \
+        clean = pred.predict_batch(q, X)
+        dr = cons.dist_reg(q, X, G, np.random.default_rng(seed), LOSS_BOUND,
+                           clean)
+        return pred.empirical_risk(clean, y, LOSS_BOUND) \
             + lam * float(np.mean(dr))
 
     approx = ad.finite_diff_gradient(objective, p.theta)
@@ -282,7 +286,7 @@ def _worst_domain_accuracy(algorithm, seed):
     cfg = solvers.SolverConfig(algorithm=algorithm, steps=500, seed=seed)
     train_data = [d for d in data if d.env != "a90"]
     p, _ = solvers.train(cfg, train_data, spec.model)
-    return min(pred.accuracy(p, d) for d in data)
+    return min(pred.accuracy(pred.predict_batch(p, d.X), d.y) for d in data)
 
 
 def test_criterion_9_covariate_shift_worst_domain():

@@ -278,7 +278,7 @@ def test_each_section_accepts_exactly_the_documented_keys(tmp_path, capsys,
         else:
             cfg = {"task": {"kind": "covariate-shift", "n_per_env": "5"},
                    name: keys}
-        data, G = cli.build_task(cfg, 0)
+        data, G, _ = cli.build_task(cfg, 0)
         return G, [(d.env, d.X.tolist(), d.y.tolist()) for d in data]
 
     for (name, kind), keys in documented.items():
@@ -451,12 +451,19 @@ def test_compare_requires_two_configs(tmp_path):
     assert cli.main(["compare", "--config", cfg]) == 1
 
 
-def test_compare_rejects_mismatched_tasks(tmp_path):
+def test_compare_rejects_mismatched_tasks(tmp_path, capsys):
     a = _write_config(tmp_path, name="a.ini")
     other = SMALL_TASK.format(algorithm="erm").replace(
         "n_per_env = 500", "n_per_env = 600")
     b = _write_config(tmp_path, name="b.ini", body=other)
-    assert cli.main(["compare", "--config", a, "--config", b]) == 1
+    c = _write_config(tmp_path, name="c.ini", body=COVARIATE_TASK)
+    # the message names the first task key whose values differ
+    for config, key in ((b, "n_per_env"), (c, "kind")):
+        assert cli.main(["compare", "--config", a, "--config", config,
+                         "--out", str(tmp_path / "cmp")]) == 1
+        assert capsys.readouterr().err == \
+            f"config error: configs must share the value of key {key}\n"
+    assert not (tmp_path / "cmp").exists()
 
 
 def _covariate_configs(tmp_path, transforms):
@@ -482,13 +489,18 @@ def test_compare_rejects_configs_with_different_planes(tmp_path, capsys):
 
 
 def test_compare_allows_what_leaves_the_data_alone(tmp_path, capsys):
-    # angle_range changes only G; a concept task ignores [transform]
+    # angle_range changes only G; a concept task ignores [transform]; a
+    # task value is compared as read, so 0500 is the n_per_env 500
     pairs = [_covariate_configs(tmp_path, ["angle_range = 0 1",
                                            "angle_range = 0 2"]),
              [_write_config(tmp_path, name=f"c{i}.ini",
                             body=SMALL_TASK.format(algorithm="erm")
                             + f"\n[transform]\nplane = {plane}\n")
-              for i, plane in enumerate(["0 1", "1 2"])]]
+              for i, plane in enumerate(["0 1", "1 2"])],
+             [_write_config(tmp_path, name="n0.ini"),
+              _write_config(tmp_path, name="n1.ini",
+                            body=SMALL_TASK.format(algorithm="erm").replace(
+                                "n_per_env = 500", "n_per_env = 0500"))]]
     for a, b in pairs:
         assert cli.main(["compare", "--config", a, "--config", b,
                          "--out", str(tmp_path / "cmp")]) == 0
@@ -530,7 +542,7 @@ def test_failed_train_writes_the_exact_partial_trace(tmp_path, monkeypatch,
     build_task = cli.build_task
 
     def failing_task(cfg, seed):
-        data, G = build_task(cfg, seed)
+        data, G, spec = build_task(cfg, seed)
         done = []
 
         def apply_batch(X, codes):
@@ -539,7 +551,7 @@ def test_failed_train_writes_the_exact_partial_trace(tmp_path, monkeypatch,
             return out if len(done) <= k else out * np.nan
 
         return data, SimpleNamespace(sample_codes=G.sample_codes,
-                                     apply_batch=apply_batch)
+                                     apply_batch=apply_batch), spec
 
     monkeypatch.setattr(cli, "build_task", failing_task)
     cfg = _write_config(tmp_path, algorithm="mbdg-reg")
@@ -550,7 +562,7 @@ def test_failed_train_writes_the_exact_partial_trace(tmp_path, monkeypatch,
         f"runtime failure: step {k}: ")
 
     config = cli.load_config(cfg)
-    data, G = failing_task(config, 0)
+    data, G, _ = failing_task(config, 0)
     with pytest.raises(solvers.TrainingFailure) as exc:
         solvers.train(cli.build_solver_config(config, 0),
                       [d for d in data if d.env != "e0.1"], G)

@@ -87,14 +87,16 @@ def _onto(Xt):
 
 def _mean_dist_reg(p, X, Xt, bound=BOUND):
     return float(np.mean(con.dist_reg(p, X, _onto(Xt),
-                                      np.random.default_rng(0), bound)))
+                                      np.random.default_rng(0), bound,
+                                      pred.predict_batch(p, X))))
 
 
 def test_dist_reg_is_mean_of_per_example():
     p = pred.init_predictor(ARCH, 1)
     X = np.random.default_rng(2).standard_normal((12, 3))
     G = tr.RotationModel((0, 1))
-    per = con.dist_reg(p, X, G, np.random.default_rng(5), BOUND)
+    per = con.dist_reg(p, X, G, np.random.default_rng(5), BOUND,
+                       pred.predict_batch(p, X))
     Xt = tr.generate_batch(G, X, np.random.default_rng(5))
     singles = [con.distance(pred.predict_batch(p, X[i:i + 1]),
                             pred.predict_batch(p, Xt[i:i + 1]), BOUND)[0]
@@ -109,9 +111,11 @@ def test_dist_reg_rejects_empty_and_mismatched():
     p = pred.init_predictor(ARCH, 0)
     G = tr.RotationModel((0, 1))
     with pytest.raises(ValueError):
-        con.dist_reg(p, np.ones((0, 3)), G, np.random.default_rng(0), BOUND)
+        con.dist_reg(p, np.ones((0, 3)), G, np.random.default_rng(0), BOUND,
+                     np.ones((0, 2)))
     with pytest.raises(ad.DimensionError):
-        con.dist_reg(p, np.ones((2, 4)), G, np.random.default_rng(0), BOUND)
+        con.dist_reg(p, np.ones((2, 4)), G, np.random.default_rng(0), BOUND,
+                     np.full((2, 2), 0.5))
 
 
 def test_dist_reg_identity_transform_is_zero():
@@ -119,7 +123,7 @@ def test_dist_reg_identity_transform_is_zero():
     model = tr.RotationModel((0, 1), (0.0, 0.0))  # every code is angle 0
     X = np.random.default_rng(0).standard_normal((20, 3))
     val = np.mean(con.dist_reg(p, X, model, np.random.default_rng(0),
-                               BOUND))
+                               BOUND, pred.predict_batch(p, X)))
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
@@ -128,7 +132,7 @@ def test_dist_reg_positive_under_real_rotation():
     model = tr.RotationModel((0, 1), (np.pi / 2, np.pi / 2))
     X = 3.0 * np.random.default_rng(1).standard_normal((20, 3))
     assert np.mean(con.dist_reg(p, X, model, np.random.default_rng(0),
-                                BOUND)) > 0.0
+                                BOUND, pred.predict_batch(p, X))) > 0.0
 
 
 # -- graph version ----------------------------------------------------------------
@@ -183,7 +187,8 @@ def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
     n = len(X)
     if kind == "kl":
         Xt[-2:] = X[-2:]
-        raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0), 1e9)
+        raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0), 1e9,
+                           pred.predict_batch(p, X))
         bound = float(np.median(raw[:-2]))
         ce_rows, pairs = [], [(slice(0, n), slice(n, 2 * n))]
 

@@ -88,7 +88,7 @@ def test_graph_forward_matches_numpy_forward():
 def test_input_dimension_checked():
     p = pred.init_predictor(ARCH, 0)
     with pytest.raises(ad.DimensionError):
-        pred.logits_batch(p, np.ones((4, 5)))
+        pred.predict_batch(p, np.ones((4, 5)))
 
 
 def _cross_entropy(q, y, bound=BOUND):
@@ -116,8 +116,9 @@ def test_empirical_risk_matches_per_example_mean():
     data = _data()
     per = [_cross_entropy(pred.predict_batch(p, data.X[i:i + 1])[0],
                           int(data.y[i])) for i in range(len(data))]
-    assert pred.empirical_risk(p, data, BOUND) == pytest.approx(
-        float(np.mean(per)), abs=1e-12)
+    assert pred.empirical_risk(pred.predict_batch(p, data.X), data.y,
+                               BOUND) == pytest.approx(float(np.mean(per)),
+                                                       abs=1e-12)
 
 
 def test_graph_loss_matches_numpy_loss():
@@ -127,7 +128,8 @@ def test_graph_loss_matches_numpy_loss():
     logp = pred.log_probs_graph(p.arch, params, data.X)
     node = pred.cross_entropy_graph(logp, data.y, BOUND)
     assert float(node.value) == pytest.approx(
-        pred.empirical_risk(p, data, BOUND), abs=1e-10)
+        pred.empirical_risk(pred.predict_batch(p, data.X), data.y, BOUND),
+        abs=1e-10)
 
 
 def test_accuracy_on_constant_labels():
@@ -135,7 +137,7 @@ def test_accuracy_on_constant_labels():
     data = _data(seed=3)
     q = pred.predict_batch(p, data.X)
     expected = float(np.mean(q.argmax(axis=1) == data.y))
-    assert pred.accuracy(p, data) == expected
+    assert pred.accuracy(q, data.y) == expected
 
 
 def test_save_load_round_trip_is_exact():

@@ -1,9 +1,10 @@
 """Every public name in the package has a caller outside the tests.
 
-A public function, class or method counts as used when a `Name`, an
-`Attribute` or an identifier-shaped string constant (perfbench's tracer
-wraps functions by their names as strings) refers to it somewhere in
-`src/` or in `perfbench/*.py`, outside its own definition.  Matching is
+A public function, class, method or module-level assignment counts as
+used when a `Name`, an `Attribute` or an identifier-shaped string
+constant (perfbench's tracer wraps functions by their names as strings)
+refers to it somewhere in `src/` or in `perfbench/*.py`, outside its own
+definition.  Matching is
 by name only, so dead code that shares its name with a used identifier
 passes.
 """
@@ -33,9 +34,14 @@ ALLOWED = {
 
 
 def _definitions(tree):
-    """(qualified name, node) of each public module function, class and
-    public class's method."""
+    """(qualified name, node) of each public module function, class,
+    public class's method and module-level assignment."""
     for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) \
+                        and not target.id.startswith("_"):
+                    yield target.id, node
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 or node.name.startswith("_"):
             continue
@@ -72,7 +78,7 @@ def unreferenced() -> list:
     missing = []
     for module, tree in modules.items():
         for qualname, node in _definitions(tree):
-            name = node.name
+            name = qualname.split(".")[-1]
             if total[name] - _references(node)[name] <= 0:
                 missing.append(f"{module}.{qualname}")
     return missing

@@ -109,8 +109,8 @@ def test_empirical_lagrangian_reduces_to_risk_at_zero_dual():
     lag = solvers.empirical_lagrangian(
         p, [0.0], 0.025, data, G, np.random.default_rng(0), BOUND)
     n = sum(len(d) for d in data)
-    risk = sum(pred.empirical_risk(p, d, BOUND) * len(d)
-               for d in data) / n
+    risk = sum(pred.empirical_risk(pred.predict_batch(p, d.X), d.y, BOUND)
+               * len(d) for d in data) / n
     assert lag == pytest.approx(risk, abs=1e-12)
 
 
@@ -122,9 +122,34 @@ def test_empirical_lagrangian_identity_codes_subtract_margin():
     lag = solvers.empirical_lagrangian(
         p, [2.0], 0.1, data, IDENTITY, np.random.default_rng(0), BOUND)
     n = sum(len(d) for d in data)
-    risk = sum(pred.empirical_risk(p, d, BOUND) * len(d)
-               for d in data) / n
+    risk = sum(pred.empirical_risk(pred.predict_batch(p, d.X), d.y, BOUND)
+               * len(d) for d in data) / n
     assert lag == pytest.approx(risk - 0.1 * 2.0, abs=1e-10)
+
+
+def test_empirical_lagrangian_runs_one_clean_forward_per_env(monkeypatch):
+    # each environment's clean predictions serve its risk and its L_hat,
+    # so its one other forward is over the transformed rows
+    spec, data = _concept(n=50)
+    p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
+    G = datagen.concept_shift_transform(spec)
+    predict, rng, rows = pred.predict_batch, np.random.default_rng(0), []
+    risk = sum(pred.empirical_risk(predict(p, d.X), d.y, BOUND) * len(d)
+               for d in data) / sum(len(d) for d in data)
+    L = [float(np.mean(cons.dist_reg(p, d.X, G, rng, BOUND, predict(p, d.X))))
+         for d in data]
+
+    def predict_batch(p, X):
+        rows.append(len(X))
+        return predict(p, X)
+
+    monkeypatch.setattr(pred, "predict_batch", predict_batch)
+    lag = solvers.empirical_lagrangian(
+        p, [0.5], 0.1, data, G, np.random.default_rng(0), BOUND)
+    assert rows == [50] * (2 * len(data))
+    assert min(L) > 0.0
+    assert lag == pytest.approx(
+        risk + sum(0.5 * (v - 0.1) for v in L) / len(data), abs=1e-12)
 
 
 def test_empirical_lagrangian_checks_dual_count():
@@ -139,7 +164,8 @@ def test_empirical_lagrangian_checks_dual_count():
 def test_worst_domain_risk_picks_max_and_breaks_ties_low():
     spec, data = _concept(n=50)
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    per = {d.env: pred.empirical_risk(p, d, BOUND) for d in data}
+    per = {d.env: pred.empirical_risk(pred.predict_batch(p, d.X), d.y, BOUND)
+           for d in data}
     risk, env = solvers.worst_domain_risk(per)
     assert risk == max(per.values())
     assert per[env] == risk
@@ -176,11 +202,10 @@ def test_primal_step_decreases_minibatch_loss():
     spec, data = _concept(n=64)
     X, y = data[0].X[:64], data[0].y[:64]
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    batch = datagen.EnvironmentDataset("b", X, y)
-    before = pred.empirical_risk(p, batch, BOUND)
+    before = pred.empirical_risk(pred.predict_batch(p, X), y, BOUND)
     q, _, _ = _primal_step(p, X, y, None,
                            _small_config(algorithm="erm", eta_primal=0.05))
-    after = pred.empirical_risk(q, batch, BOUND)
+    after = pred.empirical_risk(pred.predict_batch(q, X), y, BOUND)
     assert after < before
 
 
@@ -294,7 +319,7 @@ def _rel_err(a, b):
 # under, KL and tanh
 @pytest.mark.parametrize("dual_mode", ["single", "per-env"],
                          ids=lambda m: f"{m}-kl-tanh")
-@pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
+@pytest.mark.parametrize("algorithm", solvers.PRESETS)
 def test_fused_step_matches_autodiff_graph(algorithm, dual_mode):
     # the same parameters, lambda > 0, batches and draws: the closed-form
     # step and the graph step agree over a 50-step trajectory
@@ -508,9 +533,8 @@ def test_train_on_labels_all_zero_builds_two_outputs():
              for d in data]
     p, _ = solvers.train(_small_config(steps=3, batch_size=2), zeros, G)
     assert p.arch.layer_sizes[-1] == 2
-    ones = datagen.EnvironmentDataset("e", data[0].X,
-                                      np.ones_like(data[0].y))
-    assert np.isfinite(pred.empirical_risk(p, ones, 20.0))
+    assert np.isfinite(pred.empirical_risk(pred.predict_batch(p, data[0].X),
+                                           np.ones_like(data[0].y), 20.0))
 
 
 def test_training_failure_carries_partial_trace():
@@ -570,7 +594,7 @@ def test_partial_trace_is_exact():
 
 
 @pytest.mark.parametrize("dual_mode", ["single", "per-env"])
-@pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
+@pytest.mark.parametrize("algorithm", solvers.PRESETS)
 def test_steps_that_plan_for_themselves_match_train(algorithm, dual_mode):
     # train's loop by hand over one plan, checked step by step
     spec, data = _concept(n=200)

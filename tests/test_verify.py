@@ -186,8 +186,12 @@ def test_perturbation_curve_rejects_unsorted_margins():
 
 
 def test_zero_margin_matches_exactly_invariant_optimum():
-    # on the grid, L = 0 only at theta = 0.5, so P(0) must be 0.25
-    values = verify.perturbation_curve(_square_instance(), [0.0])
+    # on the grid, L = 0 only at theta = 0.5, so P(0) must be 0.25, and
+    # the curve checks it against that exactly-invariant point
+    spec = _square_instance()
+    assert np.flatnonzero(spec.L[:, 0] == 0.0).tolist() == [1500]
+    assert spec.thetas[1500, 0] == 0.5
+    values = verify.perturbation_curve(spec, [0.0])
     assert values[0] == pytest.approx(0.25, abs=1e-12)
 
 
