@@ -261,6 +261,8 @@ def run_compare(args) -> int:
         key = next((k for k in tasks[0] if task[k] != tasks[0][k]), None)
         if key:
             raise ConfigError(f"configs must share the value of key {key}")
+    for output, (_, _, data, *_) in zip(outputs, runs):
+        _holdout(output, data)  # checked as train checks it, though unread
     out = _make_dir(outputs[0])
     algorithms = [scfg.algorithm for _, scfg, *_ in runs]
     rows = []

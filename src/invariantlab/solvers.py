@@ -159,10 +159,11 @@ class StepPlan:
     `params` views it as each layer's (W, b), through
     `Architecture.unflatten`.  The stack holds `n_clean` clean rows, batch
     after batch, then the drawn rows, row i drawn from row `sources[i]`;
-    CE terms and pairs are slices of it, laid out by `set_terms`.
-    Buffers: the stack `X` and labels `y`, the flat gradient `grad` with
-    the same (W, b) views `grads`, each layer's output, the log-probs,
-    their softmax and the log-prob gradient.
+    CE terms and pairs are slices of it, laid out by `set_terms`.  A step
+    indexes no 2-D array with an index array: it gathers rows through
+    slices and `take`.  Buffers: the stack `X` and labels `y`, the flat
+    gradient `grad` with the same (W, b) views `grads`, each layer's
+    output, the log-probs, their softmax and the log-prob gradient.
     """
 
     def __init__(self, preset: Preset, p: pred.Predictor, sizes):
@@ -202,8 +203,8 @@ class StepPlan:
         entries' flat indices `ce_base` + labels, each row's -1/n
         `ce_scale` and each term's span `ce_spans` of them.  The pairs'
         sides are the rows `pair_a` and `pair_b`, with each row's 1/n
-        `pair_scale`, its pair `pair_of_row` and each pair's span
-        `pair_spans`.
+        `pair_scale` and each pair's span `pair_spans`; pair k's KL
+        gradient is added back through its own slices `pairs[k]`.
         """
         n, n_classes = self.logp.shape
         self.ce_rows, scale, self.ce_spans = _gather(ce_rows)
@@ -213,15 +214,13 @@ class StepPlan:
         self.pair_a, self.pair_scale, self.pair_spans = _gather(
             [a for a, _ in pairs])
         self.pair_b = _gather([b for _, b in pairs])[0]
-        sizes = [a.stop - a.start for a, _ in pairs]
-        self.pair_of_row = np.repeat(np.arange(len(pairs)), sizes)[:, None]
 
 
 def _gather(slices: list) -> tuple:
     """The stack rows of `slices` in order, each row's 1/n for its
     slice's n rows, and each slice's span of those rows.  The rows are
     one slice where each of `slices` runs on from the last, else their
-    index array."""
+    index array, which `_rows` reads with one `take`."""
     sizes = [s.stop - s.start for s in slices]
     ends = np.cumsum([0] + sizes).tolist()
     first = slices[0].start if slices else 0
@@ -231,6 +230,10 @@ def _gather(slices: list) -> tuple:
         rows = np.concatenate([np.arange(s.start, s.stop) for s in slices])
     return (rows, np.repeat([1.0 / m for m in sizes], sizes),
             [slice(a, b) for a, b in zip(ends, ends[1:])])
+
+
+def _rows(A: np.ndarray, rows) -> np.ndarray:
+    return A[rows] if isinstance(rows, slice) else A.take(rows, axis=0)
 
 
 def objective_gradient(plan: StepPlan, lam, bound: float):
@@ -254,15 +257,13 @@ def objective_gradient(plan: StepPlan, lam, bound: float):
     distreg = np.zeros(len(lam))
     if plan.pairs:
         distreg, g_a, g_b = cons.dist_reg_vjp(
-            P[plan.pair_a], P[plan.pair_b], plan.pair_scale, plan.pair_spans,
-            bound)
-        # zero weights add nothing, so the gradient equals the bare loss's;
-        # beside a nonzero one, a zero weight adds +-0.0 to finite rows that
-        # are never -0.0, which leaves their bits as they are
-        if any(lam):
-            w = np.multiply(lam, 1.0 / len(plan.pairs))[plan.pair_of_row]
-            g[plan.pair_a] += w * g_a
-            g[plan.pair_b] += w * g_b
+            _rows(P, plan.pair_a), _rows(P, plan.pair_b), plan.pair_scale,
+            plan.pair_spans, bound)
+        w = np.multiply(lam, 1.0 / len(plan.pairs))
+        for w_k, (a, b), s in zip(w, plan.pairs, plan.pair_spans):
+            if w_k:  # a zero weight adds nothing
+                g[a] += w_k * g_a[s]
+                g[b] += w_k * g_b[s]
     # through log-softmax: d/dz = d/dlogp - softmax * (row sum of d/dlogp)
     g -= P * pred.class_reduce(np.add, g)[:, None]
     pred.backward(plan.params, acts, g, plan.grads)
@@ -286,8 +287,9 @@ def primal_step(plan: StepPlan, lam: np.ndarray, X, y, G,
     n = plan.n_clean
     plan.X[:n], plan.y[:n] = X, y
     if n < len(plan.y):
-        plan.X[n:] = transforms.generate_batch(G, plan.X[plan.sources], rng)
-        plan.y[n:] = plan.y[plan.sources]
+        plan.X[n:] = transforms.generate_batch(
+            G, _rows(plan.X, plan.sources), rng)
+        plan.y[n:] = _rows(plan.y, plan.sources)
 
     loss, distreg, grad = objective_gradient(plan, lam, config.loss_bound)
     if not math.isfinite(loss):

@@ -466,6 +466,23 @@ def test_compare_rejects_mismatched_tasks(tmp_path, capsys):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_compare_checks_the_holdout_key_as_train_does(tmp_path, capsys):
+    # compare trains every holdout, but a holdout naming no environment
+    # is an error there too, raised before any out dir is made
+    body = SMALL_TASK + "\n[output]\nholdout = {}\n"
+    for holdout, code in (("nope", 1), ("e0.8", 0)):
+        paths = [_write_config(tmp_path, name=f"{algorithm}.ini",
+                               body=body.format(holdout,
+                                                algorithm=algorithm))
+                 for algorithm in ("erm", "mbdg")]
+        out = tmp_path / f"cmp-{holdout}"
+        assert cli.main(["compare", "--config", paths[0], "--config",
+                         paths[1], "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert capsys.readouterr().err == \
+        "config error: invalid value for key holdout: 'nope'\n"
+
+
 def _covariate_configs(tmp_path, transforms):
     """One erm config of a covariate task with two-coordinate noise per
     [transform] body in `transforms`."""

@@ -420,7 +420,39 @@ def test_whole_stack_vjps_match_the_per_term_formulas_bitwise(
     plan.set_terms(ce_rows, pairs)
     # a pair with a zero weight: alone when x-g has one pair
     lam = ([0.0, 0.7, 1.3] if pairing == "x-g" else [1.3, 0.0, 0.7])[:n_pairs]
+    _assert_matches_per_term_formulas(p.arch, plan, ce_rows, lam)
 
+
+@pytest.mark.parametrize("n_envs", [1, 2, 3])
+@pytest.mark.parametrize("algorithm", [
+    name for name, preset in solvers.PRESETS.items() if preset.pairing])
+def test_train_layouts_match_the_per_term_formulas_bitwise(algorithm,
+                                                           n_envs):
+    # the layouts train builds, one batch per environment: under g-g
+    # with two or more batches the pair sides interleave block by block,
+    # so each side is an index array, not a slice
+    rng = np.random.default_rng([n_envs, len(algorithm)])
+    p = pred.init_predictor(pred.Architecture((4, 5, 3)), 1)
+    plan = solvers.StepPlan(solvers.PRESETS[algorithm], p, [9] * n_envs)
+    assert isinstance(plan.pair_a, np.ndarray) == (
+        algorithm == "mbdg" and n_envs > 1)
+    plan.theta *= 8.0  # logits far apart, so some rows reach the clamp
+    plan.X[:] = rng.standard_normal(plan.X.shape)
+    plan.y[:] = rng.integers(0, 3, size=plan.y.size)
+    # each CE term is one block of rows, so a slice
+    rows = np.arange(plan.y.size)[plan.ce_rows]
+    ce_rows = [slice(int(rows[s][0]), int(rows[s][-1]) + 1)
+               for s in plan.ce_spans]
+    assert all(np.array_equal(rows[s], np.arange(r.start, r.stop))
+               for r, s in zip(ce_rows, plan.ce_spans))
+    _assert_matches_per_term_formulas(p.arch, plan, ce_rows,
+                                      [1.3, 0.0, 0.7][:n_envs])
+
+
+def _assert_matches_per_term_formulas(arch, plan, ce_rows, lam):
+    # at a bound that splits the rows' CE and KL, `objective_gradient`
+    # equals the per-term formulas bit for bit
+    pairs = plan.pairs
     logp = pred.log_softmax(pred.forward(plan.params, plan.X)[-1],
                             np.empty((plan.X.shape[0], 3)))
     ce = np.concatenate([-logp[r][np.arange(r.stop - r.start), plan.y[r]]
@@ -433,7 +465,7 @@ def test_whole_stack_vjps_match_the_per_term_formulas_bitwise(
 
     loss, distreg, grad = solvers.objective_gradient(plan, lam, bound)
     ref_loss, ref_distreg, ref_g, ref_grad = _per_term_objective(
-        p.arch, plan, ce_rows, pairs, lam, bound)
+        arch, plan, ce_rows, pairs, lam, bound)
     assert loss == ref_loss
     assert distreg.tobytes() == ref_distreg.tobytes()
     assert plan.g.tobytes() == ref_g.tobytes()
