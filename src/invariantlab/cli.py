@@ -392,9 +392,8 @@ def default_population() -> verify_mod.EmpiricalPopulation:
     loss = (thetas[None, :] - x[:, None]) ** 2
     base = np.abs(0.5 - thetas)[None, :, None]
     noise = 0.05 * rng.standard_normal((n_pop, 1, 1))
-    consm = np.broadcast_to(base + noise, (n_pop, 101, 1)).copy()
     return verify_mod.EmpiricalPopulation(
-        thetas[:, None], loss, consm, gamma=0.3)
+        thetas[:, None], loss, base + noise, gamma=0.3)
 
 
 def _suite_schedule():

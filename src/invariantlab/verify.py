@@ -320,10 +320,12 @@ def parameterization_sandwich(spec_fine: ConstrainedProblemSpec,
 
 
 def _require_subgrid(coarse, fine):
-    fine_rows = {tuple(row) for row in fine.thetas}
-    for row in coarse.thetas:
-        if tuple(row) not in fine_rows:
-            raise ValueError("coarse grid is not a subset of the fine grid")
+    # thetas are finite, so == is exact membership (and -0.0 == 0.0);
+    # the widths must agree before a width-1 side broadcasts
+    c, f = coarse.thetas, fine.thetas
+    if c.shape[1] != f.shape[1] or \
+            not (c[:, None, :] == f[None, :, :]).all(2).any(1).all():
+        raise ValueError("coarse grid is not a subset of the fine grid")
 
 
 # -- empirical gap decay ------------------------------------------------------
@@ -344,6 +346,10 @@ class EmpiricalPopulation:
     gamma: float
 
     def __post_init__(self):
+        if np.ndim(self.loss_matrix) != 2 or np.ndim(self.cons_matrix) != 3:
+            raise ValueError(
+                "loss_matrix must be 2-D (n_pop, n_grid) and cons_matrix "
+                "3-D (n_pop, n_grid, n_envs)")
         if self.loss_matrix.shape[0] != self.cons_matrix.shape[0]:
             raise ValueError("population sizes differ")
         if self.loss_matrix.shape[1] != self.cons_matrix.shape[1]:
@@ -354,8 +360,9 @@ class EmpiricalPopulation:
         return self.loss_matrix.shape[0]
 
     def problem(self, rows=None) -> ConstrainedProblemSpec:
-        loss = self.loss_matrix if rows is None else self.loss_matrix[rows]
-        con = self.cons_matrix if rows is None else self.cons_matrix[rows]
+        loss, con = self.loss_matrix, self.cons_matrix
+        if rows is not None:
+            loss, con = loss.take(rows, axis=0), con.take(rows, axis=0)
         return ConstrainedProblemSpec(
             self.thetas, loss.mean(axis=0), con.mean(axis=0), self.gamma)
 
@@ -369,8 +376,10 @@ def empirical_gap_experiment(pop: EmpiricalPopulation, n_list, trials: int,
     the largest N.
     """
     n_list = list(n_list)
-    if n_list != sorted(n_list):
-        raise ValueError("sample sizes must be ascending")
+    if not n_list or n_list[0] < 1 or \
+            any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(
+            "sample sizes must be at least 1 and strictly ascending")
     if trials < 10:
         raise ValueError("need at least 10 trials")
     if n_list[-1] > pop.n_pop:
@@ -426,11 +435,20 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
 
     The primal player returns a grid argmin of the Lagrangian at the
     current dual weights; the dual player ascends with step eta for
-    T = ceil(1 / (2 eta kappa)) + 1 steps.  Reports the final
-    Lagrangian's distance to the enumerated primal optimum.
+    T = ceil(1 / (2 eta kappa)) + 1 steps (eta = 1e-3 in T for the
+    eta = 0 control).  Each step is a deterministic map of the dual
+    weights, so the loop stops early only at an exact fixed point,
+    where the new weights equal the old ones bit for bit: every later
+    step would repeat it.  The report's T is the prescribed count.
+    Reports the final Lagrangian's distance to the enumerated primal
+    optimum.
     """
-    if kappa <= 0 or B <= 0:
-        raise ValueError("kappa and B must be positive")
+    for name, value in (("kappa", kappa), ("B", B)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"not {value}")
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and non-negative, not {eta}")
     bound = 2.0 * kappa / (spec.n_envs * B * B)
     if eta > bound + 1e-15:
         raise ValueError(
@@ -445,7 +463,11 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
     idx = 0
     for _ in range(T):
         idx = int(np.argmin(spec.R + slack @ lam))
-        lam = np.maximum(lam + eta * slack[idx], 0.0)
+        step = np.maximum(lam + eta * slack[idx], 0.0)
+        # bytes, not ==, so that a flip of a zero's sign is a change
+        if step.tobytes() == lam.tobytes():
+            break
+        lam = step
     lagrangian = float(spec.R[idx] + np.dot(lam, slack[idx]))
     return ScheduleReport(abs(P_star - lagrangian), T, float(P_star), lam)
 

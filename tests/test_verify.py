@@ -240,6 +240,54 @@ def test_sandwich_requires_subgrid():
         verify.parameterization_sandwich(fine, other, 0.1)
 
 
+def _grid(thetas):
+    thetas = np.asarray(thetas, dtype=np.float64)
+    n = len(thetas)
+    return verify.ConstrainedProblemSpec(thetas, np.zeros(n),
+                                         np.zeros((n, 1)))
+
+
+def _is_subgrid_by_tuples(coarse, fine):
+    """The membership rule as a set of row tuples."""
+    fine_rows = {tuple(row) for row in fine.thetas}
+    return all(tuple(row) in fine_rows for row in coarse.thetas)
+
+
+def test_require_subgrid_matches_the_set_of_tuples_rule():
+    rng = np.random.default_rng(0)
+    fine1 = _square_instance()
+    fine2 = _grid(rng.uniform(-1, 1, (40, 2)))
+    fine2.thetas[7] = 0.0
+    shifted = fine1.thetas[500:501] + 1e-12
+    cases = [
+        (fine1, _grid(fine1.thetas[::10])),
+        (fine1, fine1),
+        (fine1, _grid(fine1.thetas[::-7])),
+        (fine1, _grid(np.vstack([fine1.thetas[:5], shifted]))),
+        (fine1, _grid(np.nextafter(fine1.thetas[3:4], 2.0))),
+        (fine1, _grid([[-0.0]])),
+        (fine1, _grid([[-0.0], [0.5], [3.14]])),
+        (fine2, _grid(fine2.thetas[[3, 7, 3, 39]])),
+        (fine2, _grid([[-0.0, -0.0], [-0.0, 0.0]])),
+        (fine2, _grid(fine2.thetas[[1, 2]] * [1.0, -1.0])),
+        (fine2, _grid(fine2.thetas[:, ::-1])),
+        (fine2, _grid(fine1.thetas[:3])),
+    ]
+    verdicts = []
+    for fine, coarse in cases:
+        expected = _is_subgrid_by_tuples(coarse, fine)
+        try:
+            verify._require_subgrid(coarse, fine)
+            got = True
+        except ValueError as err:
+            assert "not a subset" in str(err)
+            got = False
+        assert got == expected
+        verdicts.append(got)
+    assert verdicts == [True, True, True, False, False, True, False,
+                        True, True, False, False, False]
+
+
 # -- empirical gap decay -----------------------------------------------------------
 
 def _population(seed=1, n_pop=400):
@@ -270,10 +318,36 @@ def test_empirical_gap_validates_arguments():
     pop = _population(n_pop=100)
     with pytest.raises(ValueError):
         verify.empirical_gap_experiment(pop, [50, 10], trials=10, seed=0)
+    for sizes in ([0, 100], [-5, 10], [10, 10, 50], []):
+        with pytest.raises(ValueError, match="at least 1 and strictly "
+                                             "ascending"):
+            verify.empirical_gap_experiment(pop, sizes, trials=10, seed=0)
     with pytest.raises(ValueError):
         verify.empirical_gap_experiment(pop, [10, 50], trials=2, seed=0)
     with pytest.raises(ValueError):
         verify.empirical_gap_experiment(pop, [10, 500], trials=10, seed=0)
+
+
+def test_population_rejects_matrices_of_the_wrong_rank():
+    pop = _population(n_pop=20)
+    loss, con = pop.loss_matrix, pop.cons_matrix
+    for bad_loss, bad_con in ((loss, con[:, :, 0]), (loss[:, :, None], con),
+                              (loss[0], con), (loss, con[..., None])):
+        with pytest.raises(ValueError, match="2-D .* 3-D"):
+            verify.EmpiricalPopulation(pop.thetas, bad_loss, bad_con,
+                                       gamma=0.3)
+
+
+def test_sampled_problem_is_the_mean_of_the_fancy_indexed_rows():
+    pop = _population(n_pop=400)
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 100, 400):
+        rows = rng.choice(pop.n_pop, size=n, replace=False)
+        spec = pop.problem(rows)
+        assert spec.R.tobytes() == \
+            pop.loss_matrix[rows].mean(axis=0).tobytes()
+        assert spec.L.tobytes() == \
+            pop.cons_matrix[rows].mean(axis=0).tobytes()
 
 
 def test_zero_variance_population_cannot_show_decay():
@@ -321,14 +395,65 @@ def test_theorem2_rejects_oversized_step():
                                        eta=1.0, B=2.0)
 
 
-def test_theorem2_already_feasible_minimizer_converges_immediately():
-    spec = verify.ConstrainedProblemSpec(
+def _already_feasible_instance():
+    return verify.ConstrainedProblemSpec(
         np.linspace(-1, 1, 201)[:, None],
         np.linspace(-1, 1, 201) ** 2,
         (np.linspace(-1, 1, 201) - 2.0)[:, None], gamma=0.1)
+
+
+def test_theorem2_already_feasible_minimizer_converges_immediately():
+    spec = _already_feasible_instance()
     rep = verify.theorem2_schedule_check(spec, kappa=0.2, eta=0.1, B=2.0)
     assert rep.gap == pytest.approx(0.0, abs=1e-12)
     assert np.all(rep.lam_final == 0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("eta", -0.1), ("eta", np.nan), ("eta", np.inf), ("kappa", np.inf),
+    ("kappa", np.nan), ("B", np.inf), ("B", np.nan)])
+def test_theorem2_rejects_invalid_arguments(name, value):
+    args = {"kappa": 0.2, "eta": 0.1, "B": 2.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        verify.theorem2_schedule_check(_square_instance(), **args)
+
+
+def _schedule_for_all_T_steps(spec, kappa, eta, B):
+    """The schedule loop run for all T steps, with no early stop."""
+    P_star, _ = verify.solve_primal_grid(spec, spec.gamma)
+    T = int(np.ceil(1.0 / (2.0 * (eta if eta > 0 else 1e-3) * kappa))) + 1
+    lam = np.zeros(spec.n_envs)
+    slack = spec.L - spec.gamma
+    idx = 0
+    for _ in range(T):
+        idx = int(np.argmin(spec.R + slack @ lam))
+        lam = np.maximum(lam + eta * slack[idx], 0.0)
+    lagrangian = float(spec.R[idx] + np.dot(lam, slack[idx]))
+    return abs(P_star - lagrangian), T, float(P_star), lam
+
+
+def _schedule_cases():
+    yield verify.convex_1d_instance(), 0.2, 0.0, 2.0
+    yield verify.convex_1d_instance(), 0.2, 0.1, 2.0
+    yield _square_instance(), 0.5, 0.01, 1.0
+    yield _already_feasible_instance(), 0.2, 0.1, 2.0
+    # eta at its bound 2 kappa / (m B^2); at gamma = 0 the all-zero row
+    # has zero slack, so half of those runs reach a fixed point
+    for gamma, kappa in ((0.5, 0.2), (0.0, 0.05)):
+        for seed in range(20):
+            spec = verify.random_spec(np.random.default_rng(seed),
+                                      n_envs=2, gamma=gamma)
+            yield spec, kappa, 2.0 * kappa / (2 * 2.0 ** 2), 2.0
+
+
+def test_theorem2_schedule_is_bitwise_the_full_length_loop():
+    for spec, kappa, eta, B in _schedule_cases():
+        rep = verify.theorem2_schedule_check(spec, kappa, eta, B)
+        gap, T, P_star, lam = _schedule_for_all_T_steps(spec, kappa, eta, B)
+        assert rep.T == T
+        assert rep.gap.hex() == gap.hex()
+        assert rep.P_star.hex() == P_star.hex()
+        assert rep.lam_final.tobytes() == lam.tobytes()
 
 
 # -- invariance measurement ------------------------------------------------------------
