@@ -12,9 +12,11 @@ gradient comes from one numpy forward pass over every row the step
 needs and closed-form vector-Jacobian products (`objective_gradient`).
 `train` keeps the run's flat parameters theta, the step's row layout
 and every buffer the step writes in one `StepPlan`; each step updates
-theta in place, and the predictor is built once, at return.  A step
-draws every G(x) it needs in one call.  The presets (G(x) is a fresh
-draw from the transformation model):
+theta in place, and the predictor is built once, at return.  The step
+draws nothing: `train` draws the minibatch indices and G's codes for
+`DRAW_BLOCK` steps at a time, and a step transforms every G(x) it needs
+in one `apply_batch` call.  The presets (G(x) is a fresh draw from the
+transformation model):
 
     preset    constraint pairs   augmented CE batches       dual
     erm       none               none                       off (0)
@@ -39,7 +41,6 @@ from . import autodiff as ad
 from . import constraints as cons
 from . import datagen
 from . import predictors as pred
-from . import transforms
 
 
 @dataclass(frozen=True)
@@ -270,8 +271,8 @@ def objective_gradient(plan: StepPlan, lam, bound: float):
     return loss, distreg, plan.grad
 
 
-def primal_step(plan: StepPlan, lam: np.ndarray, X, y, G,
-                config: SolverConfig, rng: np.random.Generator):
+def primal_step(plan: StepPlan, lam: np.ndarray, X, y, G, codes,
+                config: SolverConfig):
     """One SGD step of the config's preset on loss + <lam, distReg>,
     applied to `plan.theta` in place.
 
@@ -279,16 +280,16 @@ def primal_step(plan: StepPlan, lam: np.ndarray, X, y, G,
     batch sizes.  `X`, `y` stack the step's minibatches, one per
     environment under a per-env dual and one otherwise; the clean CE is
     taken over the stack, and each batch gets its own constraint pair
-    and augmented batches.  One call draws every transformed batch from
-    `rng`: first every batch's constraint pair, then the fresh augmented
-    batches.  Returns (minibatch loss, distReg per pair); the distReg is
-    zero when the preset has no constraint.
+    and augmented batches.  `codes` holds one code of `G` per drawn row
+    of the plan, in its order: first every batch's constraint pair, then
+    the fresh augmented batches; one `apply_batch` call transforms them
+    all, and the step draws nothing.  Returns (minibatch loss, distReg
+    per pair); the distReg is zero when the preset has no constraint.
     """
     n = plan.n_clean
     plan.X[:n], plan.y[:n] = X, y
     if n < len(plan.y):
-        plan.X[n:] = transforms.generate_batch(
-            G, _rows(plan.X, plan.sources), rng)
+        plan.X[n:] = G.apply_batch(_rows(plan.X, plan.sources), codes)
         plan.y[n:] = _rows(plan.y, plan.sources)
 
     loss, distreg, grad = objective_gradient(plan, lam, config.loss_bound)
@@ -337,6 +338,12 @@ def worst_domain_risk(risks: dict) -> tuple:
 
 # -- the training loop --------------------------------------------------------
 
+# `train` draws each step's rows and G's codes this many steps at a time:
+# one RNG call per stream and block, not per step.  A block, not the whole
+# run, keeps the drawn arrays small (32 steps of 768 codes and 384 indices
+# are under 300 KB), so peak memory does not grow with `steps`.
+DRAW_BLOCK = 32
+
 # a diverging run overflows before the NaN/Inf checks raise TrainingFailure
 @np.errstate(over="ignore", invalid="ignore")
 def train(config: SolverConfig, datasets, G):
@@ -359,24 +366,32 @@ def train(config: SolverConfig, datasets, G):
 
     X_all = np.vstack([d.X for d in datasets])
     y_all = np.concatenate([d.y for d in datasets])
-    ends = np.cumsum([0] + [len(d) for d in datasets]).tolist()
-    # one index span per sampled batch: each environment's, or all rows
-    spans = list(zip(ends, ends[1:])) if per_env else [(0, ends[-1])]
+    # one index span per sampled batch, each environment's or all rows,
+    # as bounds of shape (spans, 1) that broadcast over a block's draws
+    ends = np.cumsum([0] + [len(d) for d in datasets])[:, None]
+    lo, hi = (ends[:-1], ends[1:]) if per_env else (ends[:1], ends[-1:])
 
     trace = TrainTrace(env_ids=env_ids, gamma=config.gamma)
     plan = StepPlan(preset, pred.init_predictor(arch, config.seed),
-                    [config.batch_size] * len(spans))
+                    [config.batch_size] * len(lo))
+    m = len(plan.y) - plan.n_clean  # drawn rows per step
 
-    for step in range(config.steps):
-        idx = np.concatenate([batch_rng.integers(a, b, size=config.batch_size)
-                              for a, b in spans])
-        try:
-            loss, distreg = primal_step(plan, lam, X_all.take(idx, axis=0),
-                                        y_all.take(idx), G, config, gen_rng)
-        except ad.NonFiniteError as e:
-            raise TrainingFailure(f"step {step}: {e}", trace) from e
-        if preset.dual == "ascent":
-            lam = dual_step(lam, distreg, config.gamma, config.eta_dual)
-        trace.append(step, loss, lam, distreg)
+    for start in range(0, config.steps, DRAW_BLOCK):
+        # a stream's draws do not depend on how they are split, so a
+        # block's draws are the per-step draws, in step order
+        k = min(DRAW_BLOCK, config.steps - start)
+        idxs = batch_rng.integers(lo, hi, size=(k, len(lo), config.batch_size))
+        codes = G.sample_codes(k * m, gen_rng) if m else np.empty((0, 0))
+        for j, step in enumerate(range(start, start + k)):
+            idx = idxs[j].ravel()
+            try:
+                loss, distreg = primal_step(
+                    plan, lam, X_all.take(idx, axis=0), y_all.take(idx), G,
+                    codes[j * m:(j + 1) * m], config)
+            except ad.NonFiniteError as e:
+                raise TrainingFailure(f"step {step}: {e}", trace) from e
+            if preset.dual == "ascent":
+                lam = dual_step(lam, distreg, config.gamma, config.eta_dual)
+            trace.append(step, loss, lam, distreg)
 
     return pred.Predictor(arch, plan.theta), trace

@@ -4,7 +4,9 @@ A model is two methods: `sample_codes(n, rng)` draws n environment codes
 from the model's code distribution, and `apply_batch(X, codes)`
 transforms row i of X under code i into an instance of the same
 dimension.  `generate_batch` pairs each row with a freshly sampled code,
-the one way MBDG's training uses G.  Learned (GAN-based) transforms are
+the way `constraints.dist_reg` uses G; training draws a block of steps'
+codes with one `sample_codes` call and applies each step's slice of
+them with `apply_batch`.  Learned (GAN-based) transforms are
 out of scope; they would expose the same two methods.
 """
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,7 @@ class ConstrainedProblemSpec:
         if not (np.all(np.isfinite(R)) and np.all(np.isfinite(L))
                 and np.all(np.isfinite(thetas))):
             raise ValueError("cached values must be finite")
+        _require_finite_margin(self.gamma)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "L", L)
@@ -75,8 +77,16 @@ class GapReport:
 
 # -- enumeration solvers ------------------------------------------------------
 
+def _require_finite_margin(gamma: float) -> None:
+    # every check reaches the solvers below, and a NaN or infinite
+    # margin would pass through them as a NaN gap or a failed certificate
+    if not math.isfinite(gamma):
+        raise ValueError(f"margin gamma must be finite, got {gamma}")
+
+
 def solve_primal_grid(spec: ConstrainedProblemSpec, gamma: float):
     """Exhaustive min of R over the feasible set {L_e <= gamma for all e}."""
+    _require_finite_margin(gamma)
     feasible = np.all(spec.L <= gamma, axis=1)
     if not np.any(feasible):
         raise InfeasibleError(
@@ -97,6 +107,7 @@ def solve_dual(spec: ConstrainedProblemSpec, gamma: float):
     VerificationError unless min_i R_i + lambda . (L_i - gamma) equals
     D within 1e-12.
     """
+    _require_finite_margin(gamma)
     if spec.n_envs > 3:
         raise ValueError("the exact dual handles at most 3 environments")
     slack = spec.L - gamma

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -180,8 +182,10 @@ def test_worst_domain_risk_picks_max_and_breaks_ties_low():
 def _primal_step(p, X, y, G, config):
     # one step from p on its own plan; returns (stepped p, loss, distReg)
     plan = solvers.StepPlan(solvers.PRESETS[config.algorithm], p, [len(y)])
+    m = len(plan.y) - plan.n_clean
+    codes = G.sample_codes(m, np.random.default_rng(0)) if m else None
     loss, distreg = solvers.primal_step(plan, np.array([0.0]), X, y, G,
-                                        config, np.random.default_rng(0))
+                                        codes, config)
     return pred.Predictor(p.arch, plan.theta), loss, distreg
 
 
@@ -219,7 +223,7 @@ def test_primal_step_with_tiny_rate_barely_moves():
 
 
 # Work per step at batch 32 on two environments: (transformed rows,
-# generate_batch calls, forward calls, forward rows, constraint pairs,
+# apply_batch calls, forward calls, forward rows, constraint pairs,
 # dual ascent calls).
 PRESET_WORK = {
     ("erm", "single"): (0, 0, 1, 32, 0, 0),
@@ -238,8 +242,8 @@ PRESET_WORK = {
 @pytest.mark.parametrize("algorithm,dual_mode", sorted(PRESET_WORK))
 def test_preset_work_per_step(algorithm, dual_mode, monkeypatch):
     spec, data = _concept(n=200)
-    G = datagen.concept_shift_transform(spec)
-    counts = [0] * 6
+    model = datagen.concept_shift_transform(spec)
+    counts, code_draws = [0] * 6, []
 
     def counting(fn, tally):
         # tally(args, result) -> {slot: amount to add}
@@ -250,8 +254,12 @@ def test_preset_work_per_step(algorithm, dual_mode, monkeypatch):
             return result
         return wrapper
 
-    monkeypatch.setattr(tr, "generate_batch", counting(
-        tr.generate_batch, lambda a, r: {0: a[1].shape[0], 1: 1}))
+    def sample_codes(n, rng):
+        code_draws.append(n)
+        return model.sample_codes(n, rng)
+
+    G = SimpleNamespace(sample_codes=sample_codes, apply_batch=counting(
+        model.apply_batch, lambda a, r: {0: a[0].shape[0], 1: 1}))
     monkeypatch.setattr(pred, "forward", counting(
         pred.forward, lambda a, r: {2: 1, 3: a[1].shape[0]}))
     # a preset with no constraint returns a zero distReg; pairs are > 0
@@ -259,11 +267,15 @@ def test_preset_work_per_step(algorithm, dual_mode, monkeypatch):
         solvers.primal_step, lambda a, r: {4: np.count_nonzero(r[1])}))
     monkeypatch.setattr(solvers, "dual_step", counting(
         solvers.dual_step, lambda a, r: {5: 1}))
-    steps = 3
+    steps = 70
     solvers.train(_small_config(algorithm=algorithm, dual_mode=dual_mode,
                                 steps=steps), data, G)
-    assert tuple(c / steps for c in counts) == \
-        PRESET_WORK[algorithm, dual_mode]
+    work = PRESET_WORK[algorithm, dual_mode]
+    assert tuple(c / steps for c in counts) == work
+    # 70 steps are three blocks of draws, the last one partial: one
+    # sample_codes call per block, for every code its steps transform
+    rows = work[0]
+    assert code_draws == ([32 * rows, 32 * rows, 6 * rows] if rows else [])
 
 
 def _graph_step(p, lam, X, y, G, config, rng):
@@ -341,8 +353,9 @@ def test_fused_step_matches_autodiff_graph(algorithm, dual_mode):
                 for d in envs]
         X = np.vstack([d.X[idx] for d, idx in zip(envs, idxs)])
         y = np.concatenate([d.y[idx] for d, idx in zip(envs, idxs)])
-        loss, distreg = solvers.primal_step(
-            plan, lam, X, y, G, config, np.random.default_rng([2, step]))
+        m = len(plan.y) - plan.n_clean
+        codes = G.sample_codes(m, np.random.default_rng([2, step]))
+        loss, distreg = solvers.primal_step(plan, lam, X, y, G, codes, config)
         new, loss_g, distreg_g = _graph_step(
             p, lam, X, y, G, config, np.random.default_rng([2, step]))
         old = p.theta
@@ -631,7 +644,9 @@ def test_steps_that_plan_for_themselves_match_train(algorithm, dual_mode):
     # train's loop by hand over one plan, checked step by step
     spec, data = _concept(n=200)
     G = datagen.concept_shift_transform(spec)
-    config = _small_config(algorithm=algorithm, dual_mode=dual_mode)
+    # 70 steps: three blocks of train's draws, the last one partial
+    config = _small_config(algorithm=algorithm, dual_mode=dual_mode,
+                           steps=70)
     p_train, trace = solvers.train(config, data, G)
 
     preset = solvers.PRESETS[algorithm]
@@ -649,8 +664,9 @@ def test_steps_that_plan_for_themselves_match_train(algorithm, dual_mode):
     for step in range(config.steps):
         idx = np.concatenate([batch_rng.integers(a, b, size=config.batch_size)
                               for a, b in zip(ends, ends[1:])])
+        codes = G.sample_codes(len(plan.y) - plan.n_clean, gen_rng)
         loss, distreg = solvers.primal_step(
-            plan, lam, X_all[idx], y_all[idx], G, config, gen_rng)
+            plan, lam, X_all[idx], y_all[idx], G, codes, config)
         if preset.dual == "ascent":
             lam = solvers.dual_step(lam, distreg, config.gamma,
                                     config.eta_dual)
@@ -673,8 +689,9 @@ def test_plan_steps_a_copy_of_the_predictors_parameters():
     lam = np.array([0.5])
     for _ in range(10):
         idx = rng.integers(0, len(data[0]), size=config.batch_size)
+        codes = G.sample_codes(len(plan.y) - plan.n_clean, rng)
         solvers.primal_step(plan, lam, data[0].X[idx], data[0].y[idx], G,
-                            config, rng)
+                            codes, config)
     assert not np.array_equal(plan.theta, before)
     assert np.array_equal(p.theta, before)
 

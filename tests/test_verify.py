@@ -25,6 +25,20 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         verify.ConstrainedProblemSpec(np.zeros((1, 1)), np.array([np.inf]),
                                       np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="gamma"):
+        verify.ConstrainedProblemSpec(np.zeros((1, 1)), np.zeros(1),
+                                      np.zeros((1, 1)), gamma=np.nan)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_solvers_reject_a_non_finite_margin(gamma):
+    # a NaN margin gave gap = nan, and an infinite one a dual witness
+    # that failed its certificate after a RuntimeWarning
+    spec = _square_instance()
+    for check in (verify.gap_report, verify.solve_primal_grid,
+                  verify.solve_dual):
+        with pytest.raises(ValueError, match="gamma"):
+            check(spec, gamma)
 
 
 def test_primal_grid_on_square_instance():

@@ -22,8 +22,9 @@ odd ones.  Then `--traced-pairs` pairs run the same way with `--trace
 1`, for the per-layer metrics.  The output holds,
 per workload and trace setting, every run's metrics and per-command
 seconds (`train_s.*`, `verify_s.*`, from its run record), each side's
-median and quartiles per metric and how many pairs the change won
-(better by the metric's direction in `BENCHMARK.json`); beside them,
+median and quartiles per metric and per command and how many pairs the
+change won (better by the direction in `BENCHMARK.json`), leaving out
+what reads 0 on every run; beside them,
 the machine record of the first run and the wall time of each side's
 tier-1 suite (`python3 -m pytest -q`).  Standard library only.
 """
@@ -113,14 +114,23 @@ def spread(values: list) -> dict:
 
 
 def summarize(runs: list, directions: dict) -> dict:
-    """Per metric: each side's spread, and the pairs the change won."""
+    """Per metric and per command entry (`train_s.*`, `verify_s.*`,
+    `round_s`, ...): each side's spread, and the pairs the change won.
+
+    A command a run does not record reads 0, and a name that reads 0 on
+    every run of both sides is left out: it measures nothing here.
+    """
     pairs = {}
     for run in runs:
-        pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+        pairs.setdefault(run["pair"], {})[run["side"]] = {
+            **run["metrics"], **run["commands"]}
     out = {}
-    for name in runs[0]["metrics"]:
-        values = {side: [p[side][name] for p in pairs.values()]
+    for name in dict.fromkeys(k for run in runs
+                              for k in (*run["metrics"], *run["commands"])):
+        values = {side: [p[side].get(name, 0.0) for p in pairs.values()]
                   for side in SIDES}
+        if not any(values["parent"] + values["change"]):
+            continue
         sign = -1.0 if directions.get(name, "lower") == "higher" else 1.0
         won = sum(sign * c < sign * p
                   for p, c in zip(values["parent"], values["change"]))
