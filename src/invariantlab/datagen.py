@@ -1,4 +1,4 @@
-"""Synthetic multi-domain dataset generators and Bayes-optimal oracles.
+"""Synthetic multi-domain dataset generators.
 
 Two data-generating processes are provided:
 
@@ -165,33 +165,6 @@ def concept_shift_transform(spec: ConceptShiftSpec):
     """The color-resampling transformation matching the concept task."""
     return transforms.ColorResampleModel(
         indices=spec.color_indices, scale=spec.color_scale)
-
-
-def bayes_oracle(spec, policy: str, env: str) -> float:
-    """Exact expected accuracy of a fixed policy, by enumeration.
-
-    The concept-shift instance distribution factorizes over the discrete
-    pair (shape agreement, color agreement), so accuracies are closed
-    form.  Gaussian shape noise is treated as fully informative of the
-    shape bit (clusters are well separated by construction).
-    """
-    if not isinstance(spec, ConceptShiftSpec):
-        raise ValueError("bayes_oracle supports concept-shift specs")
-    if env not in spec.agreements:
-        raise ValueError(f"unknown environment {env!r}")
-    rho, p = spec.rho_shape, spec.agreements[env]
-    if policy == "shape-only":
-        return rho  # predict the label the shape bit indicates
-    if policy == "color-only":
-        return p  # predict the label the color bit indicates
-    if policy == "joint":
-        # enumerate observed (shape bit, color bit) pairs; the optimal
-        # joint rule picks the label of maximum posterior in each cell
-        return sum(
-            0.5 * max((rho if s == y else 1 - rho)
-                      * (p if c == y else 1 - p) for y in (0, 1))
-            for s in (0, 1) for c in (0, 1))
-    raise ValueError(f"unsupported policy {policy!r}")
 
 
 # -- text dump format --------------------------------------------------------

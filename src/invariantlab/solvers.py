@@ -115,15 +115,13 @@ class SolverConfig:
 @dataclass
 class TrainTrace:
     env_ids: list
-    steps: list = field(default_factory=list)
     losses: list = field(default_factory=list)
     lam: list = field(default_factory=list)  # arrays, one per step
     distreg: list = field(default_factory=list)
     gamma: float = 0.0
 
-    def append(self, step, loss, lam, distreg):
+    def append(self, loss, lam, distreg):
         # kept, not copied: train never writes into an array it appends
-        self.steps.append(step)
         self.losses.append(float(loss))
         self.lam.append(lam)
         self.distreg.append(distreg)
@@ -133,13 +131,13 @@ class TrainTrace:
         text = ",".join(["step", "loss", "lambda",
                          *(f"lambda_{e}" for e in envs), "gamma", "distreg",
                          *(f"distreg_{e}" for e in envs)]) + "\n"
-        if not self.steps:
+        if not self.losses:
             return text
         lam, distreg = np.array(self.lam), np.array(self.distreg)
-        cols = [self.steps, self.losses, lam.mean(axis=1), *lam.T[:len(envs)],
-                np.full(len(self.steps), self.gamma), distreg.mean(axis=1),
-                *distreg.T[:len(envs)]]
-        # a step is exact as a float, and "g" prints it as an integer
+        # a row's step is its index, which "g" prints as an integer
+        cols = [np.arange(len(lam)), self.losses, lam.mean(axis=1),
+                *lam.T[:len(envs)], np.full(len(lam), self.gamma),
+                distreg.mean(axis=1), *distreg.T[:len(envs)]]
         line = ",".join(["{:.17g}"] * len(cols)) + "\n"
         return text + "".join(
             line.format(*row) for row in np.column_stack(cols).tolist())
@@ -392,6 +390,6 @@ def train(config: SolverConfig, datasets, G):
                 raise TrainingFailure(f"step {step}: {e}", trace) from e
             if preset.dual == "ascent":
                 lam = dual_step(lam, distreg, config.gamma, config.eta_dual)
-            trace.append(step, loss, lam, distreg)
+            trace.append(loss, lam, distreg)
 
     return pred.Predictor(arch, plan.theta), trace

@@ -465,10 +465,7 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
         raise ValueError(
             f"dual step {eta} exceeds its bound {bound}")
     P_star, _ = solve_primal_grid(spec, spec.gamma)
-    if eta > 0:
-        T = int(np.ceil(1.0 / (2.0 * eta * kappa))) + 1
-    else:
-        T = int(np.ceil(1.0 / (2.0 * 1e-3 * kappa))) + 1
+    T = int(np.ceil(1.0 / (2.0 * (eta or 1e-3) * kappa))) + 1
     lam = np.zeros(spec.n_envs)
     slack = spec.L - spec.gamma
     idx = 0

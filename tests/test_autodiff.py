@@ -4,6 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from invariantlab import autodiff as ad
 
+import oracles
+
 
 def test_add_mul_forward_values():
     a = ad.Node(np.array([1.0, 2.0]))
@@ -110,10 +112,10 @@ def test_finite_diff_rejects_bad_step():
         ad.finite_diff_gradient(lambda t: 0.0, np.zeros(1), h=0.0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-@example(13365)  # at h = 1e-4 its truncation error broke the bound
-def test_gradient_matches_finite_differences_on_random_mlp(seed):
+def _random_mlp(seed):
+    """(X, theta, build, split) of a 3-4-2 tanh MLP: build(W0, b0, W1, b1)
+    is the mean log-sum-exp of its logits on the rows X, and split(theta)
+    gives the four arrays of the flat theta, each row-major."""
     rng = np.random.default_rng(seed)
     shapes = [(3, 4), (4,), (4, 2), (2,)]
     X = rng.standard_normal((5, 3))
@@ -124,11 +126,18 @@ def test_gradient_matches_finite_differences_on_random_mlp(seed):
         return ad.mean(ad.logsumexp(z, axis=1))
 
     def split(theta):
-        # theta holds W0, b0, W1, b1 in order, each row-major
         ends = np.cumsum([np.prod(s) for s in shapes])[:-1]
         return [a.reshape(s) for a, s in zip(np.split(theta, ends), shapes)]
 
     theta = 0.5 * rng.standard_normal(sum(np.prod(s) for s in shapes))
+    return X, theta, build, split
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+@example(13365)  # at h = 1e-4 its truncation error broke the bound
+def test_gradient_matches_finite_differences_on_random_mlp(seed):
+    X, theta, build, split = _random_mlp(seed)
     exact = np.concatenate(
         [g.ravel() for g in ad.gradient(build, split(theta))])
     # h = 1e-5: the 1e-6 floor of the denominator asks for about 1e-10
@@ -137,6 +146,21 @@ def test_gradient_matches_finite_differences_on_random_mlp(seed):
         lambda t: float(build(*map(ad.Node, split(t))).value), theta, h=1e-5)
     denom = np.maximum(np.abs(exact), 1e-6)
     assert np.max(np.abs(exact - approx) / denom) <= 1e-4
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+@example(13365)
+def test_complex_step_oracle_matches_graph_on_random_mlp(seed):
+    # the seeds and the objective of the finite-difference check above
+    X, theta, build, split = _random_mlp(seed)
+    graph = np.concatenate(
+        [g.ravel() for g in ad.gradient(build, split(theta))])
+    exact = oracles.complex_step_gradient(
+        lambda t: oracles.logsumexp(
+            oracles.forward(oracles.unflatten((3, 4, 2), t), X)).mean(axis=-1),
+        theta)
+    assert np.max(np.abs(exact - graph)) <= 1e-13
 
 
 @settings(max_examples=50, deadline=None)

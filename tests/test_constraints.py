@@ -10,6 +10,8 @@ from invariantlab import predictors as pred
 from invariantlab import solvers
 from invariantlab import transforms as tr
 
+import oracles
+
 BOUND = 20.0  # the default [solver] loss_bound
 ARCH = pred.Architecture((3, 6, 2))
 
@@ -177,32 +179,43 @@ def test_graph_gradient_matches_finite_differences():
     assert np.max(np.abs(exact - approx) / denom) <= 1e-4
 
 
-@pytest.mark.parametrize("kind", ["kl", "ce"])
-def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
-    # the bound sits at the median per-row loss of the clamped term (KL
-    # of a constraint pair, or CE), so half its rows clamp and pass no
-    # gradient; for KL the last two pairs are identical rows
+def _clamp_case(kind):
+    """The clamp check's (predictor, X, Xt, labels y, bound, graph form
+    build(params) of the clamped term).
+
+    The bound sits at the median per-row loss of the clamped term (KL of
+    the pair X, Xt, or CE of X against y), so half its rows clamp and
+    pass no gradient; for KL the last two pairs are identical rows.
+    """
     p = pred.init_predictor(ARCH, 3)
     X, Xt = _pairs(n=12, seed=4)
-    n = len(X)
+    y = np.random.default_rng(5).integers(0, 2, size=len(X))
     if kind == "kl":
         Xt[-2:] = X[-2:]
         raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0), 1e9,
                            pred.predict_batch(p, X))
         bound = float(np.median(raw[:-2]))
-        ce_rows, pairs = [], [(slice(0, n), slice(n, 2 * n))]
 
         def build(params):
             return con.dist_reg_graph(p.arch, params, X, Xt, bound)
     else:
-        y = np.random.default_rng(5).integers(0, 2, size=n)
         logp = np.log(pred.predict_batch(p, X))
-        bound = float(np.median(-logp[np.arange(n), y]))
-        ce_rows, pairs = [slice(0, n)], []
+        bound = float(np.median(-logp[np.arange(len(X)), y]))
 
         def build(params):
             return pred.cross_entropy_graph(
                 pred.log_probs_graph(p.arch, params, X), y, bound)
+    return p, X, Xt, y, bound, build
+
+
+@pytest.mark.parametrize("kind", ["kl", "ce"])
+def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
+    p, X, Xt, y, bound, build = _clamp_case(kind)
+    n = len(X)
+    if kind == "kl":
+        ce_rows, pairs = [], [(slice(0, n), slice(n, 2 * n))]
+    else:
+        ce_rows, pairs = [slice(0, n)], []
     # a plan over the stack of X and Xt, holding the term under test
     plan = solvers.StepPlan(solvers.PRESETS["erm"], p, [2 * n])
     plan.X[:] = np.vstack([X, Xt])
@@ -220,3 +233,14 @@ def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
     if kind == "kl":
         assert distreg[0] == pytest.approx(_mean_dist_reg(p, X, Xt, bound),
                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["kl", "ce"])
+def test_complex_step_oracle_matches_graph_at_the_clamp(kind):
+    p, X, Xt, y, bound, build = _clamp_case(kind)
+    ce_terms, pairs = ([], [(X, Xt)]) if kind == "kl" else ([(X, y)], [])
+    exact = oracles.complex_step_gradient(
+        lambda t: oracles.step_objective(
+            oracles.unflatten(p.arch.layer_sizes, t), ce_terms, pairs, [1.0],
+            bound), p.theta)
+    assert np.max(np.abs(exact - _graph_gradient(build, p))) <= 1e-13

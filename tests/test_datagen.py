@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,20 @@ def test_concept_empirical_agreements_match_parameters():
         assert abs(agree - expected) <= 0.01
 
 
+@pytest.mark.parametrize("shape_sigma", [1.0, 0.5, 2.0])
+def test_concept_color_free_ceiling_matches_the_rows(shape_sigma):
+    # x0 + x1 is the shape block's sufficient statistic, so sign(x0 + x1)
+    # reads the shape bit with probability q = Phi(m sqrt(2) / sigma), and
+    # no color-free rule beats rho q + (1 - rho)(1 - q) (README, [task])
+    spec = datagen.ConceptShiftSpec(shape_sigma=shape_sigma)
+    q = 0.5 * (1.0 + math.erf(spec.shape_mean / spec.shape_sigma))
+    ceiling = spec.rho_shape * q + (1 - spec.rho_shape) * (1 - q)
+    for seed in range(5):
+        for d in datagen.gen_concept_shift(spec, seed):
+            rule = (d.X[:, 0] + d.X[:, 1] > 0).astype(np.intp)
+            assert abs(np.mean(rule == d.y) - ceiling) <= 0.01
+
+
 def test_concept_datasets_are_seed_deterministic():
     spec = datagen.ConceptShiftSpec(n_per_env=200)
     a = datagen.gen_concept_shift(spec, seed=9)
@@ -117,47 +133,6 @@ def test_concept_transform_targets_color_coordinates():
     out = transforms.generate_batch(G, data.X, np.random.default_rng(0))
     assert np.array_equal(out[:, :3], data.X[:, :3])
     assert np.all(out[:, 3:].sum(axis=1) == spec.color_scale)
-
-
-# -- oracles -------------------------------------------------------------------
-
-def test_bayes_oracle_shape_only_is_rho():
-    spec = datagen.ConceptShiftSpec()
-    for env in spec.agreements:
-        assert datagen.bayes_oracle(spec, "shape-only", env) == 0.75
-
-
-def test_bayes_oracle_color_only_is_agreement():
-    spec = datagen.ConceptShiftSpec()
-    assert datagen.bayes_oracle(spec, "color-only", "e0.9") == 0.9
-    assert datagen.bayes_oracle(spec, "color-only", "e0.1") == \
-        pytest.approx(0.1)  # following color fails where it anti-correlates
-
-
-def test_bayes_oracle_joint_matches_monte_carlo():
-    spec = datagen.ConceptShiftSpec()
-    rng = np.random.default_rng(0)
-    for env, p in spec.agreements.items():
-        exact = datagen.bayes_oracle(spec, "joint", env)
-        # independent simulation of the optimal joint rule
-        n = 200_000
-        y = rng.integers(0, 2, n)
-        s = np.where(rng.random(n) < 0.75, y, 1 - y)
-        c = np.where(rng.random(n) < p, y, 1 - y)
-        post1 = (np.where(s == 1, 0.75, 0.25)
-                 * np.where(c == 1, p, 1 - p))
-        post0 = (np.where(s == 0, 0.75, 0.25)
-                 * np.where(c == 0, p, 1 - p))
-        guess = (post1 > post0).astype(int)
-        assert abs(np.mean(guess == y) - exact) <= 0.005
-
-
-def test_bayes_oracle_rejects_unknowns():
-    spec = datagen.ConceptShiftSpec()
-    with pytest.raises(ValueError):
-        datagen.bayes_oracle(spec, "joint", "nope")
-    with pytest.raises(ValueError):
-        datagen.bayes_oracle(spec, "psychic", "e0.9")
 
 
 # -- dump format ---------------------------------------------------------------

@@ -24,8 +24,6 @@ ALLOWED = {
     "autodiff.finite_diff_gradient": "oracle: criterion 8 checks every "
                                      "gradient of a flat theta against "
                                      "finite differences",
-    "datagen.bayes_oracle": "oracle: closed-form policy accuracies of the "
-                            "concept task",
     "datagen.load_datasets": "oracle: the reader that checks the datagen "
                              "command's output",
     "solvers.empirical_lagrangian": "the planned per-checkpoint run "

@@ -11,6 +11,8 @@ from invariantlab import predictors as pred
 from invariantlab import solvers
 from invariantlab import transforms as tr
 
+import oracles
+
 
 BOUND = 20.0  # the default [solver] loss_bound
 
@@ -278,15 +280,12 @@ def test_preset_work_per_step(algorithm, dual_mode, monkeypatch):
     assert code_draws == ([32 * rows, 32 * rows, 6 * rows] if rows else [])
 
 
-def _graph_step(p, lam, X, y, G, config, rng):
-    """The step built as an autodiff graph, one forward per batch.
+def _step_terms(preset, lam, X, y, G, rng):
+    """The step's CE terms [(X, y)] and constraint pairs [(Xa, Xb)].
 
     The stack `X`, `y` holds one batch per dual weight.  Draws from it
-    block by block, in `primal_step`'s order; returns (new parameters,
-    loss, distReg).
+    block by block, in `primal_step`'s order.
     """
-    preset = solvers.PRESETS[config.algorithm]
-    bound = config.loss_bound
     batches = list(zip(np.split(X, lam.size), np.split(y, lam.size)))
 
     def draw(X):
@@ -298,23 +297,39 @@ def _graph_step(p, lam, X, y, G, config, rng):
         pairs = [(bX, draw(bX)) for bX, _ in batches]
     else:
         pairs = []
-    augmented = []
+    ce_terms = [(X, y)]
     for source in preset.augment:
         if source == "fresh":
-            augmented += [(draw(bX), by) for bX, by in batches]
+            ce_terms += [(draw(bX), by) for bX, by in batches]
         else:
-            augmented += [(Xt, by) for (_, Xt), (_, by) in zip(pairs, batches)]
-    params = [(ad.Node(W), ad.Node(b)) for W, b in p.arch.unflatten(p.theta)]
-    loss = pred.cross_entropy_graph(
-        pred.log_probs_graph(p.arch, params, X), y, bound)
-    for Xa, ya in augmented:
-        loss = loss + pred.cross_entropy_graph(
-            pred.log_probs_graph(p.arch, params, Xa), ya, bound)
-    nodes = [cons.dist_reg_graph(p.arch, params, Xa, Xb, bound)
+            ce_terms += [(Xt, by) for (_, Xt), (_, by) in zip(pairs, batches)]
+    return ce_terms, pairs
+
+
+def _graph_objective(arch, params, ce_terms, pairs, lam, bound):
+    """The step objective as a graph over each layer's (W, b) Nodes in
+    `params`, one forward per batch; returns (objective, CE sum, distReg
+    node per pair)."""
+    terms = [pred.cross_entropy_graph(
+        pred.log_probs_graph(arch, params, Xa), ya, bound)
+        for Xa, ya in ce_terms]
+    loss = sum(terms[1:], terms[0])
+    nodes = [cons.dist_reg_graph(arch, params, Xa, Xb, bound)
              for Xa, Xb in pairs]
     total = loss
     for lam_e, node in zip(lam, nodes):
         total = total + (float(lam_e) * (1.0 / len(nodes))) * node
+    return total, loss, nodes
+
+
+def _graph_step(p, lam, X, y, G, config, rng):
+    """The step built as an autodiff graph on `_step_terms`' draws;
+    returns (new parameters, loss, distReg)."""
+    ce_terms, pairs = _step_terms(solvers.PRESETS[config.algorithm], lam,
+                                  X, y, G, rng)
+    params = [(ad.Node(W), ad.Node(b)) for W, b in p.arch.unflatten(p.theta)]
+    total, loss, nodes = _graph_objective(p.arch, params, ce_terms, pairs,
+                                          lam, config.loss_bound)
     grads = ad.backward(total)
     new = np.concatenate(
         [(node.value - config.eta_primal * grads[id(node)]).ravel()
@@ -327,6 +342,31 @@ def _rel_err(a, b):
                  / max(np.linalg.norm(np.asarray(b)), 1e-300))
 
 
+def _fused_case(algorithm, dual_mode):
+    """A case of the fused-step check: (G, config, initial predictor,
+    lambda > 0, an endless iterator of each step's stack (X, y), one
+    batch per dual weight)."""
+    spec, data = _concept(n=200)
+    G = datagen.concept_shift_transform(spec)
+    config = _small_config(algorithm=algorithm, dual_mode=dual_mode)
+    p = pred.init_predictor(pred.Architecture((5, 6, 4, 2)), 0)
+    per_env = dual_mode == "per-env" and \
+        solvers.PRESETS[algorithm].pairing is not None
+    lam = np.array([0.7, 1.3]) if per_env else np.array([0.9])
+    envs = data if per_env else [datagen.EnvironmentDataset(
+        "all", np.vstack([d.X for d in data]),
+        np.concatenate([d.y for d in data]))]
+    batch_rng = np.random.default_rng(1)
+
+    def stacks():
+        while True:
+            idxs = [batch_rng.integers(0, len(d), size=config.batch_size)
+                    for d in envs]
+            yield (np.vstack([d.X[idx] for d, idx in zip(envs, idxs)]),
+                   np.concatenate([d.y[idx] for d, idx in zip(envs, idxs)]))
+    return G, config, p, lam, stacks()
+
+
 # each id also names the distance and activation the step is checked
 # under, KL and tanh
 @pytest.mark.parametrize("dual_mode", ["single", "per-env"],
@@ -335,24 +375,10 @@ def _rel_err(a, b):
 def test_fused_step_matches_autodiff_graph(algorithm, dual_mode):
     # the same parameters, lambda > 0, batches and draws: the closed-form
     # step and the graph step agree over a 50-step trajectory
-    spec, data = _concept(n=200)
-    G = datagen.concept_shift_transform(spec)
-    config = _small_config(algorithm=algorithm, dual_mode=dual_mode)
-    p = pred.init_predictor(pred.Architecture((5, 6, 4, 2)), 0)
-    per_env = dual_mode == "per-env" and \
-        solvers.PRESETS[algorithm].pairing is not None
-    lam = np.array([0.7, 1.3]) if per_env else np.array([0.9])
+    G, config, p, lam, stacks = _fused_case(algorithm, dual_mode)
     plan = solvers.StepPlan(solvers.PRESETS[algorithm], p,
                             [config.batch_size] * lam.size)
-    batch_rng = np.random.default_rng(1)
-    for step in range(50):
-        envs = data if per_env else [datagen.EnvironmentDataset(
-            "all", np.vstack([d.X for d in data]),
-            np.concatenate([d.y for d in data]))]
-        idxs = [batch_rng.integers(0, len(d), size=config.batch_size)
-                for d in envs]
-        X = np.vstack([d.X[idx] for d, idx in zip(envs, idxs)])
-        y = np.concatenate([d.y[idx] for d, idx in zip(envs, idxs)])
+    for step, (X, y) in zip(range(50), stacks):
         m = len(plan.y) - plan.n_clean
         codes = G.sample_codes(m, np.random.default_rng([2, step]))
         loss, distreg = solvers.primal_step(plan, lam, X, y, G, codes, config)
@@ -364,6 +390,33 @@ def test_fused_step_matches_autodiff_graph(algorithm, dual_mode):
         if distreg_g.size:
             assert _rel_err(distreg, distreg_g) <= 1e-10
         p = pred.Predictor(p.arch, plan.theta.copy())
+
+
+@pytest.mark.parametrize("dual_mode", ["single", "per-env"],
+                         ids=lambda m: f"{m}-kl-tanh")
+@pytest.mark.parametrize("algorithm", solvers.PRESETS)
+def test_complex_step_oracle_matches_graph_on_the_fused_cases(
+        algorithm, dual_mode):
+    # the cases of test_fused_step_matches_autodiff_graph, along the graph
+    # step's 50-step trajectory: the complex-step gradient of the plain
+    # numpy objective and the graph's gradient agree to rounding
+    G, config, p, lam, stacks = _fused_case(algorithm, dual_mode)
+    preset, bound, theta = solvers.PRESETS[algorithm], config.loss_bound, \
+        p.theta.copy()
+    for step, (X, y) in zip(range(50), stacks):
+        ce_terms, pairs = _step_terms(preset, lam, X, y, G,
+                                      np.random.default_rng([2, step]))
+        graph = np.concatenate([g.ravel() for g in ad.gradient(
+            lambda *nodes: _graph_objective(
+                p.arch, list(zip(nodes[::2], nodes[1::2])), ce_terms, pairs,
+                lam, bound)[0],
+            [a for layer in p.arch.unflatten(theta) for a in layer])])
+        exact = oracles.complex_step_gradient(
+            lambda t: oracles.step_objective(
+                oracles.unflatten(p.arch.layer_sizes, t), ce_terms, pairs,
+                lam, bound), theta)
+        assert np.max(np.abs(exact - graph)) <= 1e-13
+        theta -= config.eta_primal * graph
 
 
 def _per_term_objective(arch, plan, ce_rows, pairs, lam, bound):
@@ -628,7 +681,7 @@ def test_partial_trace_is_exact():
                       NaNAfter(datagen.concept_shift_transform(spec), k))
     assert str(exc.value).startswith(f"step {k}: ")
     trace = exc.value.trace
-    assert trace.steps == list(range(k)) and len(trace.lam) == k
+    assert len(trace.losses) == len(trace.lam) == k
     lines = trace.to_csv().splitlines()
     assert lines[0] == "step,loss,lambda,gamma,distreg"
     assert len(lines) == k + 1
@@ -713,7 +766,7 @@ def test_trace_csv_header_and_shape():
 
 def test_trace_csv_round_trips_floats_at_full_precision():
     trace = solvers.TrainTrace(env_ids=["e"], gamma=0.025)
-    trace.append(0, 1.0 / 3.0, np.array([0.1]), np.array([2.0 / 7.0]))
+    trace.append(1.0 / 3.0, np.array([0.1]), np.array([2.0 / 7.0]))
     row = trace.to_csv().splitlines()[1].split(",")
     assert float(row[1]) == 1.0 / 3.0
     assert float(row[4]) == 2.0 / 7.0
