@@ -1,12 +1,14 @@
-"""Minimal dense reverse-mode differentiation, the tests' gradient oracle.
+"""Minimal dense reverse-mode differentiation.
 
 Only the primitive set needed by this project is implemented (add, mul,
 matmul, exp, log, max, tanh and reductions).  Values are float64
 numpy arrays; every primitive checks its output for NaN/Inf and raises
 instead of propagating.  `gradient` differentiates a scalar function of
-a list of arrays through the graph, and `finite_diff_gradient` a scalar
-function of a flat array by central differences.  The package's
-parameters are a flat array, unflattened by `predictors.Architecture`.
+a list of arrays through the graph.  Training does not use the graph,
+and the tests check the training gradient against a complex-step
+oracle of their own; the engine and the graph forms of the losses stay
+only while perfbench's tracer wraps `backward`, `log_probs_graph`,
+`cross_entropy_graph` and `dist_reg_graph` by name (ROADMAP item 10).
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def backward(output: Node) -> dict:
     return grads
 
 
-# -- the tests' gradient oracles --------------------------------------------
+# -- gradient of a graph function ------------------------------------------
 
 def gradient(f, arrays) -> list:
     """Exact reverse-mode gradient of the scalar Node function `f`.
@@ -235,25 +237,3 @@ def gradient(f, arrays) -> list:
     grads = backward(f(*nodes))
     return [grads.get(id(node), np.zeros(node.shape)) for node in nodes]
 
-
-def finite_diff_gradient(f, theta: np.ndarray,
-                         h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the flat
-    array theta.
-
-    Independent of the reverse-mode path; used as its oracle.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    base = np.asarray(theta, dtype=np.float64)
-    grad = np.empty_like(base)
-    for i in range(base.size):
-        plus = base.copy()
-        minus = base.copy()
-        plus[i] += h
-        minus[i] -= h
-        fp, fm = f(plus), f(minus)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFiniteError("non-finite function value in difference")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad

@@ -9,9 +9,9 @@ row by row.  `dist_reg` is the one numpy form of the constraint: it
 draws the codes and returns the per-row distances, whose mean is L on
 the sample; the caller passes in the clean predictions.
 Training takes distReg and its gradient from one `dist_reg_vjp` pass
-over the step's softmax rows of every pair its preset names; the graph
-form `dist_reg_graph`, a function of each layer's (W, b) Nodes, is the
-tests' oracle for that gradient.
+over the step's softmax rows of every pair its preset names.  The graph
+form `dist_reg_graph`, a function of each layer's (W, b) Nodes, stays
+only while perfbench's tracer wraps it (ROADMAP item 10).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ without numpy's per-row cost, and the bias gradients' sums over rows go
 through `row_sum`, without numpy's axis-0 cost.
 The loss is cross-entropy clamped into [0, bound], where bound is the
 solver's `loss_bound`.  The graph-building `log_probs_graph` and
-`cross_entropy_graph` give the same quantities through `autodiff` and
-serve as the tests' gradient oracle.
+`cross_entropy_graph` give the same quantities through `autodiff`; they
+stay only while perfbench's tracer wraps them (ROADMAP item 10).
 """
 
 from __future__ import annotations

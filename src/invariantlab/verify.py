@@ -84,15 +84,20 @@ def _require_finite_margin(gamma: float) -> None:
         raise ValueError(f"margin gamma must be finite, got {gamma}")
 
 
-def solve_primal_grid(spec: ConstrainedProblemSpec, gamma: float):
-    """Exhaustive min of R over the feasible set {L_e <= gamma for all e}."""
+def _primal_argmin(spec: ConstrainedProblemSpec, gamma: float) -> int:
+    """The first grid row with the least R over the feasible set
+    {L_e <= gamma for all e}."""
     _require_finite_margin(gamma)
     feasible = np.all(spec.L <= gamma, axis=1)
     if not np.any(feasible):
         raise InfeasibleError(
             f"no grid point is feasible at margin {gamma}")
-    masked = np.where(feasible, spec.R, np.inf)
-    idx = int(np.argmin(masked))
+    return int(np.argmin(np.where(feasible, spec.R, np.inf)))
+
+
+def solve_primal_grid(spec: ConstrainedProblemSpec, gamma: float):
+    """Exhaustive min of R over the feasible set {L_e <= gamma for all e}."""
+    idx = _primal_argmin(spec, gamma)
     return float(spec.R[idx]), spec.thetas[idx]
 
 
@@ -425,9 +430,8 @@ def complementary_slackness_check(spec: ConstrainedProblemSpec,
                                   gamma: float) -> SlacknessReport:
     """|sum_e lambda(e) * (L_e(theta) - gamma)| at the grid saddle point;
     `ok` when it is at most 1e-3."""
-    _, theta = solve_primal_grid(spec, gamma)
+    idx = _primal_argmin(spec, gamma)
     _, lam = solve_dual(spec, gamma)
-    idx = int(np.argmin(np.abs(spec.thetas - theta).sum(axis=1)))
     residual = float(abs(np.dot(lam, spec.L[idx] - gamma)))
     return SlacknessReport(residual, lam, residual <= 1e-3)
 

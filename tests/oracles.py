@@ -1,4 +1,5 @@
-"""A complex-step oracle for the gradient of the training objective.
+"""The tests' gradient oracles: a complex-step oracle for the gradient of
+the training objective, and central finite differences.
 
 The step objective is written again here in plain numpy for complex
 input: a tanh MLP forward, log-softmax, the mean cross-entropy clamped
@@ -9,14 +10,15 @@ products.  For f real on real input, Im f(theta + i h e_k) / h is
 df/dtheta_k up to O(h**2) with no subtraction to cancel, so at
 h = 1e-30 the gradient is exact to rounding.
 
-Every function here maps a stack of parameter vectors, theta of shape
-(k, n_params), to a stack of k values, so that one call evaluates every
-perturbed theta at once.
+Every function of the objective here maps a stack of parameter vectors,
+theta of shape (k, n_params), to a stack of k values, so that one call
+evaluates every perturbed theta at once.
 """
 
 import numpy as np
 
 from invariantlab.constraints import SMOOTHING
+from invariantlab.predictors import NonFiniteError
 
 
 def unflatten(sizes, theta):
@@ -65,16 +67,23 @@ def kl(logp, logq, bound):
     return np.where(raw.real <= bound, raw, bound).mean(axis=-1)
 
 
-def step_objective(params, ce_terms, pairs, lam, bound):
-    """The primal step's objective: the clamped CE of each (X, y) of
-    `ce_terms`, plus lam[k] / len(pairs) times the clamped KL of pair k,
-    a pair (Xa, Xb) whose first side is the KL reference."""
+def step_terms(params, ce_terms, pairs, bound):
+    """The primal step's terms: (the sum of the clamped CE of each (X, y)
+    of `ce_terms`, the clamped KL of each pair (Xa, Xb) of `pairs`, whose
+    first side is the KL reference)."""
     def logp(X):
         return log_softmax(forward(params, X))
 
-    total = sum(cross_entropy(logp(X), y, bound) for X, y in ce_terms)
-    for lam_k, (Xa, Xb) in zip(lam, pairs):
-        total = total + lam_k / len(pairs) * kl(logp(Xa), logp(Xb), bound)
+    loss = sum(cross_entropy(logp(X), y, bound) for X, y in ce_terms)
+    return loss, [kl(logp(Xa), logp(Xb), bound) for Xa, Xb in pairs]
+
+
+def step_objective(params, ce_terms, pairs, lam, bound):
+    """The primal step's objective: the CE sum of `step_terms` plus
+    lam[k] / len(pairs) times the KL of pair k."""
+    total, kls = step_terms(params, ce_terms, pairs, bound)
+    for lam_k, kl_k in zip(lam, kls):
+        total = total + lam_k / len(pairs) * kl_k
     return total
 
 
@@ -83,3 +92,22 @@ def complex_step_gradient(f, theta, h=1e-30):
     e_k) / h for every k, from one call of f on the stack of the
     perturbed thetas."""
     return f(theta + 1j * h * np.eye(theta.size)).imag / h
+
+
+def finite_diff_gradient(f, theta, h=1e-4):
+    """Central-difference gradient of a scalar function of the flat
+    array theta, one pair of calls of f per entry."""
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    base = np.asarray(theta, dtype=np.float64)
+    grad = np.empty_like(base)
+    for i in range(base.size):
+        plus = base.copy()
+        minus = base.copy()
+        plus[i] += h
+        minus[i] -= h
+        fp, fm = f(plus), f(minus)
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NonFiniteError("non-finite function value in difference")
+        grad[i] = (fp - fm) / (2.0 * h)
+    return grad

@@ -173,15 +173,15 @@ def test_graph_gradient_matches_finite_differences():
         return con.dist_reg_graph(p.arch, params, X, Xt, BOUND)
 
     exact = _graph_gradient(build, p)
-    approx = ad.finite_diff_gradient(
+    approx = oracles.finite_diff_gradient(
         lambda t: _graph_value(build, p.arch, t), p.theta)
     denom = np.maximum(np.abs(exact), 1e-6)
     assert np.max(np.abs(exact - approx) / denom) <= 1e-4
 
 
 def _clamp_case(kind):
-    """The clamp check's (predictor, X, Xt, labels y, bound, graph form
-    build(params) of the clamped term).
+    """The clamp check's (predictor, X, Xt, labels y, bound, the oracle's
+    CE terms and pairs of the clamped term).
 
     The bound sits at the median per-row loss of the clamped term (KL of
     the pair X, Xt, or CE of X against y), so half its rows clamp and
@@ -195,52 +195,44 @@ def _clamp_case(kind):
         raw = con.dist_reg(p, X, _onto(Xt), np.random.default_rng(0), 1e9,
                            pred.predict_batch(p, X))
         bound = float(np.median(raw[:-2]))
-
-        def build(params):
-            return con.dist_reg_graph(p.arch, params, X, Xt, bound)
+        ce_terms, pairs = [], [(X, Xt)]
     else:
         logp = np.log(pred.predict_batch(p, X))
         bound = float(np.median(-logp[np.arange(len(X)), y]))
-
-        def build(params):
-            return pred.cross_entropy_graph(
-                pred.log_probs_graph(p.arch, params, X), y, bound)
-    return p, X, Xt, y, bound, build
+        ce_terms, pairs = [(X, y)], []
+    return p, X, Xt, y, bound, ce_terms, pairs
 
 
 @pytest.mark.parametrize("kind", ["kl", "ce"])
-def test_closed_form_gradient_matches_graph_at_the_clamp(kind):
-    p, X, Xt, y, bound, build = _clamp_case(kind)
+def test_closed_form_gradient_matches_complex_step_oracle_at_the_clamp(kind):
+    p, X, Xt, y, bound, ce_terms, pairs = _clamp_case(kind)
     n = len(X)
     if kind == "kl":
-        ce_rows, pairs = [], [(slice(0, n), slice(n, 2 * n))]
+        ce_rows, pair_rows = [], [(slice(0, n), slice(n, 2 * n))]
     else:
-        ce_rows, pairs = [slice(0, n)], []
+        ce_rows, pair_rows = [slice(0, n)], []
     # a plan over the stack of X and Xt, holding the term under test
     plan = solvers.StepPlan(solvers.PRESETS["erm"], p, [2 * n])
     plan.X[:] = np.vstack([X, Xt])
     if kind == "ce":
         plan.y[:n] = y
-    plan.set_terms(ce_rows, pairs)
+    plan.set_terms(ce_rows, pair_rows)
     loss, distreg, grad = solvers.objective_gradient(
         plan, [1.0] * len(pairs), bound)
-    exact = _graph_gradient(build, p)
+    exact = oracles.complex_step_gradient(
+        lambda t: oracles.step_objective(
+            oracles.unflatten(p.arch.layer_sizes, t), ce_terms, pairs, [1.0],
+            bound), p.theta)
     assert np.allclose(grad, exact, rtol=1e-10, atol=1e-14)
     assert np.any(grad != 0.0)
-    value = distreg[0] if kind == "kl" else loss
-    assert value == pytest.approx(_graph_value(build, p.arch, p.theta),
-                                  rel=1e-12)
+    ce_o, kl_o = oracles.step_terms(
+        oracles.unflatten(p.arch.layer_sizes, p.theta[None]), ce_terms, pairs,
+        bound)
+    value, value_o = (distreg[0], kl_o[0][0]) if kind == "kl" \
+        else (loss, ce_o[0])
+    assert value == pytest.approx(value_o, rel=1e-12)
     if kind == "kl":
         assert distreg[0] == pytest.approx(_mean_dist_reg(p, X, Xt, bound),
                                            rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["kl", "ce"])
-def test_complex_step_oracle_matches_graph_at_the_clamp(kind):
-    p, X, Xt, y, bound, build = _clamp_case(kind)
-    ce_terms, pairs = ([], [(X, Xt)]) if kind == "kl" else ([(X, y)], [])
-    exact = oracles.complex_step_gradient(
-        lambda t: oracles.step_objective(
-            oracles.unflatten(p.arch.layer_sizes, t), ce_terms, pairs, [1.0],
-            bound), p.theta)
-    assert np.max(np.abs(exact - _graph_gradient(build, p))) <= 1e-13

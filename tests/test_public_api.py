@@ -18,12 +18,9 @@ SRC = ROOT / "src" / "invariantlab"
 
 # kept without a runtime caller, each for the reason given
 ALLOWED = {
-    "autodiff.gradient": "graph engine: the tests' reverse-mode oracle, "
-                         "per input array of a scalar Node function, for "
-                         "the closed-form training gradient",
-    "autodiff.finite_diff_gradient": "oracle: criterion 8 checks every "
-                                     "gradient of a flat theta against "
-                                     "finite differences",
+    "autodiff.gradient": "graph engine: stays with the graph forms only "
+                         "while perfbench's tracer wraps them by name "
+                         "(ROADMAP item 10); its own unit tests call it",
     "datagen.load_datasets": "oracle: the reader that checks the datagen "
                              "command's output",
     "solvers.empirical_lagrangian": "the planned per-checkpoint run "

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from invariantlab import autodiff as ad
 from invariantlab import constraints as cons
 from invariantlab import datagen
 from invariantlab import predictors as pred
@@ -306,37 +305,6 @@ def _step_terms(preset, lam, X, y, G, rng):
     return ce_terms, pairs
 
 
-def _graph_objective(arch, params, ce_terms, pairs, lam, bound):
-    """The step objective as a graph over each layer's (W, b) Nodes in
-    `params`, one forward per batch; returns (objective, CE sum, distReg
-    node per pair)."""
-    terms = [pred.cross_entropy_graph(
-        pred.log_probs_graph(arch, params, Xa), ya, bound)
-        for Xa, ya in ce_terms]
-    loss = sum(terms[1:], terms[0])
-    nodes = [cons.dist_reg_graph(arch, params, Xa, Xb, bound)
-             for Xa, Xb in pairs]
-    total = loss
-    for lam_e, node in zip(lam, nodes):
-        total = total + (float(lam_e) * (1.0 / len(nodes))) * node
-    return total, loss, nodes
-
-
-def _graph_step(p, lam, X, y, G, config, rng):
-    """The step built as an autodiff graph on `_step_terms`' draws;
-    returns (new parameters, loss, distReg)."""
-    ce_terms, pairs = _step_terms(solvers.PRESETS[config.algorithm], lam,
-                                  X, y, G, rng)
-    params = [(ad.Node(W), ad.Node(b)) for W, b in p.arch.unflatten(p.theta)]
-    total, loss, nodes = _graph_objective(p.arch, params, ce_terms, pairs,
-                                          lam, config.loss_bound)
-    grads = ad.backward(total)
-    new = np.concatenate(
-        [(node.value - config.eta_primal * grads[id(node)]).ravel()
-         for layer in params for node in layer])
-    return new, float(loss.value), np.array([float(n.value) for n in nodes])
-
-
 def _rel_err(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b))
                  / max(np.linalg.norm(np.asarray(b)), 1e-300))
@@ -372,51 +340,31 @@ def _fused_case(algorithm, dual_mode):
 @pytest.mark.parametrize("dual_mode", ["single", "per-env"],
                          ids=lambda m: f"{m}-kl-tanh")
 @pytest.mark.parametrize("algorithm", solvers.PRESETS)
-def test_fused_step_matches_autodiff_graph(algorithm, dual_mode):
+def test_fused_step_matches_complex_step_oracle(algorithm, dual_mode):
     # the same parameters, lambda > 0, batches and draws: the closed-form
-    # step and the graph step agree over a 50-step trajectory
+    # step agrees with theta - eta * the complex-step gradient of the
+    # oracle's objective over a 50-step trajectory
     G, config, p, lam, stacks = _fused_case(algorithm, dual_mode)
-    plan = solvers.StepPlan(solvers.PRESETS[algorithm], p,
-                            [config.batch_size] * lam.size)
+    preset, bound = solvers.PRESETS[algorithm], config.loss_bound
+    plan = solvers.StepPlan(preset, p, [config.batch_size] * lam.size)
     for step, (X, y) in zip(range(50), stacks):
+        old = plan.theta.copy()
         m = len(plan.y) - plan.n_clean
         codes = G.sample_codes(m, np.random.default_rng([2, step]))
         loss, distreg = solvers.primal_step(plan, lam, X, y, G, codes, config)
-        new, loss_g, distreg_g = _graph_step(
-            p, lam, X, y, G, config, np.random.default_rng([2, step]))
-        old = p.theta
-        assert _rel_err(plan.theta - old, new - old) <= 1e-10
-        assert _rel_err(loss, loss_g) <= 1e-10
-        if distreg_g.size:
-            assert _rel_err(distreg, distreg_g) <= 1e-10
-        p = pred.Predictor(p.arch, plan.theta.copy())
-
-
-@pytest.mark.parametrize("dual_mode", ["single", "per-env"],
-                         ids=lambda m: f"{m}-kl-tanh")
-@pytest.mark.parametrize("algorithm", solvers.PRESETS)
-def test_complex_step_oracle_matches_graph_on_the_fused_cases(
-        algorithm, dual_mode):
-    # the cases of test_fused_step_matches_autodiff_graph, along the graph
-    # step's 50-step trajectory: the complex-step gradient of the plain
-    # numpy objective and the graph's gradient agree to rounding
-    G, config, p, lam, stacks = _fused_case(algorithm, dual_mode)
-    preset, bound, theta = solvers.PRESETS[algorithm], config.loss_bound, \
-        p.theta.copy()
-    for step, (X, y) in zip(range(50), stacks):
         ce_terms, pairs = _step_terms(preset, lam, X, y, G,
                                       np.random.default_rng([2, step]))
-        graph = np.concatenate([g.ravel() for g in ad.gradient(
-            lambda *nodes: _graph_objective(
-                p.arch, list(zip(nodes[::2], nodes[1::2])), ce_terms, pairs,
-                lam, bound)[0],
-            [a for layer in p.arch.unflatten(theta) for a in layer])])
         exact = oracles.complex_step_gradient(
             lambda t: oracles.step_objective(
                 oracles.unflatten(p.arch.layer_sizes, t), ce_terms, pairs,
-                lam, bound), theta)
-        assert np.max(np.abs(exact - graph)) <= 1e-13
-        theta -= config.eta_primal * graph
+                lam, bound), old)
+        loss_o, distreg_o = oracles.step_terms(
+            oracles.unflatten(p.arch.layer_sizes, old[None]), ce_terms,
+            pairs, bound)
+        assert _rel_err(plan.theta - old, -config.eta_primal * exact) <= 1e-10
+        assert _rel_err(loss, loss_o[0]) <= 1e-10
+        if pairs:
+            assert _rel_err(distreg, np.concatenate(distreg_o)) <= 1e-10
 
 
 def _per_term_objective(arch, plan, ce_rows, pairs, lam, bound):

@@ -389,6 +389,17 @@ def test_complementary_slackness_inactive_constraint():
     assert rep.lam_witness[0] == 0.0
 
 
+def test_complementary_slackness_reads_the_optimum_among_rows_sharing_theta():
+    # rows 0 and 1 share theta; the primal optimum is row 1, where the
+    # constraint is active, not row 0, the first row with that theta
+    spec = verify.ConstrainedProblemSpec(
+        [[0.0], [0.0], [1.0]], [0.0, 0.5, 2.0], [[2.0], [0.5], [0.0]])
+    rep = verify.complementary_slackness_check(spec, 0.5)
+    assert rep.lam_witness[0] == pytest.approx(5.0 / 3.0)
+    assert rep.residual == 0.0
+    assert rep.ok
+
+
 def test_theorem2_schedule_reaches_prescribed_accuracy():
     rep = verify.theorem2_schedule_check(_square_instance(), kappa=0.2,
                                          eta=0.1, B=2.0)
