@@ -3,9 +3,9 @@
 Only the primitive set needed by this project is implemented (add, mul,
 matmul, exp, log, max, tanh and reductions).  Values are float64
 numpy arrays; every primitive checks its output for NaN/Inf and raises
-instead of propagating.  `gradient` differentiates a scalar function of
-a list of arrays through the graph.  Training does not use the graph,
-and the tests check the training gradient against a complex-step
+instead of propagating.  `backward` gives the gradient of a scalar node
+with respect to every node it depends on.  Training does not use the
+graph, and the tests check the training gradient against a complex-step
 oracle of their own; the engine and the graph forms of the losses stay
 only while perfbench's tracer wraps `backward`, `log_probs_graph`,
 `cross_entropy_graph` and `dist_reg_graph` by name (ROADMAP item 10).
@@ -223,17 +223,4 @@ def backward(output: Node) -> dict:
             else:
                 grads[key] = contrib
     return grads
-
-
-# -- gradient of a graph function ------------------------------------------
-
-def gradient(f, arrays) -> list:
-    """Exact reverse-mode gradient of the scalar Node function `f`.
-
-    `f` takes one Node per array of `arrays`; the result holds one
-    gradient per array, zeros for an array `f` does not use.
-    """
-    nodes = [Node(a) for a in arrays]
-    grads = backward(f(*nodes))
-    return [grads.get(id(node), np.zeros(node.shape)) for node in nodes]
 

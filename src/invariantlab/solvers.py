@@ -114,7 +114,9 @@ class SolverConfig:
 
 @dataclass
 class TrainTrace:
-    env_ids: list
+    # the environments with their own lambda_ and distreg_ columns: each
+    # training environment under a dual vector, none under one lambda
+    env_columns: list
     losses: list = field(default_factory=list)
     lam: list = field(default_factory=list)  # arrays, one per step
     distreg: list = field(default_factory=list)
@@ -127,7 +129,7 @@ class TrainTrace:
         self.distreg.append(distreg)
 
     def to_csv(self) -> str:
-        envs = self.env_ids if self.lam and self.lam[0].size > 1 else []
+        envs = self.env_columns
         text = ",".join(["step", "loss", "lambda",
                          *(f"lambda_{e}" for e in envs), "gamma", "distreg",
                          *(f"distreg_{e}" for e in envs)]) + "\n"
@@ -349,7 +351,6 @@ def train(config: SolverConfig, datasets, G):
     if not datasets:
         raise ValueError("need at least one training environment")
     preset = PRESETS[config.algorithm]
-    env_ids = [d.env for d in datasets]
 
     input_dim = datasets[0].X.shape[1]
     arch = pred.Architecture((input_dim, config.hidden,
@@ -369,7 +370,9 @@ def train(config: SolverConfig, datasets, G):
     ends = np.cumsum([0] + [len(d) for d in datasets])[:, None]
     lo, hi = (ends[:-1], ends[1:]) if per_env else (ends[:1], ends[-1:])
 
-    trace = TrainTrace(env_ids=env_ids, gamma=config.gamma)
+    trace = TrainTrace(
+        env_columns=[d.env for d in datasets] if lam.size > 1 else [],
+        gamma=config.gamma)
     plan = StepPlan(preset, pred.init_predictor(arch, config.seed),
                     [config.batch_size] * len(lo))
     m = len(plan.y) - plan.n_clean  # drawn rows per step

@@ -69,10 +69,17 @@ class ConstrainedProblemSpec:
 
 @dataclass(frozen=True)
 class GapReport:
+    """The saddle point at one margin: P*, D*, their gap, the dual
+    witness `lam`, and the complementary-slackness residual
+    |lam . (L(theta*) - gamma)| at the primal optimum theta*, which is
+    inf when no grid point is feasible."""
+
     P_star: float
     D_star: float
     gap: float
     feasible: bool
+    lam: np.ndarray
+    residual: float
 
 
 # -- enumeration solvers ------------------------------------------------------
@@ -84,21 +91,15 @@ def _require_finite_margin(gamma: float) -> None:
         raise ValueError(f"margin gamma must be finite, got {gamma}")
 
 
-def _primal_argmin(spec: ConstrainedProblemSpec, gamma: float) -> int:
-    """The first grid row with the least R over the feasible set
-    {L_e <= gamma for all e}."""
+def solve_primal_grid(spec: ConstrainedProblemSpec, gamma: float) -> int:
+    """The primal optimum's grid row, by enumeration: the first row with
+    the least R over the feasible set {L_e <= gamma for all e}."""
     _require_finite_margin(gamma)
     feasible = np.all(spec.L <= gamma, axis=1)
     if not np.any(feasible):
         raise InfeasibleError(
             f"no grid point is feasible at margin {gamma}")
     return int(np.argmin(np.where(feasible, spec.R, np.inf)))
-
-
-def solve_primal_grid(spec: ConstrainedProblemSpec, gamma: float):
-    """Exhaustive min of R over the feasible set {L_e <= gamma for all e}."""
-    idx = _primal_argmin(spec, gamma)
-    return float(spec.R[idx]), spec.thetas[idx]
 
 
 def solve_dual(spec: ConstrainedProblemSpec, gamma: float):
@@ -256,12 +257,16 @@ def _cartesian_power(grid: np.ndarray, n: int) -> np.ndarray:
 
 
 def gap_report(spec: ConstrainedProblemSpec, gamma: float) -> GapReport:
+    """One dual and one primal solve at margin gamma."""
+    D, lam = solve_dual(spec, gamma)
+    D = float(D)
     try:
-        P, feasible = solve_primal_grid(spec, gamma)[0], True
+        row = solve_primal_grid(spec, gamma)
     except InfeasibleError:
-        P, feasible = np.inf, False
-    D, _ = solve_dual(spec, gamma)
-    return GapReport(float(P), float(D), float(P - D), feasible)
+        return GapReport(np.inf, D, np.inf - D, False, lam, np.inf)
+    P = float(spec.R[row])
+    residual = float(abs(np.dot(lam, spec.L[row] - gamma)))
+    return GapReport(P, D, P - D, True, lam, residual)
 
 
 # -- perturbation and sandwich ------------------------------------------------
@@ -278,7 +283,7 @@ def perturbation_curve(spec: ConstrainedProblemSpec, gammas) -> list:
     gammas = list(gammas)
     if any(g < 0 for g in gammas) or gammas != sorted(gammas):
         raise ValueError("margins must be sorted ascending and >= 0")
-    values = [solve_primal_grid(spec, g)[0] for g in gammas]
+    values = [float(spec.R[solve_primal_grid(spec, g)]) for g in gammas]
     for a, b in zip(values, values[1:]):
         if b > a + 1e-12:
             raise VerificationError("perturbation curve increased in gamma")
@@ -325,14 +330,14 @@ def parameterization_sandwich(spec_fine: ConstrainedProblemSpec,
     (unasserted) upper gap D_coarse - P_fine.
     """
     _require_subgrid(spec_coarse, spec_fine)
-    P, _ = solve_primal_grid(spec_fine, gamma)
+    P = float(spec_fine.R[solve_primal_grid(spec_fine, gamma)])
     D, _ = solve_dual(spec_coarse, gamma)
     # a coarse mixture's parameters may fall between fine grid points;
     # allow the objective's variation between neighbours
     if D < P - _grid_slack(spec_fine) - 1e-9:
         raise VerificationError(
             f"coarse dual {D} fell below the fine primal {P}")
-    return SandwichReport(float(P), float(D), float(D - P))
+    return SandwichReport(P, float(D), float(D - P))
 
 
 def _require_subgrid(coarse, fine):
@@ -420,23 +425,6 @@ def empirical_gap_experiment(pop: EmpiricalPopulation, n_list, trials: int,
 # -- saddle-point checks ------------------------------------------------------
 
 @dataclass(frozen=True)
-class SlacknessReport:
-    residual: float
-    lam_witness: np.ndarray
-    ok: bool
-
-
-def complementary_slackness_check(spec: ConstrainedProblemSpec,
-                                  gamma: float) -> SlacknessReport:
-    """|sum_e lambda(e) * (L_e(theta) - gamma)| at the grid saddle point;
-    `ok` when it is at most 1e-3."""
-    idx = _primal_argmin(spec, gamma)
-    _, lam = solve_dual(spec, gamma)
-    residual = float(abs(np.dot(lam, spec.L[idx] - gamma)))
-    return SlacknessReport(residual, lam, residual <= 1e-3)
-
-
-@dataclass(frozen=True)
 class ScheduleReport:
     gap: float
     T: int
@@ -468,7 +456,7 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
     if eta > bound + 1e-15:
         raise ValueError(
             f"dual step {eta} exceeds its bound {bound}")
-    P_star, _ = solve_primal_grid(spec, spec.gamma)
+    P_star = float(spec.R[solve_primal_grid(spec, spec.gamma)])
     T = int(np.ceil(1.0 / (2.0 * (eta or 1e-3) * kappa))) + 1
     lam = np.zeros(spec.n_envs)
     slack = spec.L - spec.gamma
@@ -481,7 +469,7 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
             break
         lam = step
     lagrangian = float(spec.R[idx] + np.dot(lam, slack[idx]))
-    return ScheduleReport(abs(P_star - lagrangian), T, float(P_star), lam)
+    return ScheduleReport(abs(P_star - lagrangian), T, P_star, lam)
 
 
 # -- invariance measurement ---------------------------------------------------

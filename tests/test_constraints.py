@@ -150,10 +150,10 @@ def _graph_value(build, arch, theta):
 
 def _graph_gradient(build, p):
     """The flat gradient of build(params) at p's theta."""
-    arrays = [a for layer in p.arch.unflatten(p.theta) for a in layer]
-    grads = ad.gradient(
-        lambda *nodes: build(list(zip(nodes[::2], nodes[1::2]))), arrays)
-    return np.concatenate([g.ravel() for g in grads])
+    params = _graph_params(p.arch, p.theta)
+    grads = ad.backward(build(params))
+    return np.concatenate([grads[id(node)].ravel()
+                           for layer in params for node in layer])
 
 
 def test_graph_value_matches_numpy():

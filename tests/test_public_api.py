@@ -6,10 +6,13 @@ constant (perfbench's tracer wraps functions by their names as strings)
 refers to it somewhere in `src/` or in `perfbench/*.py`, outside its own
 definition.  Matching is
 by name only, so dead code that shares its name with a used identifier
-passes.
+passes.  Every name the tracer wraps must also still resolve.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -18,9 +21,6 @@ SRC = ROOT / "src" / "invariantlab"
 
 # kept without a runtime caller, each for the reason given
 ALLOWED = {
-    "autodiff.gradient": "graph engine: stays with the graph forms only "
-                         "while perfbench's tracer wraps them by name "
-                         "(ROADMAP item 10); its own unit tests call it",
     "datagen.load_datasets": "oracle: the reader that checks the datagen "
                              "command's output",
     "solvers.empirical_lagrangian": "the planned per-checkpoint run "
@@ -84,3 +84,26 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(missing - set(ALLOWED)) == []
     # an entry whose name is gone or has gained a caller is stale
     assert sorted(set(ALLOWED) - missing) == []
+
+
+def _perfbench_tracer(monkeypatch):
+    """perfbench's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_perfbench_tracer_wraps_resolves(monkeypatch):
+    # the tracer wraps these by name, so a deletion in src/ would break
+    # `perfbench/run.py --trace 1` and nothing else would notice
+    wrapped = [(module, attr) for module, attr, *_
+               in _perfbench_tracer(monkeypatch).WRAPPED]
+    for module, attr in wrapped + [("solvers", "TrainTrace.append")]:
+        obj = importlib.import_module(f"invariantlab.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}.{attr}"

@@ -639,6 +639,19 @@ def test_partial_trace_is_exact():
         assert np.all(np.isfinite(values))
 
 
+def test_per_env_trace_that_fails_at_its_first_step_has_env_columns():
+    # the columns follow the dual vector, so a trace with no rows has them
+    spec, data = _concept(n=200)
+    config = _small_config(algorithm="mbdg", dual_mode="per-env", steps=10)
+    with pytest.raises(solvers.TrainingFailure) as exc:
+        solvers.train(config, data,
+                      NaNAfter(datagen.concept_shift_transform(spec), 0))
+    envs = [d.env for d in data]
+    assert exc.value.trace.to_csv().splitlines() == [",".join([
+        "step", "loss", "lambda", *(f"lambda_{e}" for e in envs), "gamma",
+        "distreg", *(f"distreg_{e}" for e in envs)])]
+
+
 @pytest.mark.parametrize("dual_mode", ["single", "per-env"])
 @pytest.mark.parametrize("algorithm", solvers.PRESETS)
 def test_steps_that_plan_for_themselves_match_train(algorithm, dual_mode):
@@ -713,7 +726,7 @@ def test_trace_csv_header_and_shape():
 
 
 def test_trace_csv_round_trips_floats_at_full_precision():
-    trace = solvers.TrainTrace(env_ids=["e"], gamma=0.025)
+    trace = solvers.TrainTrace(env_columns=[], gamma=0.025)
     trace.append(1.0 / 3.0, np.array([0.1]), np.array([2.0 / 7.0]))
     row = trace.to_csv().splitlines()[1].split(",")
     assert float(row[1]) == 1.0 / 3.0

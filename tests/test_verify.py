@@ -44,16 +44,25 @@ def test_solvers_reject_a_non_finite_margin(gamma):
 def test_primal_grid_on_square_instance():
     # min theta^2 s.t. 0.5 - theta <= 0.1 has optimum 0.16 at theta = 0.4
     spec = _square_instance()
-    P, theta = verify.solve_primal_grid(spec, 0.1)
-    assert P == pytest.approx(0.16, abs=1e-9)
-    assert theta[0] == pytest.approx(0.4, abs=1e-9)
+    row = verify.solve_primal_grid(spec, 0.1)
+    assert type(row) is int
+    assert spec.R[row] == pytest.approx(0.16, abs=1e-9)
+    assert spec.thetas[row, 0] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_primal_grid_vacuous_margin_ignores_constraint():
     spec = _square_instance()
-    P, theta = verify.solve_primal_grid(spec, 10.0)
-    assert P == pytest.approx(0.0, abs=1e-12)
-    assert theta[0] == pytest.approx(0.0, abs=1e-9)
+    row = verify.solve_primal_grid(spec, 10.0)
+    assert spec.R[row] == pytest.approx(0.0, abs=1e-12)
+    assert spec.thetas[row, 0] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_primal_grid_returns_the_first_of_tied_rows():
+    # rows 1 and 3 tie on the least feasible R; row 0 is cheaper but
+    # infeasible
+    spec = verify.ConstrainedProblemSpec(
+        np.zeros((4, 1)), [0.0, 1.0, 2.0, 1.0], [[1.0], [0.0], [0.0], [0.0]])
+    assert verify.solve_primal_grid(spec, 0.5) == 1
 
 
 def test_primal_grid_infeasible_raises():
@@ -82,6 +91,19 @@ def test_gap_report_square_instance_near_zero_gap():
     assert rep.feasible
     assert rep.gap == pytest.approx(0.0, abs=1e-6)
     assert rep.gap >= -1e-9
+
+
+def test_gap_report_on_an_infeasible_grid_with_a_feasible_mixture():
+    # each row breaks one constraint, but their even mix meets both, so
+    # the dual and its witness are finite while the primal is not
+    spec = verify.ConstrainedProblemSpec(
+        np.zeros((2, 1)), [1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]], 0.5)
+    rep = verify.gap_report(spec, spec.gamma)
+    assert rep.feasible is False
+    assert rep.P_star == rep.gap == rep.residual == np.inf
+    D, lam = verify.solve_dual(spec, spec.gamma)
+    assert rep.D_star == D == 1.5
+    assert np.array_equal(rep.lam, lam) and np.all(np.isfinite(lam))
 
 
 def test_weak_duality_holds_on_random_problems():
@@ -133,7 +155,7 @@ def test_exact_dual_matches_grid_oracle_on_random_specs():
         spec = verify.random_spec(rng, n_grid, n_envs,
                                   gamma=float(rng.uniform(0.2, 1.2)))
         D, _ = _check_against_oracle(spec)
-        assert D <= verify.solve_primal_grid(spec, spec.gamma)[0] + 1e-12
+        assert D <= spec.R[verify.solve_primal_grid(spec, spec.gamma)] + 1e-12
 
 
 @pytest.mark.parametrize("n_envs", [1, 2, 3])
@@ -156,8 +178,7 @@ def test_exact_dual_degenerate_specs(n_envs, case):
     spec = verify.ConstrainedProblemSpec(
         rng.uniform(-1, 1, (16, 1)), R, L, gamma)
     D, _ = _check_against_oracle(spec)
-    P, _ = verify.solve_primal_grid(spec, gamma)
-    assert D <= P + 1e-12
+    assert D <= spec.R[verify.solve_primal_grid(spec, gamma)] + 1e-12
     if case in ("zero-slack", "tiny-negative-slack"):
         assert D == pytest.approx(R[0], abs=1e-12)
 
@@ -176,8 +197,8 @@ def test_exact_dual_of_infeasible_mixtures_is_infinite():
     D, _ = verify.solve_dual(spec, spec.gamma)
     assert D == np.inf
     rep = verify.gap_report(spec, spec.gamma)
-    assert not rep.feasible
-    assert rep.D_star == np.inf
+    assert rep.feasible is False
+    assert rep.D_star == rep.residual == np.inf
 
 
 def test_exact_dual_square_instance_witness():
@@ -376,17 +397,16 @@ def test_zero_variance_population_cannot_show_decay():
 # -- saddle point checks -------------------------------------------------------------
 
 def test_complementary_slackness_active_constraint():
-    rep = verify.complementary_slackness_check(_square_instance(), 0.1)
-    assert rep.ok
+    rep = verify.gap_report(_square_instance(), 0.1)
     assert rep.residual <= 1e-3
-    assert rep.lam_witness[0] == pytest.approx(0.8, abs=1e-9)
+    assert rep.lam[0] == pytest.approx(0.8, abs=1e-9)
 
 
 def test_complementary_slackness_inactive_constraint():
     # at a vacuous margin the optimal dual weight is zero exactly
-    rep = verify.complementary_slackness_check(_square_instance(), 2.0)
+    rep = verify.gap_report(_square_instance(), 2.0)
     assert rep.residual == 0.0
-    assert rep.lam_witness[0] == 0.0
+    assert rep.lam[0] == 0.0
 
 
 def test_complementary_slackness_reads_the_optimum_among_rows_sharing_theta():
@@ -394,10 +414,10 @@ def test_complementary_slackness_reads_the_optimum_among_rows_sharing_theta():
     # constraint is active, not row 0, the first row with that theta
     spec = verify.ConstrainedProblemSpec(
         [[0.0], [0.0], [1.0]], [0.0, 0.5, 2.0], [[2.0], [0.5], [0.0]])
-    rep = verify.complementary_slackness_check(spec, 0.5)
-    assert rep.lam_witness[0] == pytest.approx(5.0 / 3.0)
+    rep = verify.gap_report(spec, 0.5)
+    assert rep.P_star == 0.5
+    assert rep.lam[0] == pytest.approx(5.0 / 3.0)
     assert rep.residual == 0.0
-    assert rep.ok
 
 
 def test_theorem2_schedule_reaches_prescribed_accuracy():
@@ -445,7 +465,7 @@ def test_theorem2_rejects_invalid_arguments(name, value):
 
 def _schedule_for_all_T_steps(spec, kappa, eta, B):
     """The schedule loop run for all T steps, with no early stop."""
-    P_star, _ = verify.solve_primal_grid(spec, spec.gamma)
+    P_star = float(spec.R[verify.solve_primal_grid(spec, spec.gamma)])
     T = int(np.ceil(1.0 / (2.0 * (eta if eta > 0 else 1e-3) * kappa))) + 1
     lam = np.zeros(spec.n_envs)
     slack = spec.L - spec.gamma
@@ -454,7 +474,7 @@ def _schedule_for_all_T_steps(spec, kappa, eta, B):
         idx = int(np.argmin(spec.R + slack @ lam))
         lam = np.maximum(lam + eta * slack[idx], 0.0)
     lagrangian = float(spec.R[idx] + np.dot(lam, slack[idx]))
-    return abs(P_star - lagrangian), T, float(P_star), lam
+    return abs(P_star - lagrangian), T, P_star, lam
 
 
 def _schedule_cases():

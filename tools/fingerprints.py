@@ -11,8 +11,11 @@ shortcut is most likely to part from numpy.  For each run it prints the
 hashes of `trace.csv`, of `summary.txt` without its `wall_clock_seconds`
 line, and of `predictor.txt`.  It then runs
 `measure-invariance` on each task's mbdg predictor and hashes
-`invariance.csv` and the printed median.  Last it runs the five
-`verify` suites and hashes each one's output lines.
+`invariance.csv` and the printed median.  Then it runs the five
+`verify` suites and hashes each one's output lines.  Last it hashes
+`datagen`'s `datasets.txt` for each task and seed, and `compare`'s
+`comparison.csv` of perfbench's erm and mbdg concept configs for each
+seed.
 
 A refactor that must not change behaviour runs this before and after
 and diffs the two outputs; any differing line names the output that
@@ -116,15 +119,38 @@ def verify_lines():
         yield f"verify/{suite} exit {code} {_sha(stdout.encode())}"
 
 
+def datagen_lines(work: Path):
+    for task, seed in itertools.product(TASKS, SEEDS):
+        label = f"{task}/seed{seed}"
+        out = work / "datagen" / label
+        code, _ = _main(["datagen", "--config",
+                         str(work / f"{task}-single-mbdg.ini"), "--seed",
+                         str(seed), "--out", str(out)])
+        yield f"{label} datagen exit {code}"
+        yield (f"{label} datasets.txt "
+               f"{_sha((out / 'datasets.txt').read_bytes())}")
+
+
+def compare_lines(work: Path):
+    configs = ["--config", str(work / "concept-single-erm.ini"),
+               "--config", str(work / "concept-single-mbdg.ini")]
+    for seed in SEEDS:
+        label = f"concept/seed{seed}"
+        out = work / "compare" / label
+        code, _ = _main(["compare", *configs, "--seed", str(seed),
+                         "--out", str(out)])
+        yield f"{label} compare exit {code}"
+        yield (f"{label} comparison.csv "
+               f"{_sha((out / 'comparison.csv').read_bytes())}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for line in train_lines(work):
+        for line in itertools.chain(
+                train_lines(work), invariance_lines(work), verify_lines(),
+                datagen_lines(work), compare_lines(work)):
             print(line, flush=True)
-        for line in invariance_lines(work):
-            print(line, flush=True)
-    for line in verify_lines():
-        print(line, flush=True)
     return 0
 
 
