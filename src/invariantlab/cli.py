@@ -389,7 +389,8 @@ def default_population() -> verify_mod.EmpiricalPopulation:
     thetas = np.linspace(-1.0, 1.0, 101)
     comp = rng.integers(0, 2, size=n_pop)
     x = np.where(comp == 1, 0.6, -0.2) + 0.8 * rng.standard_normal(n_pop)
-    loss = (thetas[None, :] - x[:, None]) ** 2
+    loss = thetas[None, :] - x[:, None]
+    np.square(loss, out=loss)
     base = np.abs(0.5 - thetas)[None, :, None]
     noise = 0.05 * rng.standard_normal((n_pop, 1, 1))
     return verify_mod.EmpiricalPopulation(

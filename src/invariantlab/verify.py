@@ -9,6 +9,14 @@ curves, parameterization sandwiches, empirical-gap decay and saddle
 points are checked against these exact values.  `measure_g_invariance`
 measures a trained predictor instead: each example's mean
 `constraints.dist_reg` value over several fresh transforms of it.
+
+No n-row temporary is built: a sampled problem's means gather
+MEAN_BLOCK rows at a time, and the one-constraint dual takes its pair
+minimum PAIR_BLOCK rows at a time, bit-identical to the one-shot forms.
+numpy reduces axis 0 of a C-contiguous array row after row, so a mean
+can go on from one block's total to the next; a row of one element is
+summed pairwise instead, so it is gathered whole.  A minimum does not
+depend on the order of its terms.
 """
 
 from __future__ import annotations
@@ -22,6 +30,13 @@ import numpy as np
 
 from . import constraints as cons
 from . import predictors as pred
+
+# rows per block of a sampled mean, and rows with s <= 0 per block of
+# the one-constraint dual's pairs: on the default population and the
+# convex 1-d instance a block is 103 KB and a pair buffer 358 KB, which
+# stay in a core's L2, where the one-shot forms' 5-7 MB copies do not
+MEAN_BLOCK = 128
+PAIR_BLOCK = 32
 
 
 class InfeasibleError(ValueError):
@@ -72,7 +87,9 @@ class GapReport:
     """The saddle point at one margin: P*, D*, their gap, the dual
     witness `lam`, and the complementary-slackness residual
     |lam . (L(theta*) - gamma)| at the primal optimum theta*, which is
-    inf when no grid point is feasible."""
+    inf when no grid point is feasible.  With no feasible grid point
+    P* is inf, and so is the gap, unless no mixture is feasible either:
+    then D* is inf too, the two agree, and the gap is 0."""
 
     P_star: float
     D_star: float
@@ -143,8 +160,19 @@ def _dual_one_constraint(R, s):
     D = float(np.min(R[neg]))
     if np.any(pos):
         si, Ri = s[neg][:, None], R[neg][:, None]
-        sk, Rk = s[pos][None, :], R[pos][None, :]
-        D = min(D, float(np.min((sk * Ri - si * Rk) / (sk - si))))
+        sk, Rk = s[pos], R[pos]
+        # (sk Ri - si Rk) / (sk - si) for PAIR_BLOCK rows with s <= 0 at
+        # a time, in two buffers: the least pair value does not depend
+        # on the order the pairs come in
+        num = np.empty((min(PAIR_BLOCK, len(si)), sk.size))
+        den = np.empty_like(num)
+        for start in range(0, len(si), PAIR_BLOCK):
+            a, b = si[start:start + PAIR_BLOCK], Ri[start:start + PAIR_BLOCK]
+            x, y = num[:len(a)], den[:len(a)]
+            np.subtract(np.multiply(sk, b, out=x),
+                        np.multiply(a, Rk, out=y), out=x)
+            np.divide(x, np.subtract(sk, a, out=y), out=x)
+            D = min(D, float(np.min(x)))
     eps = 1e-12 * float(np.max(np.abs(s)))
     up, down = s > eps, s < -eps
     lo = max(0.0, float(np.max((D - R[up]) / s[up]))) if np.any(up) \
@@ -263,7 +291,8 @@ def gap_report(spec: ConstrainedProblemSpec, gamma: float) -> GapReport:
     try:
         row = solve_primal_grid(spec, gamma)
     except InfeasibleError:
-        return GapReport(np.inf, D, np.inf - D, False, lam, np.inf)
+        gap = 0.0 if D == np.inf else np.inf
+        return GapReport(np.inf, D, gap, False, lam, np.inf)
     P = float(spec.R[row])
     residual = float(abs(np.dot(lam, spec.L[row] - gamma)))
     return GapReport(P, D, P - D, True, lam, residual)
@@ -367,6 +396,10 @@ class EmpiricalPopulation:
     gamma: float
 
     def __post_init__(self):
+        # float64, as the blocked means add into a gathered block in place
+        for name in ("loss_matrix", "cons_matrix"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name),
+                                                      dtype=np.float64))
         if np.ndim(self.loss_matrix) != 2 or np.ndim(self.cons_matrix) != 3:
             raise ValueError(
                 "loss_matrix must be 2-D (n_pop, n_grid) and cons_matrix "
@@ -381,11 +414,40 @@ class EmpiricalPopulation:
         return self.loss_matrix.shape[0]
 
     def problem(self, rows=None) -> ConstrainedProblemSpec:
+        """The problem of the mean over `rows` of the population, or over
+        every row; `rows` index as `take` does, from the end when
+        negative."""
         loss, con = self.loss_matrix, self.cons_matrix
-        if rows is not None:
-            loss, con = loss.take(rows, axis=0), con.take(rows, axis=0)
-        return ConstrainedProblemSpec(
-            self.thetas, loss.mean(axis=0), con.mean(axis=0), self.gamma)
+        if rows is None:
+            return ConstrainedProblemSpec(
+                self.thetas, loss.mean(axis=0), con.mean(axis=0), self.gamma)
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.size == 0:
+            raise ValueError(
+                f"rows must be a non-empty 1-d index array, got shape "
+                f"{rows.shape}")
+        return ConstrainedProblemSpec(self.thetas, _row_mean(loss, rows),
+                                      _row_mean(con, rows), self.gamma)
+
+
+def _row_mean(A, rows):
+    """`A.take(rows, axis=0).mean(axis=0)`, bit for bit, gathering
+    MEAN_BLOCK rows at a time.
+
+    numpy reduces axis 0 of a C-contiguous array by adding row after
+    row, so each block goes on from the running total added into its
+    first row.  A row of one element is contiguous, and numpy sums it
+    pairwise, so it is gathered whole.
+    """
+    if A[0].size == 1:
+        return A.take(rows, axis=0).mean(axis=0)
+    total = A.take(rows[:MEAN_BLOCK], axis=0).sum(axis=0)
+    for start in range(MEAN_BLOCK, rows.size, MEAN_BLOCK):
+        block = A.take(rows[start:start + MEAN_BLOCK], axis=0)
+        block[0] += total
+        total = block.sum(axis=0)
+    # the division of `mean`: by the count, in place
+    return np.true_divide(total, rows.size, out=total)
 
 
 def empirical_gap_experiment(pop: EmpiricalPopulation, n_list, trials: int,

@@ -1,5 +1,6 @@
-"""The tests' gradient oracles: a complex-step oracle for the gradient of
-the training objective, and central finite differences.
+"""The tests' oracles: a complex-step oracle for the gradient of the
+training objective, central finite differences, and the one-constraint
+dual value by the full outer product of its pairs.
 
 The step objective is written again here in plain numpy for complex
 input: a tanh MLP forward, log-softmax, the mean cross-entropy clamped
@@ -111,3 +112,19 @@ def finite_diff_gradient(f, theta, h=1e-4):
             raise NonFiniteError("non-finite function value in difference")
         grad[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def one_constraint_dual(R, s):
+    """The dual value of min R s.t. s <= 0 over a finite grid: the least
+    R of a row with s <= 0 or of a mixture of one such row i and one row
+    k with s > 0 that zeroes s, (s_k R_i - s_i R_k) / (s_k - s_i), every
+    pair at once; inf when no row has s <= 0."""
+    neg, pos = s <= 0.0, s > 0.0
+    if not np.any(neg):
+        return np.inf
+    D = float(np.min(R[neg]))
+    if np.any(pos):
+        si, Ri = s[neg][:, None], R[neg][:, None]
+        sk, Rk = s[pos][None, :], R[pos][None, :]
+        D = min(D, float(np.min((sk * Ri - si * Rk) / (sk - si))))
+    return D

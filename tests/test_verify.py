@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from invariantlab import cli
 from invariantlab import datagen
 from invariantlab import predictors as pred
 from invariantlab import transforms as tr
@@ -199,6 +201,30 @@ def test_exact_dual_of_infeasible_mixtures_is_infinite():
     rep = verify.gap_report(spec, spec.gamma)
     assert rep.feasible is False
     assert rep.D_star == rep.residual == np.inf
+    # P* and D* are both inf, so they agree: the gap is 0, not nan
+    assert rep.gap == 0.0
+    rep = verify.gap_report(verify.convex_1d_instance(), -1.0)
+    assert rep.P_star == rep.D_star == np.inf and rep.gap == 0.0
+
+
+def test_one_constraint_dual_is_the_full_pair_minimum():
+    B = verify.PAIR_BLOCK
+    cases = []
+    for gamma in (0.0, 0.05, 0.1, 0.3):
+        spec = verify.convex_1d_instance(gamma)
+        cases.append((spec.R, spec.L[:, 0] - gamma))
+    # more rows with s <= 0 than one block, and an exact multiple of it
+    rng = np.random.default_rng(11)
+    for n_neg in (3 * B + 5, 4 * B):
+        s = np.concatenate([-rng.uniform(0, 1, n_neg), rng.uniform(0, 1, 50)])
+        s[:3] = 0.0
+        order = rng.permutation(s.size)
+        cases.append((rng.uniform(0, 5, s.size), s[order]))
+    for R, s in cases:
+        assert np.count_nonzero(s <= 0.0) > B
+        D, _ = verify._dual_one_constraint(R, s)
+        want = oracles.one_constraint_dual(R, s)
+        assert np.float64(D).tobytes() == np.float64(want).tobytes()
 
 
 def test_exact_dual_square_instance_witness():
@@ -374,15 +400,59 @@ def test_population_rejects_matrices_of_the_wrong_rank():
 
 
 def test_sampled_problem_is_the_mean_of_the_fancy_indexed_rows():
-    pop = _population(n_pop=400)
+    B = verify.MEAN_BLOCK
+    n_pop = 4 * B + 10
     rng = np.random.default_rng(3)
-    for n in (1, 7, 100, 400):
-        rows = rng.choice(pop.n_pop, size=n, replace=False)
-        spec = pop.problem(rows)
-        assert spec.R.tobytes() == \
-            pop.loss_matrix[rows].mean(axis=0).tobytes()
-        assert spec.L.tobytes() == \
-            pop.cons_matrix[rows].mean(axis=0).tobytes()
+    wide = _population(n_pop=n_pop)
+    matrices = [
+        (wide.loss_matrix, wide.cons_matrix),
+        # one grid point and three environments: each loss row is a
+        # single element, which is gathered whole, and each constraint
+        # row is not
+        (rng.normal(size=(n_pop, 1)), rng.normal(size=(n_pop, 1, 3))),
+        # integers, whose means numpy takes in float64
+        (rng.integers(0, 9, size=(n_pop, 4)),
+         rng.integers(0, 9, size=(n_pop, 4, 2))),
+    ]
+    for loss, con in matrices:
+        pop = verify.EmpiricalPopulation(np.zeros((loss.shape[1], 1)),
+                                         loss, con, gamma=0.3)
+        for n in (1, 7, B - 1, B, B + 1, 3 * B + 17, n_pop):
+            distinct = rng.choice(pop.n_pop, size=n, replace=False)
+            repeats = rng.integers(0, pop.n_pop, size=n)
+            for rows in (distinct, repeats):
+                spec = pop.problem(rows)
+                assert spec.R.tobytes() == \
+                    loss[rows].mean(axis=0).tobytes()
+                assert spec.L.tobytes() == con[rows].mean(axis=0).tobytes()
+
+
+def test_sampled_problem_rejects_no_rows_and_indexes_as_take_does():
+    B = verify.MEAN_BLOCK
+    pop = _population(n_pop=4 * B)
+    narrow = verify.EmpiricalPopulation(
+        np.zeros((1, 1)), pop.loss_matrix[:, :1], pop.cons_matrix[:, :1],
+        gamma=0.3)
+    for p in (pop, narrow):
+        for empty in ([], np.array([], dtype=np.intp)):
+            with pytest.raises(ValueError, match="rows"):
+                p.problem(empty)
+        # out of range in the first block, in a later one, and from the end
+        for bad in ([p.n_pop], [0] * B + [p.n_pop], [-p.n_pop - 1]):
+            with pytest.raises(IndexError):
+                p.problem(bad)
+        rows = np.array([-1, -p.n_pop, 3] * B)
+        got, want = p.problem(rows), p.problem(rows % p.n_pop)
+        assert got.R.tobytes() == want.R.tobytes()
+        assert got.L.tobytes() == want.L.tobytes()
+
+
+def test_default_population_empirical_gap_means_are_pinned():
+    # criterion 6 prints 4 decimals; the repr holds every bit
+    means = verify.empirical_gap_experiment(
+        cli.default_population(), [100, 400, 1600, 6400], trials=20, seed=2)
+    assert repr(means) == repr([0.08191097818117206, 0.041281660097406234,
+                                0.019347307463426548, 0.010164095249267358])
 
 
 def test_zero_variance_population_cannot_show_decay():
