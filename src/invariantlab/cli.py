@@ -13,9 +13,10 @@ takes it, whose fields are the section's keys, with their types and
 defaults: ``[task]`` into `datagen.ConceptShiftSpec` or
 `datagen.CovariateShiftSpec` by its ``kind``, ``[transform]`` into
 `transforms.RotationModel`, ``[solver]`` into `solvers.SolverConfig` and
-``[output]`` into `Output`.  Only ``[task]`` is required.  Exit codes: 0
-success, 1 configuration or usage error, 2 runtime failure (``train``
-still writes the partial trace).
+``[output]`` into `Output`.  Only ``[task]`` is required, and any
+other section is an error.  Exit codes: 0 success, 1 configuration or
+usage error, 2 runtime failure (``train`` still writes the partial
+trace).
 """
 
 from __future__ import annotations
@@ -61,14 +62,20 @@ class Output:
 
 def load_config(path) -> dict:
     """The config as {section: {key: text}}, sections in file order."""
-    # no interpolation: a '%' in a value is read as itself
-    parser = configparser.ConfigParser(interpolation=None)
+    # no interpolation: a '%' in a value is read as itself; and no
+    # default section, as no header can be empty: a [DEFAULT] is one
+    # more unknown section, not keys copied into every section
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="")
     try:
-        read = parser.read(path)
-    except configparser.Error as e:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot parse {path}: {e}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    for name in parser.sections():
+        if name not in ("task", "transform", "solver", "output"):
+            raise ConfigError(f"unknown section: {name}")
     if "task" not in parser:
         raise ConfigError("missing section: task")
     return {name: dict(parser[name]) for name in parser.sections()}
@@ -78,6 +85,8 @@ def _env_map(text: str) -> dict:
     pairs = [item.split(":") for item in text.split()]
     if not pairs or any(len(pair) != 2 for pair in pairs):
         raise ValueError(f"{text!r} is not a list of env:value pairs")
+    if any(not env for env, _ in pairs):
+        raise ValueError(f"{text!r} has an empty environment name")
     envs = {env: float(value) for env, value in pairs}
     if len(envs) < len(pairs):
         raise ValueError(f"{text!r} names an environment twice")
@@ -318,11 +327,12 @@ def run_measure_invariance(args) -> int:
     except (OSError, ValueError, IndexError, NonFiniteError) as e:
         raise ConfigError(f"invalid value for key predictor: {e}") from None
     # the distance train uses, clamped at the config's loss bound
-    summary = verify_mod.measure_g_invariance(
+    values = verify_mod.measure_g_invariance(
         p, held, G, build_solver_config(cfg, seed).loss_bound,
         samples_per_point=4, seed=seed)
-    (out / "invariance.csv").write_text(summary.to_csv())
-    print(f"median={summary.median!r}")
+    (out / "invariance.csv").write_text("example,distreg\n" + "".join(
+        f"{i},{v:.17g}\n" for i, v in enumerate(values)))
+    print(f"median={float(np.median(values))!r}")
     return 0
 
 

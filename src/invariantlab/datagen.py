@@ -180,16 +180,3 @@ def dump_datasets(datasets: list) -> str:
             lines.append(f"{feats} {ds.y[i]} {ds.env}")
     return "\n".join(lines) + "\n"
 
-
-def load_datasets(text: str) -> list:
-    lines = text.strip().split("\n")
-    n, d = (int(v) for v in lines[0].split())
-    by_env = {}
-    for line in lines[1:n + 1]:
-        parts = line.split()
-        env = parts[-1]
-        by_env.setdefault(env, ([], []))
-        by_env[env][0].append([float(v) for v in parts[:d]])
-        by_env[env][1].append(int(parts[d]))
-    return [EnvironmentDataset(env, np.array(X), np.array(y, dtype=np.intp))
-            for env, (X, y) in by_env.items()]

@@ -6,22 +6,18 @@ optima come from enumerating the grid, and dual optima from the dual's
 linear program, solved exactly by enumerating its bases; each dual
 solution carries a multiplier that certifies its value.  Perturbation
 curves, parameterization sandwiches, empirical-gap decay and saddle
-points are checked against these exact values.  `measure_g_invariance`
-measures a trained predictor instead: each example's mean
-`constraints.dist_reg` value over several fresh transforms of it.
+points are checked against these exact values; a check that fails
+raises `VerificationError`.  `measure_g_invariance` measures a trained
+predictor instead: each example's mean `constraints.dist_reg` value
+over several fresh transforms of it.
 
-No n-row temporary is built: a sampled problem's means gather
-MEAN_BLOCK rows at a time, and the one-constraint dual takes its pair
-minimum PAIR_BLOCK rows at a time, bit-identical to the one-shot forms.
-numpy reduces axis 0 of a C-contiguous array row after row, so a mean
-can go on from one block's total to the next; a row of one element is
-summed pairwise instead, so it is gathered whole.  A minimum does not
-depend on the order of its terms.
+A sampled problem's means and the one-constraint dual reduce in blocks,
+bit-identical to the one-shot forms: `_row_mean` and
+`_dual_one_constraint` say why.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,10 +27,8 @@ import numpy as np
 from . import constraints as cons
 from . import predictors as pred
 
-# rows per block of a sampled mean, and rows with s <= 0 per block of
-# the one-constraint dual's pairs: on the default population and the
-# convex 1-d instance a block is 103 KB and a pair buffer 358 KB, which
-# stay in a core's L2, where the one-shot forms' 5-7 MB copies do not
+# rows per block of a sampled mean (`_row_mean`), and rows with s <= 0
+# per block of the one-constraint dual's pairs (`_dual_one_constraint`)
 MEAN_BLOCK = 128
 PAIR_BLOCK = 32
 
@@ -94,7 +88,6 @@ class GapReport:
     P_star: float
     D_star: float
     gap: float
-    feasible: bool
     lam: np.ndarray
     residual: float
 
@@ -153,6 +146,12 @@ def _dual_one_constraint(R, s):
     that zeroes the constraint, or the best point with s <= 0.  lambda
     is the midpoint of the interval of maximizers, ignoring rows whose
     |s| is rounding noise, so ties do not pick an endpoint.
+
+    The pair values are taken PAIR_BLOCK rows with s <= 0 at a time, in
+    two reused buffers, not as one outer product: a minimum does not
+    depend on the order of its terms, so D is bit-identical, and on the
+    convex 1-d instance a buffer is 358 KB, which stays in a core's L2
+    where the 6.7 MB one-shot temporaries do not.
     """
     neg, pos = s <= 0.0, s > 0.0
     if not np.any(neg):
@@ -161,9 +160,7 @@ def _dual_one_constraint(R, s):
     if np.any(pos):
         si, Ri = s[neg][:, None], R[neg][:, None]
         sk, Rk = s[pos], R[pos]
-        # (sk Ri - si Rk) / (sk - si) for PAIR_BLOCK rows with s <= 0 at
-        # a time, in two buffers: the least pair value does not depend
-        # on the order the pairs come in
+        # (sk Ri - si Rk) / (sk - si), a block of pairs at a time
         num = np.empty((min(PAIR_BLOCK, len(si)), sk.size))
         den = np.empty_like(num)
         for start in range(0, len(si), PAIR_BLOCK):
@@ -292,10 +289,10 @@ def gap_report(spec: ConstrainedProblemSpec, gamma: float) -> GapReport:
         row = solve_primal_grid(spec, gamma)
     except InfeasibleError:
         gap = 0.0 if D == np.inf else np.inf
-        return GapReport(np.inf, D, gap, False, lam, np.inf)
+        return GapReport(np.inf, D, gap, lam, np.inf)
     P = float(spec.R[row])
     residual = float(abs(np.dot(lam, spec.L[row] - gamma)))
-    return GapReport(P, D, P - D, True, lam, residual)
+    return GapReport(P, D, P - D, lam, residual)
 
 
 # -- perturbation and sandwich ------------------------------------------------
@@ -342,21 +339,14 @@ def _grid_slack(spec: ConstrainedProblemSpec) -> float:
     return float(np.max(np.abs(np.diff(spec.R)))) + 1e-9
 
 
-@dataclass(frozen=True)
-class SandwichReport:
-    P_fine: float
-    D_coarse: float
-    upper_gap: float
-
-
 def parameterization_sandwich(spec_fine: ConstrainedProblemSpec,
                               spec_coarse: ConstrainedProblemSpec,
-                              gamma: float) -> SandwichReport:
+                              gamma: float) -> None:
     """Dual over a coarse subclass upper-bounds the fine primal optimum.
 
     The coarse grid must be a subset of the fine grid.  Raises
-    VerificationError unless P_fine <= D_coarse; the report carries the
-    (unasserted) upper gap D_coarse - P_fine.
+    VerificationError unless P_fine <= D_coarse, and InfeasibleError
+    when no fine grid point is feasible.
     """
     _require_subgrid(spec_coarse, spec_fine)
     P = float(spec_fine.R[solve_primal_grid(spec_fine, gamma)])
@@ -366,7 +356,6 @@ def parameterization_sandwich(spec_fine: ConstrainedProblemSpec,
     if D < P - _grid_slack(spec_fine) - 1e-9:
         raise VerificationError(
             f"coarse dual {D} fell below the fine primal {P}")
-    return SandwichReport(P, float(D), float(D - P))
 
 
 def _require_subgrid(coarse, fine):
@@ -432,12 +421,14 @@ class EmpiricalPopulation:
 
 def _row_mean(A, rows):
     """`A.take(rows, axis=0).mean(axis=0)`, bit for bit, gathering
-    MEAN_BLOCK rows at a time.
+    MEAN_BLOCK rows at a time rather than copying every drawn row.
 
     numpy reduces axis 0 of a C-contiguous array by adding row after
     row, so each block goes on from the running total added into its
     first row.  A row of one element is contiguous, and numpy sums it
-    pairwise, so it is gathered whole.
+    pairwise, so it is gathered whole.  On the default population a
+    block is 103 KB, which stays in a core's L2 where the one-shot copy,
+    5.2 MB at 6400 rows, does not.
     """
     if A[0].size == 1:
         return A.take(rows, axis=0).mean(axis=0)
@@ -536,26 +527,13 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
 
 # -- invariance measurement ---------------------------------------------------
 
-@dataclass(frozen=True)
-class InvarianceSummary:
-    values: np.ndarray
-    median: float
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("example,distreg\n")
-        for i, v in enumerate(self.values):
-            buf.write(f"{i},{v:.17g}\n")
-        return buf.getvalue()
-
-
 def measure_g_invariance(p, data, G, bound: float, samples_per_point: int,
-                         seed: int = 0) -> InvarianceSummary:
+                         seed: int = 0) -> np.ndarray:
     """Per-example distance to fresh transformed counterparts.
 
-    Each example is paired with `samples_per_point` freshly sampled
-    environment codes; its value is the mean distance, clamped at
-    `bound`, over those pairs.
+    Returns one value per example of `data`.  Each example is paired
+    with `samples_per_point` freshly sampled environment codes; its
+    value is the mean distance, clamped at `bound`, over those pairs.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
@@ -564,9 +542,8 @@ def measure_g_invariance(p, data, G, bound: float, samples_per_point: int,
     rng = np.random.default_rng(seed)
     # every sample shares the one forward pass on the clean rows
     clean = pred.predict_batch(p, data.X)
-    values = np.mean([cons.dist_reg(p, data.X, G, rng, bound, clean)
-                      for _ in range(samples_per_point)], axis=0)
-    return InvarianceSummary(values, float(np.median(values)))
+    return np.mean([cons.dist_reg(p, data.X, G, rng, bound, clean)
+                    for _ in range(samples_per_point)], axis=0)
 
 
 # -- instance builders --------------------------------------------------------
@@ -590,17 +567,16 @@ def random_spec(rng: np.random.Generator, n_grid: int = 50,
     return ConstrainedProblemSpec(thetas, R, L, gamma)
 
 
-def random_convex_spec(rng: np.random.Generator, n_grid: int = 201,
-                       gamma: float | None = None
-                       ) -> ConstrainedProblemSpec:
-    """A sampled 1-d convex instance: quadratic R, affine constraint."""
-    thetas = np.linspace(-1.0, 1.0, n_grid)
+def random_convex_spec(rng: np.random.Generator) -> ConstrainedProblemSpec:
+    """A sampled 1-d convex instance on 201 grid points: quadratic R, an
+    affine constraint L, and a margin 30-90 % of the way from L's least
+    value to its largest."""
+    thetas = np.linspace(-1.0, 1.0, 201)
     center = rng.uniform(-0.5, 0.5)
     a = rng.uniform(0.5, 2.0)
     R = a * (thetas - center) ** 2
     slope = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
     offset = rng.uniform(-0.3, 0.3)
     L = slope * thetas + offset
-    if gamma is None:
-        gamma = float(L.min() + rng.uniform(0.3, 0.9) * (L.max() - L.min()))
+    gamma = float(L.min() + rng.uniform(0.3, 0.9) * (L.max() - L.min()))
     return ConstrainedProblemSpec(thetas[:, None], R, L[:, None], gamma)

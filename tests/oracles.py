@@ -1,6 +1,7 @@
 """The tests' oracles: a complex-step oracle for the gradient of the
-training objective, central finite differences, and the one-constraint
-dual value by the full outer product of its pairs.
+training objective, central finite differences, the one-constraint
+dual value by the full outer product of its pairs, and a reader of the
+`datagen` command's `datasets.txt`.
 
 The step objective is written again here in plain numpy for complex
 input: a tanh MLP forward, log-softmax, the mean cross-entropy clamped
@@ -19,6 +20,7 @@ evaluates every perturbed theta at once.
 import numpy as np
 
 from invariantlab.constraints import SMOOTHING
+from invariantlab.datagen import EnvironmentDataset
 from invariantlab.predictors import NonFiniteError
 
 
@@ -128,3 +130,19 @@ def one_constraint_dual(R, s):
         sk, Rk = s[pos][None, :], R[pos][None, :]
         D = min(D, float(np.min((sk * Ri - si * Rk) / (sk - si))))
     return D
+
+
+def load_datasets(text: str) -> list:
+    """The datasets of `datagen.dump_datasets`' text, one per
+    environment, in the order the environments first appear."""
+    lines = text.strip().split("\n")
+    n, d = (int(v) for v in lines[0].split())
+    by_env = {}
+    for line in lines[1:n + 1]:
+        parts = line.split()
+        env = parts[-1]
+        by_env.setdefault(env, ([], []))
+        by_env[env][0].append([float(v) for v in parts[:d]])
+        by_env[env][1].append(int(parts[d]))
+    return [EnvironmentDataset(env, np.array(X), np.array(y, dtype=np.intp))
+            for env, (X, y) in by_env.items()]

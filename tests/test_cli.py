@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from invariantlab import (cli, datagen, predictors as pred, solvers,
                           transforms, verify)
 
@@ -178,6 +179,8 @@ _PROBE_BASES = {"mbdg": SMALL_TASK.format(algorithm="mbdg"),
     ("mbdg", "task", "agreements = e1:1.5 e2:0.5", "agreements"),
     ("mbdg", "task", "agreements = e0.9:0.9 e0.9:0.8 e0.1:0.1",
      "agreements"),
+    # an empty name: datasets.txt would then read label 1 as the env
+    ("mbdg", "task", "agreements = :0.5 e0.1:0.1", "agreements"),
     ("mbdg", "task", "shape_sigma = nan", "shape_sigma"),
     ("mbdg", "task", "shape_sigma = -1.0", "shape_sigma"),
     ("covariate", "task", "mean0 = 1 2 3", "mean0"),
@@ -185,6 +188,7 @@ _PROBE_BASES = {"mbdg": SMALL_TASK.format(algorithm="mbdg"),
     ("covariate", "task", "n_per_env = 0", "n_per_env"),
     ("covariate", "task", "train_envs = a0:nan", "train_envs"),
     ("covariate", "task", "train_envs = a0:0 a0:0.5", "train_envs"),
+    ("covariate", "task", "test_envs = :1.5", "test_envs"),
     ("covariate", "task", "sigma = nan", "sigma"),
     ("covariate", "task", "sigma = -0.4", "sigma"),
     ("covariate", "transform", "plane = 0", "plane"),
@@ -316,6 +320,33 @@ def test_config_requires_task_section(tmp_path, capsys):
     assert "missing section: task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["datagen", "train"])
+@pytest.mark.parametrize("section", ["solvr", "DEFAULT"])
+def test_unknown_section_is_config_error(tmp_path, capsys, command,
+                                         section):
+    # a misspelled [solver] was ignored, and train ran the default steps;
+    # a [DEFAULT]'s keys were copied into every section
+    body = SMALL_TASK.format(algorithm="mbdg") \
+        + f"\n[{section}]\nsteps = 3\n"
+    cfg = _write_config(tmp_path, body=body)
+    assert cli.main([command, "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: unknown section: {section}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(SMALL_TASK.format(algorithm="mbdg").encode()
+                     + b"# \xff\n")
+    assert cli.main(["datagen", "--config", str(path), "--out",
+                     str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot parse {path}: ")
+    assert "Traceback" not in err
+
+
 def test_default_holdout_is_lowest_sorted_env(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "run"
@@ -331,7 +362,7 @@ def test_datagen_writes_loadable_datasets(tmp_path):
     out = tmp_path / "data"
     assert cli.main(["datagen", "--config", cfg, "--out", str(out),
                      "--seed", "5"]) == 0
-    loaded = datagen.load_datasets((out / "datasets.txt").read_text())
+    loaded = oracles.load_datasets((out / "datasets.txt").read_text())
     assert {d.env for d in loaded} == {"e0.9", "e0.8", "e0.1"}
     assert all(len(d) == 500 for d in loaded)
 
@@ -351,7 +382,7 @@ angle_range = 0 6.2831853
     cfg = _write_config(tmp_path, body=body)
     out = tmp_path / "data"
     assert cli.main(["datagen", "--config", cfg, "--out", str(out)]) == 0
-    loaded = datagen.load_datasets((out / "datasets.txt").read_text())
+    loaded = oracles.load_datasets((out / "datasets.txt").read_text())
     assert {d.env for d in loaded} == {"a0", "a60", "a90"}
 
 

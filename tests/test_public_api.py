@@ -21,8 +21,6 @@ SRC = ROOT / "src" / "invariantlab"
 
 # kept without a runtime caller, each for the reason given
 ALLOWED = {
-    "datagen.load_datasets": "oracle: the reader that checks the datagen "
-                             "command's output",
     "solvers.empirical_lagrangian": "the planned per-checkpoint run "
                                     "record is to call it (ROADMAP)",
 }

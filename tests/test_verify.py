@@ -90,7 +90,7 @@ def test_dual_grid_square_instance_witness():
 
 def test_gap_report_square_instance_near_zero_gap():
     rep = verify.gap_report(_square_instance(), 0.1)
-    assert rep.feasible
+    assert np.isfinite(rep.P_star)
     assert rep.gap == pytest.approx(0.0, abs=1e-6)
     assert rep.gap >= -1e-9
 
@@ -101,7 +101,8 @@ def test_gap_report_on_an_infeasible_grid_with_a_feasible_mixture():
     spec = verify.ConstrainedProblemSpec(
         np.zeros((2, 1)), [1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]], 0.5)
     rep = verify.gap_report(spec, spec.gamma)
-    assert rep.feasible is False
+    with pytest.raises(verify.InfeasibleError):
+        verify.solve_primal_grid(spec, spec.gamma)
     assert rep.P_star == rep.gap == rep.residual == np.inf
     D, lam = verify.solve_dual(spec, spec.gamma)
     assert rep.D_star == D == 1.5
@@ -121,7 +122,7 @@ def test_convex_instances_have_small_gap():
         rng = np.random.default_rng(seed)
         spec = verify.random_convex_spec(rng)
         rep = verify.gap_report(spec, spec.gamma)
-        if rep.feasible:
+        if np.isfinite(rep.P_star):
             # the theta grid's resolution limits how tight the gap closes
             assert rep.gap <= verify._grid_slack(spec) + 1e-9
 
@@ -199,7 +200,8 @@ def test_exact_dual_of_infeasible_mixtures_is_infinite():
     D, _ = verify.solve_dual(spec, spec.gamma)
     assert D == np.inf
     rep = verify.gap_report(spec, spec.gamma)
-    assert rep.feasible is False
+    with pytest.raises(verify.InfeasibleError):
+        verify.solve_primal_grid(spec, spec.gamma)
     assert rep.D_star == rep.residual == np.inf
     # P* and D* are both inf, so they agree: the gap is 0, not nan
     assert rep.gap == 0.0
@@ -269,18 +271,27 @@ def test_perturbation_curve_flags_increase():
 
 # -- sandwich ------------------------------------------------------------------------
 
+def _sandwich(fine, coarse, gamma):
+    """The fine primal optimum and the coarse dual that the sandwich
+    compares, once it has passed."""
+    assert verify.parameterization_sandwich(fine, coarse, gamma) is None
+    P_fine = float(fine.R[verify.solve_primal_grid(fine, gamma)])
+    D_coarse, _ = verify.solve_dual(coarse, gamma)
+    return P_fine, D_coarse
+
+
 def test_sandwich_identical_grids_close():
     spec = _square_instance()
-    rep = verify.parameterization_sandwich(spec, spec, 0.1)
-    assert rep.upper_gap == pytest.approx(0.0, abs=1e-6)
+    P_fine, D_coarse = _sandwich(spec, spec, 0.1)
+    assert D_coarse - P_fine == pytest.approx(0.0, abs=1e-6)
 
 
 def test_sandwich_coarse_subgrid_upper_bounds_fine_primal():
     fine = _square_instance()
     coarse = verify.ConstrainedProblemSpec(
         fine.thetas[::10], fine.R[::10], fine.L[::10], fine.gamma)
-    rep = verify.parameterization_sandwich(fine, coarse, 0.1)
-    assert rep.D_coarse >= rep.P_fine - 1e-2
+    P_fine, D_coarse = _sandwich(fine, coarse, 0.1)
+    assert D_coarse >= P_fine - 1e-2
 
 
 def test_sandwich_single_feasible_point():
@@ -289,8 +300,8 @@ def test_sandwich_single_feasible_point():
     coarse = verify.ConstrainedProblemSpec(
         fine.thetas[idx:idx + 1], fine.R[idx:idx + 1],
         fine.L[idx:idx + 1], fine.gamma)
-    rep = verify.parameterization_sandwich(fine, coarse, 0.1)
-    assert rep.D_coarse == pytest.approx(0.49, abs=1e-9)
+    _, D_coarse = _sandwich(fine, coarse, 0.1)
+    assert D_coarse == pytest.approx(0.49, abs=1e-9)
 
 
 def test_sandwich_requires_subgrid():
@@ -581,10 +592,10 @@ def test_measure_invariance_zero_for_identity_range():
     data = datagen.gen_concept_shift(spec, seed=0)[0]
     model = tr.RotationModel((0, 1), (0.0, 0.0))
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    summary = verify.measure_g_invariance(
+    values = verify.measure_g_invariance(
         p, data, model, BOUND, samples_per_point=3)
-    assert np.allclose(summary.values, 0.0, atol=1e-12)
-    assert summary.median == 0.0
+    assert np.allclose(values, 0.0, atol=1e-12)
+    assert np.median(values) == 0.0
 
 
 def test_measure_invariance_zero_for_constant_predictor():
@@ -593,9 +604,9 @@ def test_measure_invariance_zero_for_constant_predictor():
     G = datagen.concept_shift_transform(spec)
     p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
     q = pred.Predictor(p.arch, np.zeros_like(p.theta))
-    summary = verify.measure_g_invariance(
+    values = verify.measure_g_invariance(
         q, data, G, BOUND, samples_per_point=2)
-    assert np.allclose(summary.values, 0.0, atol=1e-12)
+    assert np.allclose(values, 0.0, atol=1e-12)
 
 
 def test_measure_invariance_positive_for_sensitive_predictor():
@@ -603,10 +614,10 @@ def test_measure_invariance_positive_for_sensitive_predictor():
     data = datagen.gen_concept_shift(spec, seed=1)[0]
     G = datagen.concept_shift_transform(spec)
     p = pred.init_predictor(pred.Architecture((5, 8, 2)), 3)
-    summary = verify.measure_g_invariance(
+    values = verify.measure_g_invariance(
         p, data, G, BOUND, samples_per_point=4)
-    assert summary.median > 0.0
-    assert summary.values.shape == (len(data),)
+    assert np.median(values) > 0.0
+    assert values.shape == (len(data),)
 
 
 def test_measure_invariance_validates_arguments():
@@ -618,8 +629,17 @@ def test_measure_invariance_validates_arguments():
         verify.measure_g_invariance(p, data, G, BOUND, samples_per_point=0)
 
 
-def test_invariance_csv_format():
-    summary = verify.InvarianceSummary(np.array([0.5, 0.25]), 0.375)
-    lines = summary.to_csv().strip().splitlines()
-    assert lines[0] == "example,distreg"
-    assert lines[1] == "0,0.5"
+def test_invariance_csv_format(tmp_path, capsys, monkeypatch):
+    # measure-invariance writes each value of measure_g_invariance and
+    # prints their median
+    monkeypatch.setattr(verify, "measure_g_invariance",
+                        lambda *args, **kw: np.array([0.5, 0.25]))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[task]\nkind = concept-shift\nn_per_env = 5\n")
+    p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
+    (tmp_path / "predictor.txt").write_text(pred.save_text(p))
+    assert cli.main(["measure-invariance", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "invariance.csv").read_text() \
+        == "example,distreg\n0,0.5\n1,0.25\n"
+    assert capsys.readouterr().out == "median=0.375\n"
