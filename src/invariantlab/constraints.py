@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import predictors as pred
 from . import transforms
-from .autodiff import DimensionError
+from .predictors import DimensionError
 
 SMOOTHING = 1e-8  # added to both sides of KL's ratio
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import constraints as cons
 from . import datagen
 from . import predictors as pred
@@ -294,12 +293,12 @@ def primal_step(plan: StepPlan, lam: np.ndarray, X, y, G, codes,
 
     loss, distreg, grad = objective_gradient(plan, lam, config.loss_bound)
     if not math.isfinite(loss):
-        raise ad.NonFiniteError("non-finite loss")
+        raise pred.NonFiniteError("non-finite loss")
     if not np.isfinite(distreg).all():
-        raise ad.NonFiniteError("non-finite distReg")
+        raise pred.NonFiniteError("non-finite distReg")
     plan.theta -= config.eta_primal * grad
     if not np.isfinite(plan.theta).all():
-        raise ad.NonFiniteError("non-finite parameter update")
+        raise pred.NonFiniteError("non-finite parameter update")
     return loss, distreg
 
 
@@ -325,15 +324,6 @@ def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
         penalty += (L_e - gamma) * lam_e
     n_total = sum(len(d) for d in datasets)
     return float(risk / n_total + penalty / len(datasets))
-
-
-def worst_domain_risk(risks: dict) -> tuple:
-    """The largest of per-environment risks {env: risk}, and its
-    environment; ties go to the environment listed first."""
-    if not risks:
-        raise ValueError("need at least one environment risk")
-    env = list(risks)[int(np.argmax(list(risks.values())))]
-    return risks[env], env
 
 
 # -- the training loop --------------------------------------------------------
@@ -389,7 +379,7 @@ def train(config: SolverConfig, datasets, G):
                 loss, distreg = primal_step(
                     plan, lam, X_all.take(idx, axis=0), y_all.take(idx), G,
                     codes[j * m:(j + 1) * m], config)
-            except ad.NonFiniteError as e:
+            except pred.NonFiniteError as e:
                 raise TrainingFailure(f"step {step}: {e}", trace) from e
             if preset.dual == "ascent":
                 lam = dual_step(lam, distreg, config.gamma, config.eta_dual)

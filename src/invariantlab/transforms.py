@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError
+from .predictors import DimensionError
 
 
 @dataclass(frozen=True)

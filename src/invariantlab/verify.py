@@ -7,9 +7,11 @@ linear program, solved exactly by enumerating its bases; each dual
 solution carries a multiplier that certifies its value.  Perturbation
 curves, parameterization sandwiches, empirical-gap decay and saddle
 points are checked against these exact values; a check that fails
-raises `VerificationError`.  `measure_g_invariance` measures a trained
-predictor instead: each example's mean `constraints.dist_reg` value
-over several fresh transforms of it.
+raises `VerificationError`.  The Theorem 2 schedule check moves its
+dual weights with the trainer's own step, `solvers.dual_step`.
+`measure_g_invariance` measures a trained predictor instead: each
+example's mean `constraints.dist_reg` value over SAMPLES_PER_POINT
+fresh transforms of it.
 
 A sampled problem's means and the one-constraint dual reduce in blocks,
 bit-identical to the one-shot forms: `_row_mean` and
@@ -26,11 +28,14 @@ import numpy as np
 
 from . import constraints as cons
 from . import predictors as pred
+from . import solvers
 
 # rows per block of a sampled mean (`_row_mean`), and rows with s <= 0
 # per block of the one-constraint dual's pairs (`_dual_one_constraint`)
 MEAN_BLOCK = 128
 PAIR_BLOCK = 32
+# fresh transforms per example in `measure_g_invariance`
+SAMPLES_PER_POINT = 4
 
 
 class InfeasibleError(ValueError):
@@ -490,7 +495,8 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
     """Exact-argmin primal-dual for the prescribed number of steps.
 
     The primal player returns a grid argmin of the Lagrangian at the
-    current dual weights; the dual player ascends with step eta for
+    current dual weights; the dual player takes the trainer's projected
+    ascent, `solvers.dual_step`, with step eta for
     T = ceil(1 / (2 eta kappa)) + 1 steps (eta = 1e-3 in T for the
     eta = 0 control).  Each step is a deterministic map of the dual
     weights, so the loop stops early only at an exact fixed point,
@@ -516,7 +522,7 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
     idx = 0
     for _ in range(T):
         idx = int(np.argmin(spec.R + slack @ lam))
-        step = np.maximum(lam + eta * slack[idx], 0.0)
+        step = solvers.dual_step(lam, spec.L[idx], spec.gamma, eta)
         # bytes, not ==, so that a flip of a zero's sign is a change
         if step.tobytes() == lam.tobytes():
             break
@@ -527,23 +533,21 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
 
 # -- invariance measurement ---------------------------------------------------
 
-def measure_g_invariance(p, data, G, bound: float, samples_per_point: int,
+def measure_g_invariance(p, data, G, bound: float,
                          seed: int = 0) -> np.ndarray:
     """Per-example distance to fresh transformed counterparts.
 
     Returns one value per example of `data`.  Each example is paired
-    with `samples_per_point` freshly sampled environment codes; its
-    value is the mean distance, clamped at `bound`, over those pairs.
+    with SAMPLES_PER_POINT freshly sampled environment codes; its value
+    is the mean distance, clamped at `bound`, over those pairs.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    if samples_per_point < 1:
-        raise ValueError("need at least one sample per point")
     rng = np.random.default_rng(seed)
     # every sample shares the one forward pass on the clean rows
     clean = pred.predict_batch(p, data.X)
     return np.mean([cons.dist_reg(p, data.X, G, rng, bound, clean)
-                    for _ in range(samples_per_point)], axis=0)
+                    for _ in range(SAMPLES_PER_POINT)], axis=0)
 
 
 # -- instance builders --------------------------------------------------------

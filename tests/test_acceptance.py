@@ -137,7 +137,7 @@ def test_criterion_4_invariance_distribution(seed0_runs):
     p_m, _, held, _, G = seed0_runs[("mbdg", "e0.1")]
     p_e, _, _, _, _ = seed0_runs[("erm", "e0.1")]
     med_m, med_e = (float(np.median(verify.measure_g_invariance(
-        p, held, G, LOSS_BOUND, samples_per_point=4, seed=0)))
+        p, held, G, LOSS_BOUND, seed=0)))
         for p in (p_m, p_e))
     ok = med_m < 0.5 * med_e
     assert _report(4, ok, f"mbdg_median={med_m:.4f}, erm_median={med_e:.4f}")

@@ -112,6 +112,45 @@ def test_train_is_byte_deterministic_up_to_wall_clock(tmp_path):
         (b / "predictor.txt").read_text()
 
 
+def test_multi_line_value_is_echoed_on_one_line(tmp_path):
+    # a continuation line is legal INI; the summary echoes the value with
+    # a space for the line break, as if it were written on one line
+    folded = SMALL_TASK.format(algorithm="erm").replace(
+        "agreements = e0.9:0.9 e0.8:0.8", "agreements = e0.9:0.9\n  e0.8:0.8")
+    summaries = []
+    for name, body in (("one", SMALL_TASK.format(algorithm="erm")),
+                       ("two", folded)):
+        cfg = _write_config(tmp_path, name=f"{name}.ini", body=body)
+        assert cli.main(["train", "--config", cfg,
+                         "--out", str(tmp_path / name)]) == 0
+        summaries.append((tmp_path / name / "summary.txt").read_text())
+    values = dict(line.split("=", 1) for line in summaries[1].splitlines())
+    assert values["config_task.agreements"] == "e0.9:0.9 e0.8:0.8 e0.1:0.1"
+    assert _strip_wall_clock(summaries[1]) == _strip_wall_clock(summaries[0])
+
+
+@pytest.mark.parametrize("envs,tied", [("b:0.0 a:0.0", True),
+                                       ("a:0.0 b:0.0", True),
+                                       ("b:0.0 a:1.5", False)])
+def test_worst_domain_is_the_first_listed_of_largest_risk(tmp_path, envs,
+                                                          tied):
+    # two environments that rotate by the same angle hold the same data,
+    # so their risks tie
+    body = COVARIATE_TASK.replace("n_per_env = 100",
+                                  f"n_per_env = 100\ntrain_envs = {envs}")
+    cfg = _write_config(tmp_path, body=body)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out),
+                     "--holdout", "etest"]) == 0
+    values = dict(line.split("=", 1) for line in
+                  (out / "summary.txt").read_text().splitlines())
+    listed = [pair.split(":")[0] for pair in envs.split()]
+    risks = [float(values[f"risk_{env}"]) for env in listed]
+    assert (risks[0] == risks[1]) == tied
+    assert values["worst_domain_env"] == listed[risks.index(max(risks))]
+    assert float(values["worst_domain_risk"]) == max(risks)
+
+
 def test_train_rejects_nonpositive_margin(tmp_path, capsys):
     body = SMALL_TASK.format(algorithm="mbdg") + "gamma = -1\n"
     cfg = _write_config(tmp_path, body=body)
@@ -181,6 +220,9 @@ _PROBE_BASES = {"mbdg": SMALL_TASK.format(algorithm="mbdg"),
      "agreements"),
     # an empty name: datasets.txt would then read label 1 as the env
     ("mbdg", "task", "agreements = :0.5 e0.1:0.1", "agreements"),
+    # trace.csv's header would gain a field, and summary.txt a second '='
+    ("mbdg", "task", "agreements = e,9:0.9 e0.8:0.8 e0.1:0.1", "agreements"),
+    ("mbdg", "task", "agreements = e0.9:0.9 e=8:0.8 e0.1:0.1", "agreements"),
     ("mbdg", "task", "shape_sigma = nan", "shape_sigma"),
     ("mbdg", "task", "shape_sigma = -1.0", "shape_sigma"),
     ("covariate", "task", "mean0 = 1 2 3", "mean0"),
@@ -761,14 +803,19 @@ def test_python_dash_m_runs_the_command():
     # the package imports cli before runpy runs it, so runpy warns here
     bad = run("invariantlab.cli", "verify", "nope")
     assert bad.returncode == 1
-    assert "unknown suite" in bad.stderr
+    assert "invalid choice: 'nope'" in bad.stderr
 
 
 # -- verify ------------------------------------------------------------------------
 
 def test_verify_unknown_suite(tmp_path, capsys):
-    assert cli.main(["verify", "nope"]) == 1
-    assert "unknown suite" in capsys.readouterr().err
+    # rejected by the parser, as any usage error is
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "nope"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument suite: invalid choice: 'nope'" in err
 
 
 @pytest.mark.parametrize("suite", ["schedule", "slackness", "perturbation"])
@@ -793,7 +840,8 @@ def test_verify_prints_fail_for_a_failed_gap_check(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("suite", ["duality", "slackness"])
+@pytest.mark.parametrize("suite", ["duality", "slackness", "perturbation",
+                                   "empirical-gap"])
 def test_verify_prints_fail_for_a_check_that_raises(suite, monkeypatch,
                                                     capsys):
     def solve_dual(spec, gamma):

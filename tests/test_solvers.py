@@ -164,20 +164,6 @@ def test_empirical_lagrangian_checks_dual_count():
             np.random.default_rng(0), BOUND)
 
 
-def test_worst_domain_risk_picks_max_and_breaks_ties_low():
-    spec, data = _concept(n=50)
-    p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    per = {d.env: pred.empirical_risk(pred.predict_batch(p, d.X), d.y, BOUND)
-           for d in data}
-    risk, env = solvers.worst_domain_risk(per)
-    assert risk == max(per.values())
-    assert per[env] == risk
-    tied = {"b": 0.5, "a": 0.5, "c": 0.25}
-    assert solvers.worst_domain_risk(tied) == (0.5, "b")
-    with pytest.raises(ValueError):
-        solvers.worst_domain_risk({})
-
-
 # -- primal step -------------------------------------------------------------------
 
 def _primal_step(p, X, y, G, config):
