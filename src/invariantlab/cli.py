@@ -170,11 +170,12 @@ def _make_dir(output: Output) -> Path:
 
 
 def _set_up(args):
-    """Load the config, make the out dir, build the task: returns
-    (config, [output] settings, datasets, transformation model)."""
+    """Load the config and build the task: returns (config, [output]
+    settings, datasets, transformation model).  The caller makes the
+    out dir once every value it reads is checked, so that a config
+    error leaves no dir behind."""
     cfg = load_config(args.config)
     output = _output(cfg, args)
-    _make_dir(output)
     data, G, _ = build_task(cfg, output.seed)
     return cfg, output, data, G
 
@@ -199,13 +200,14 @@ def _config_echo(cfg) -> list:
 
 def run_train(args) -> int:
     cfg, output, data, G = _set_up(args)
-    out, seed = Path(output.dir), output.seed
+    seed = output.seed
     holdout = _holdout(output, data)
     scfg = build_solver_config(cfg, seed)
     train_data = [d for d in data if d.env != holdout]
     if not train_data:
         raise ConfigError("invalid value for key holdout: no training "
                           "environments left")
+    out = _make_dir(output)
     t0 = time.perf_counter()
     try:
         p, trace = solvers.train(scfg, train_data, G)
@@ -249,7 +251,7 @@ def run_train(args) -> int:
 
 def run_datagen(args) -> int:
     _, output, data, _ = _set_up(args)
-    (Path(output.dir) / "datasets.txt").write_text(datagen.dump_datasets(
+    (_make_dir(output) / "datasets.txt").write_text(datagen.dump_datasets(
         sorted(data, key=lambda d: d.env)))
     return 0
 
@@ -334,8 +336,9 @@ def run_measure_invariance(args) -> int:
     except (OSError, ValueError, IndexError, pred.NonFiniteError) as e:
         raise ConfigError(f"invalid value for key predictor: {e}") from None
     # the distance train uses, clamped at the config's loss bound
-    values = verify_mod.measure_g_invariance(
-        p, held, G, build_solver_config(cfg, seed).loss_bound, seed=seed)
+    bound = build_solver_config(cfg, seed).loss_bound
+    _make_dir(output)
+    values = verify_mod.measure_g_invariance(p, held, G, bound, seed=seed)
     (out / "invariance.csv").write_text("example,distreg\n" + "".join(
         f"{i},{v:.17g}\n" for i, v in enumerate(values)))
     print(f"median={float(np.median(values))!r}")

@@ -3,7 +3,8 @@
 Everything here works on finite grids: a problem is a list of candidate
 parameter vectors with cached objective and constraint values.  Primal
 optima come from enumerating the grid, and dual optima from the dual's
-linear program, solved exactly by enumerating its bases; each dual
+linear program, solved exactly: in closed form for one constraint, and
+by a simplex walk over its vertices for two or three.  Each dual
 solution carries a multiplier that certifies its value.  Perturbation
 curves, parameterization sandwiches, empirical-gap decay and saddle
 points are checked against these exact values; a check that fails
@@ -20,7 +21,6 @@ bit-identical to the one-shot forms: `_row_mean` and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,7 +97,7 @@ class GapReport:
     residual: float
 
 
-# -- enumeration solvers ------------------------------------------------------
+# -- exact solvers ------------------------------------------------------------
 
 def _require_finite_margin(gamma: float) -> None:
     # every check reaches the solvers below, and a NaN or infinite
@@ -123,7 +123,9 @@ def solve_dual(spec: ConstrainedProblemSpec, gamma: float):
     The Lagrangian is R(theta) + sum_e lambda(e) * (L_e(theta) - gamma).
     Its dual value equals the linear program min_{w in simplex}
     sum_i w_i R_i subject to sum_i w_i (L_i - gamma) <= 0, whose optimum
-    mixes at most |A| + 1 grid points for its active constraints A.
+    mixes at most |A| + 1 grid points for its active constraints A.  One
+    constraint has a closed form; for two or three, a simplex walk over
+    the vertices of the LP's dual takes memory linear in the grid.
     Returns (D, lambda); D is +inf when no mixture is feasible.  Raises
     VerificationError unless min_i R_i + lambda . (L_i - gamma) equals
     D within 1e-12.
@@ -135,7 +137,7 @@ def solve_dual(spec: ConstrainedProblemSpec, gamma: float):
     if spec.n_envs == 1:
         D, lam = _dual_one_constraint(spec.R, slack[:, 0])
     else:
-        D, lam = _dual_by_supports(spec.R, slack)
+        D, lam = _dual_by_vertex_walk(spec.R, slack)
     if np.isfinite(D):
         certified = float(np.min(spec.R + slack @ lam))
         if not abs(certified - D) <= 1e-12:
@@ -184,70 +186,46 @@ def _dual_one_constraint(R, s):
     return D, np.array([lo if np.isinf(hi) else 0.5 * (lo + hi)])
 
 
-def _dual_by_supports(R, slack):
-    """The dual LP's optimum by enumerating its bases, for 2-3 constraints.
+def _dual_by_vertex_walk(R, slack):
+    """The dual LP max t s.t. t <= R_i + lambda . s_i for every grid row
+    i and lambda >= 0, by a simplex walk over its vertices.
 
-    A basis is an active constraint set A and a support of |A| + 1 grid
-    points: the mixture sums to one and zeroes the constraints in A.
-    D is the least objective over the feasible mixtures.  Among the
-    optimal bases the witness is the multiplier of the one whose
-    Lagrangian minimum is highest: with ties in the primal some optimal
-    bases carry a multiplier that is not dual optimal.
+    A vertex is m + 1 active constraints M (t, lambda) = b: grid rows,
+    and bounds lambda_j = 0.  Its multipliers mu solve M^T mu = e_0; on
+    the rows they are the primal mixture, on the bounds the mixture's
+    slack.  The walk starts at lambda = 0, t = min R, and stops when no
+    mu is negative.  Otherwise it drops the active constraint of least
+    index with mu < 0 and moves along the edge that frees it to the
+    first constraint that blocks it, the first of least ratio (Bland's
+    rule, so a degenerate vertex cannot cycle).  When no constraint
+    blocks, t grows without bound: no mixture is feasible.
     """
-    m = slack.shape[1]
-    rows = np.column_stack([R, slack])
-    # a row another row beats on R and on every constraint never enters
-    # an optimal mixture, and its Lagrangian never attains the minimum
-    worse = np.all(rows[:, None, :] >= rows[None, :, :], axis=2) & \
-        np.any(rows[:, None, :] > rows[None, :, :], axis=2)
-    keep = np.flatnonzero(~np.any(worse, axis=1))
-    R, slack = R[keep], slack[keep]
-    scale = max(float(np.max(np.abs(slack))), 1e-300)
-    tol = 1e-12 * scale
-    D, bases = np.inf, []
-    for size in range(m + 1):
-        if size + 1 > keep.size:
-            break
-        support = _supports(keep.size, size + 1)
-        for active in itertools.combinations(range(m), size):
-            active = list(active)
-            M = np.ones((len(support), size + 1, size + 1))
-            M[:, 1:, :] = slack[support][:, :, active].transpose(0, 2, 1)
-            regular = np.abs(np.linalg.det(M)) > 1e-12 * scale ** size
-            M, supp = M[regular], support[regular]
-            rhs = np.zeros((size + 1, 1))
-            rhs[0] = 1.0
-            w = np.linalg.solve(M, rhs)[..., 0]
-            mixed = np.einsum("bk,bkj->bj", w, slack[supp])
-            ok = np.all(w >= -1e-12, axis=1) & np.all(mixed <= tol, axis=1)
-            if not np.any(ok):
-                continue
-            values = np.einsum("bk,bk->b", w[ok], R[supp[ok]])
-            D = min(D, float(np.min(values)))
-            bases.append((values, active, M[ok], supp[ok]))
-    if not np.isfinite(D):
-        return np.inf, np.full(m, np.inf)
-    best, lam = -np.inf, np.zeros(m)
-    for values, active, M, supp in bases:
-        near = values <= D + 1e-9 * (1.0 + abs(D))
-        if not np.any(near):
-            continue
-        # D - lambda_A . s_iA = R_i on the support: the transposed system
-        y = np.linalg.solve(np.swapaxes(M[near], 1, 2),
-                            R[supp[near]][..., None])[..., 0]
-        cand = np.zeros((len(y), m))
-        cand[:, active] = np.maximum(-y[:, 1:], 0.0)
-        d = np.min(R[None, :] + cand @ slack.T, axis=1)
-        k = int(np.argmax(d))
-        if d[k] > best:
-            best, lam = float(d[k]), cand[k]
-    return D, lam
-
-
-def _supports(n: int, k: int) -> np.ndarray:
-    """Every k-subset of range(n), one row each."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+    n, m = slack.shape
+    # grid rows t - lambda . s_i <= R_i first, then the bounds -lambda <= 0
+    A = np.zeros((n + m, m + 1))
+    A[:n, 0], A[:n, 1:], A[n:, 1:] = 1.0, -slack, -np.eye(m)
+    b = np.concatenate([R, np.zeros(m)])
+    size = np.abs(A).max(axis=0)
+    active = [int(np.argmin(R)), *range(n, n + m)]
+    while True:
+        M = A[active]
+        x = np.linalg.solve(M, b[active])
+        mu = np.linalg.solve(M.T, np.eye(m + 1)[0])
+        if np.all(mu >= -1e-12):
+            return float(x[0]), np.maximum(x[1:], 0.0)
+        k = min((i for i in range(m + 1) if mu[i] < -1e-12),
+                key=active.__getitem__)
+        d = np.linalg.solve(M, -np.eye(m + 1)[k])
+        rate = A @ d
+        # an active row, or a copy of one, moves by rounding alone
+        blocks = rate > 1e-12 * float(size @ np.abs(d))
+        if not np.any(blocks):
+            return np.inf, np.full(m, np.inf)
+        # a row that rounding puts past the vertex blocks at once
+        room = np.maximum(b - A @ x, 0.0)
+        ratio = np.divide(room, rate, out=np.full(n + m, np.inf),
+                          where=blocks)
+        active[k] = int(np.argmin(ratio))
 
 
 def solve_dual_grid(spec: ConstrainedProblemSpec, gamma: float,

@@ -1,7 +1,8 @@
 """The tests' oracles: a complex-step oracle for the gradient of the
 training objective, central finite differences, the one-constraint
-dual value by the full outer product of its pairs, and a reader of the
-`datagen` command's `datasets.txt`.
+dual value by the full outer product of its pairs, the 2-3 constraint
+dual by enumerating the bases of its linear program, and a reader of
+the `datagen` command's `datasets.txt`.
 
 The step objective is written again here in plain numpy for complex
 input: a tanh MLP forward, log-softmax, the mean cross-entropy clamped
@@ -16,6 +17,8 @@ Every function of the objective here maps a stack of parameter vectors,
 theta of shape (k, n_params), to a stack of k values, so that one call
 evaluates every perturbed theta at once.
 """
+
+import itertools
 
 import numpy as np
 
@@ -130,6 +133,72 @@ def one_constraint_dual(R, s):
         sk, Rk = s[pos][None, :], R[pos][None, :]
         D = min(D, float(np.min((sk * Ri - si * Rk) / (sk - si))))
     return D
+
+
+def dual_by_supports(R, slack):
+    """The dual LP's optimum by enumerating its bases, for 2-3 constraints.
+
+    A basis is an active constraint set A and a support of |A| + 1 grid
+    points: the mixture sums to one and zeroes the constraints in A.
+    D is the least objective over the feasible mixtures.  Among the
+    optimal bases the witness is the multiplier of the one whose
+    Lagrangian minimum is highest: with ties in the primal some optimal
+    bases carry a multiplier that is not dual optimal.
+    """
+    m = slack.shape[1]
+    rows = np.column_stack([R, slack])
+    # a row another row beats on R and on every constraint never enters
+    # an optimal mixture, and its Lagrangian never attains the minimum
+    worse = np.all(rows[:, None, :] >= rows[None, :, :], axis=2) & \
+        np.any(rows[:, None, :] > rows[None, :, :], axis=2)
+    keep = np.flatnonzero(~np.any(worse, axis=1))
+    R, slack = R[keep], slack[keep]
+    scale = max(float(np.max(np.abs(slack))), 1e-300)
+    tol = 1e-12 * scale
+    D, bases = np.inf, []
+    for size in range(m + 1):
+        if size + 1 > keep.size:
+            break
+        support = _supports(keep.size, size + 1)
+        for active in itertools.combinations(range(m), size):
+            active = list(active)
+            M = np.ones((len(support), size + 1, size + 1))
+            M[:, 1:, :] = slack[support][:, :, active].transpose(0, 2, 1)
+            regular = np.abs(np.linalg.det(M)) > 1e-12 * scale ** size
+            M, supp = M[regular], support[regular]
+            rhs = np.zeros((size + 1, 1))
+            rhs[0] = 1.0
+            w = np.linalg.solve(M, rhs)[..., 0]
+            mixed = np.einsum("bk,bkj->bj", w, slack[supp])
+            ok = np.all(w >= -1e-12, axis=1) & np.all(mixed <= tol, axis=1)
+            if not np.any(ok):
+                continue
+            values = np.einsum("bk,bk->b", w[ok], R[supp[ok]])
+            D = min(D, float(np.min(values)))
+            bases.append((values, active, M[ok], supp[ok]))
+    if not np.isfinite(D):
+        return np.inf, np.full(m, np.inf)
+    best, lam = -np.inf, np.zeros(m)
+    for values, active, M, supp in bases:
+        near = values <= D + 1e-9 * (1.0 + abs(D))
+        if not np.any(near):
+            continue
+        # D - lambda_A . s_iA = R_i on the support: the transposed system
+        y = np.linalg.solve(np.swapaxes(M[near], 1, 2),
+                            R[supp[near]][..., None])[..., 0]
+        cand = np.zeros((len(y), m))
+        cand[:, active] = np.maximum(-y[:, 1:], 0.0)
+        d = np.min(R[None, :] + cand @ slack.T, axis=1)
+        k = int(np.argmax(d))
+        if d[k] > best:
+            best, lam = float(d[k]), cand[k]
+    return D, lam
+
+
+def _supports(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), one row each."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
 
 
 def load_datasets(text: str) -> list:

@@ -378,6 +378,40 @@ def test_unknown_section_is_config_error(tmp_path, capsys, command,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command,fault,message", [
+    pytest.param(command, fault, message, id=f"{command}-{fault}")
+    for command in ("datagen", "train", "measure-invariance")
+    for fault, message in (
+        ("task", "invalid value for key agreements: "),
+        ("solver", "steps must be at least 1"),
+        ("holdout", "invalid value for key holdout: 'nope'"))
+    # datagen reads no [solver] and takes no --holdout
+    if command != "datagen" or fault == "task"])
+def test_config_value_error_makes_no_out_dir(tmp_path, capsys, command,
+                                             fault, message):
+    # the out dir was made before the values were checked, and a config
+    # error left it behind, empty
+    body = SMALL_TASK.format(algorithm="mbdg")
+    if fault == "task":
+        body = body.replace("e0.9:0.9", "e,9:0.9")
+    elif fault == "solver":
+        body = body.replace("steps = 40", "steps = 0")
+    argv = [command, "--config", _write_config(tmp_path, body=body),
+            "--out", str(tmp_path / "x")]
+    if fault == "holdout":
+        argv += ["--holdout", "nope"]
+    if command == "measure-invariance":
+        # a usable predictor, so that the fault is the first error met
+        path = tmp_path / "predictor.txt"
+        path.write_text(pred.save_text(
+            pred.init_predictor(pred.Architecture((5, 4, 2)), 0)))
+        argv += ["--predictor", str(path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_non_utf8_config_is_config_error(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
     path.write_bytes(SMALL_TASK.format(algorithm="mbdg").encode()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,12 @@ def _check_against_oracle(spec):
         # d is Lipschitz in lambda with constant max_i |L_i - gamma|_1
         bound = step * float(np.max(np.abs(slack).sum(axis=1)))
         assert D - D_grid <= bound + 1e-12
+    if spec.n_envs > 1:
+        # the enumeration takes a mixture up to 1e-12 max|s| outside the
+        # constraints, so it may sit that far below a D near 0; an inf
+        # matches only an inf
+        want, _ = oracles.dual_by_supports(spec.R, slack)
+        assert D == pytest.approx(want, rel=1e-12, abs=1e-12)
     return D, lam
 
 
@@ -227,6 +235,25 @@ def test_one_constraint_dual_is_the_full_pair_minimum():
         D, _ = verify._dual_one_constraint(R, s)
         want = oracles.one_constraint_dual(R, s)
         assert np.float64(D).tobytes() == np.float64(want).tobytes()
+
+
+def test_exact_dual_of_a_smooth_41_by_41_grid_fits_in_20_mb():
+    # enumerating the bases of this 1681-row dual peaked at 171 MB
+    a, b = (v.ravel() for v in np.meshgrid(np.linspace(-1.0, 1.0, 41),
+                                           np.linspace(-1.0, 1.0, 41),
+                                           indexing="ij"))
+    spec = verify.ConstrainedProblemSpec(
+        np.column_stack([a, b]), (a - 0.3) ** 2 + (b + 0.2) ** 2 + 0.5 * a * b,
+        np.column_stack([(a - 0.5) ** 2, (b - 0.4) ** 2 + 0.1 * a]), 0.1)
+    tracemalloc.start()
+    try:
+        rep = verify.gap_report(spec, spec.gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    want, _ = oracles.dual_by_supports(spec.R, spec.L - spec.gamma)
+    assert rep.D_star == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_exact_dual_square_instance_witness():
