@@ -62,19 +62,21 @@ def dist_reg_vjp(P: np.ndarray, Q: np.ndarray, scale: np.ndarray,
 
     Row i of P pairs with row i of Q; `spans` slice the rows into the
     constraint pairs, and `scale` holds each row's 1/n for its pair's n
-    rows.  Returns (mean clamped distance per pair, d/dlogp, d/dlogq)
-    of the summed pairs.  The first side is the KL reference
-    distribution; a row whose KL sits outside [0, bound] passes no
-    gradient.
+    rows.  Returns (mean clamped distance per pair, d/dlogp, -d/dlogq)
+    of the summed pairs: the second side's gradient comes without its
+    minus sign, which the caller applies by subtracting it, bit for bit
+    the sum of the negated value.  The first side is the KL reference
+    distribution; a row whose KL sits outside [0, bound], or is NaN, gets
+    weight 0, so it passes no gradient unless it holds an inf or a NaN.
     """
     P_s, Q_s = P + SMOOTHING, Q + SMOOTHING
     ratio = np.log(P_s / Q_s)
     raw = pred.class_reduce(np.add, P * ratio)
     per_row = np.minimum(np.maximum(raw, 0.0), bound)
-    live = (raw >= 0.0) & (raw <= bound)
-    w = np.where(live, scale, 0.0)[:, None]
-    g_p = w * P * (ratio + P / P_s)
-    g_q = -w * P * Q / Q_s
+    # the clamp leaves exactly the values in [0, bound]; NaN equals none
+    wP = np.where(per_row == raw, scale, 0.0)[:, None] * P
+    g_p = wP * (ratio + P / P_s)
+    g_q = wP * Q / Q_s
     distreg = np.array([per_row[s].sum() * (1.0 / (s.stop - s.start))
                         for s in spans])
     return distreg, g_p, g_q

@@ -125,12 +125,13 @@ def row_sum(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def class_reduce(op, z: np.ndarray) -> np.ndarray:
     """`op.reduce(z, axis=1)` for op np.maximum or np.add, bit for bit: a
-    loop over up to 7 class columns skips numpy's per-row set-up, and
-    from 8 on, where numpy's pairwise sum regroups terms, numpy reduces."""
-    if z.shape[1] > 7:
+    loop over 2 to 7 class columns skips numpy's per-row set-up, and
+    from 8 on, where numpy's pairwise sum regroups terms, numpy reduces,
+    as it does a single column."""
+    if not 1 < z.shape[1] < 8:
         return op.reduce(z, axis=1)
-    out = z[:, 0].copy()
-    for j in range(1, z.shape[1]):
+    out = op(z[:, 0], z[:, 1])
+    for j in range(2, z.shape[1]):
         op(out, z[:, j], out=out)
     return out
 

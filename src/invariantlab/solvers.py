@@ -263,7 +263,7 @@ def objective_gradient(plan: StepPlan, lam, bound: float):
         for w_k, (a, b), s in zip(w, plan.pairs, plan.pair_spans):
             if w_k:  # a zero weight adds nothing
                 g[a] += w_k * g_a[s]
-                g[b] += w_k * g_b[s]
+                g[b] -= w_k * g_b[s]  # g_b is -d/dlogq
     # through log-softmax: d/dz = d/dlogp - softmax * (row sum of d/dlogp)
     g -= P * pred.class_reduce(np.add, g)[:, None]
     pred.backward(plan.params, acts, g, plan.grads)

@@ -236,3 +236,29 @@ def test_closed_form_gradient_matches_complex_step_oracle_at_the_clamp(kind):
                                            rel=1e-12)
 
 
+def test_dist_reg_vjp_passes_gradient_only_through_rows_in_the_clamp():
+    bound = 0.5
+    # one row per case: KL that rounds below 0, inside [0, bound], above
+    # bound, and NaN; the NaN row is off the simplex so that each of its
+    # factors is finite and only its sum, inf - inf, is NaN
+    P = np.array([[0.3, 0.7], [0.6, 0.4], [0.99, 0.01], [1e308, -1e308]])
+    Q = np.array([[0.30000000000000004, 0.7], [0.5, 0.5], [0.01, 0.99],
+                  [1e306, -1e306]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.sum(P * np.log((P + con.SMOOTHING) / (Q + con.SMOOTHING)),
+                     axis=1)
+        assert raw[0] < 0.0 and 0.0 < raw[1] < bound < raw[2]
+        assert np.isnan(raw[3])
+        # the first three rows are one pair, the NaN row another
+        scale = np.array([1 / 3, 1 / 3, 1 / 3, 1.0])
+        spans = [slice(0, 3), slice(3, 4)]
+        distreg, g_p, g_q = con.dist_reg_vjp(P, Q, scale, spans, bound)
+    dead = [0, 2, 3]
+    assert np.all(g_p[dead] == 0.0) and np.all(g_q[dead] == 0.0)
+    assert np.all(g_p[1] != 0.0)
+    # the second side's gradient comes without its minus sign
+    assert np.all(g_q[1] > 0.0)
+    clamped = np.clip(raw, 0.0, bound)
+    np.testing.assert_allclose(
+        distreg, [clamped[:3].mean(), clamped[3]], rtol=1e-15)
+    assert np.isnan(distreg[1])
