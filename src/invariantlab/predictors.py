@@ -150,7 +150,8 @@ def predict_batch(p: Predictor, X: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"input dim {X.shape[1]}, predictor expects {p.arch.input_dim}")
     z = forward(p.arch.unflatten(p.theta), X)[-1]
-    q = np.exp(z - class_reduce(np.maximum, z)[:, None], out=z)
+    with np.errstate(over="ignore"):  # a shift to -inf is probability 0
+        q = np.exp(z - class_reduce(np.maximum, z)[:, None], out=z)
     q /= class_reduce(np.add, q)[:, None]
     return q
 

@@ -27,7 +27,8 @@ transformation model):
 
 Ascent is projected: lambda <- [lambda + eta_d * (distReg - gamma)]_+.
 With `dual_mode = "per-env"` a preset that has a constraint samples one
-batch and keeps one dual weight per environment.
+batch and keeps one dual weight per environment.  lambda is a tuple of
+floats, one per dual weight, and distReg a list, one float per pair.
 """
 
 from __future__ import annotations
@@ -117,12 +118,12 @@ class TrainTrace:
     # training environment under a dual vector, none under one lambda
     env_columns: list
     losses: list = field(default_factory=list)
-    lam: list = field(default_factory=list)  # arrays, one per step
-    distreg: list = field(default_factory=list)
+    lam: list = field(default_factory=list)  # float tuples, one per step
+    distreg: list = field(default_factory=list)  # float lists
     gamma: float = 0.0
 
     def append(self, loss, lam, distreg):
-        # kept, not copied: train never writes into an array it appends
+        # kept, not copied: train never changes a sequence it appends
         self.losses.append(float(loss))
         self.lam.append(lam)
         self.distreg.append(distreg)
@@ -146,10 +147,11 @@ class TrainTrace:
 
 # -- step primitives ---------------------------------------------------------
 
-def dual_step(lam: np.ndarray, distreg_value, gamma: float,
-              eta_dual: float) -> np.ndarray:
-    """Projected dual ascent: [lambda + eta_d * (distReg - gamma)]_+."""
-    return np.maximum(lam + eta_dual * (distreg_value - gamma), 0.0)
+def dual_step(lam, distreg, gamma: float, eta_dual: float) -> tuple:
+    """Projected dual ascent [lambda + eta_d * (distReg - gamma)]_+ on
+    floats, bit for bit `np.maximum(x, 0.0)`: NaN stays, -0.0 is 0.0."""
+    steps = (l + eta_dual * (d - gamma) for l, d in zip(lam, distreg))
+    return tuple(0.0 if x <= 0.0 else x for x in steps)
 
 
 class StepPlan:
@@ -254,13 +256,14 @@ def objective_gradient(plan: StepPlan, lam, bound: float):
         logp, plan.ce_base + plan.y[plan.ce_rows], plan.ce_scale,
         plan.ce_spans, bound, g)
     P = np.exp(logp, out=plan.softmax)
-    distreg = np.zeros(len(lam))
+    distreg = [0.0] * len(lam)
     if plan.pairs:
         distreg, g_a, g_b = cons.dist_reg_vjp(
             _rows(P, plan.pair_a), _rows(P, plan.pair_b), plan.pair_scale,
             plan.pair_spans, bound)
-        w = np.multiply(lam, 1.0 / len(plan.pairs))
-        for w_k, (a, b), s in zip(w, plan.pairs, plan.pair_spans):
+        inv = 1.0 / len(plan.pairs)
+        for l, (a, b), s in zip(lam, plan.pairs, plan.pair_spans):
+            w_k = l * inv
             if w_k:  # a zero weight adds nothing
                 g[a] += w_k * g_a[s]
                 g[b] -= w_k * g_b[s]  # g_b is -d/dlogq
@@ -270,7 +273,7 @@ def objective_gradient(plan: StepPlan, lam, bound: float):
     return loss, distreg, plan.grad
 
 
-def primal_step(plan: StepPlan, lam: np.ndarray, X, y, G, codes,
+def primal_step(plan: StepPlan, lam: tuple, X, y, G, codes,
                 config: SolverConfig):
     """One SGD step of the config's preset on loss + <lam, distReg>,
     applied to `plan.theta` in place.
@@ -294,9 +297,9 @@ def primal_step(plan: StepPlan, lam: np.ndarray, X, y, G, codes,
     loss, distreg, grad = objective_gradient(plan, lam, config.loss_bound)
     if not math.isfinite(loss):
         raise pred.NonFiniteError("non-finite loss")
-    if not np.isfinite(distreg).all():
+    if not all(map(math.isfinite, distreg)):
         raise pred.NonFiniteError("non-finite distReg")
-    plan.theta -= config.eta_primal * grad
+    plan.theta -= np.multiply(grad, config.eta_primal, out=grad)
     if not np.isfinite(plan.theta).all():
         raise pred.NonFiniteError("non-finite parameter update")
     return loss, distreg
@@ -350,8 +353,8 @@ def train(config: SolverConfig, datasets, G):
     gen_rng = np.random.default_rng([config.seed, 2])
 
     per_env = config.dual_mode == "per-env" and preset.pairing is not None
-    lam = np.full(len(datasets) if per_env else 1,
-                  config.weight if preset.dual == "fixed" else 0.0)
+    lam = (config.weight if preset.dual == "fixed" else 0.0,) * (
+        len(datasets) if per_env else 1)
 
     X_all = np.vstack([d.X for d in datasets])
     y_all = np.concatenate([d.y for d in datasets])
@@ -361,7 +364,7 @@ def train(config: SolverConfig, datasets, G):
     lo, hi = (ends[:-1], ends[1:]) if per_env else (ends[:1], ends[-1:])
 
     trace = TrainTrace(
-        env_columns=[d.env for d in datasets] if lam.size > 1 else [],
+        env_columns=[d.env for d in datasets] if len(lam) > 1 else [],
         gamma=config.gamma)
     plan = StepPlan(preset, pred.init_predictor(arch, config.seed),
                     [config.batch_size] * len(lo))

@@ -3,11 +3,12 @@
 A model is two methods: `sample_codes(n, rng)` draws n environment codes
 from the model's code distribution, and `apply_batch(X, codes)`
 transforms row i of X under code i into an instance of the same
-dimension.  `generate_batch` pairs each row with a freshly sampled code,
-the way `constraints.dist_reg` uses G; training draws a block of steps'
-codes with one `sample_codes` call and applies each step's slice of
-them with `apply_batch`.  Learned (GAN-based) transforms are
-out of scope; they would expose the same two methods.
+dimension: a rotation code is an angle, a colour code the colour's
+scaled one-hot row.  `generate_batch` pairs each row with a freshly
+sampled code, the way `constraints.dist_reg` uses G; training draws a
+block of steps' codes with one `sample_codes` call and applies each
+step's slice of them with `apply_batch`.  Learned (GAN-based)
+transforms are out of scope; they would expose the same two methods.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ class RotationModel:
 
 @dataclass(frozen=True)
 class ColorResampleModel:
-    """Overwrite the color coordinates with a freshly sampled one-hot code.
+    """Overwrite the color coordinates with a freshly sampled code.
 
-    A code holds one entry per color coordinate, exactly one of them 1;
-    the coordinate is set to `scale` times its entry.
+    A code is the color's scaled one-hot row: one entry per color
+    coordinate, `scale` at the color and 0 times `scale` elsewhere, and
+    each coordinate is set to its entry.
     """
 
     indices: tuple
@@ -64,15 +66,16 @@ class ColorResampleModel:
 
     def sample_codes(self, n: int, rng: np.random.Generator) -> np.ndarray:
         k = len(self.indices)
-        # row j of the identity is the one-hot code of color j
-        return np.eye(k).take(rng.integers(0, k, size=n), axis=0)
+        # row j of scale * I is the code of color j
+        return (self.scale * np.eye(k)).take(rng.integers(0, k, size=n),
+                                             axis=0)
 
     def apply_batch(self, X: np.ndarray, codes: np.ndarray) -> np.ndarray:
         if max(self.indices) >= X.shape[1]:
             raise DimensionError("color index outside feature dimension")
         out = X.copy()
         for k, idx in enumerate(self.indices):
-            out[:, idx] = self.scale * codes[:, k]
+            out[:, idx] = codes[:, k]
         return out
 
 

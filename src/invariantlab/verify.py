@@ -500,7 +500,7 @@ def theorem2_schedule_check(spec: ConstrainedProblemSpec, kappa: float,
     idx = 0
     for _ in range(T):
         idx = int(np.argmin(spec.R + slack @ lam))
-        step = solvers.dual_step(lam, spec.L[idx], spec.gamma, eta)
+        step = np.array(solvers.dual_step(lam, spec.L[idx], spec.gamma, eta))
         # bytes, not ==, so that a flip of a zero's sign is a change
         if step.tobytes() == lam.tobytes():
             break

@@ -154,7 +154,6 @@ def dual_by_supports(R, slack):
     keep = np.flatnonzero(~np.any(worse, axis=1))
     R, slack = R[keep], slack[keep]
     scale = max(float(np.max(np.abs(slack))), 1e-300)
-    tol = 1e-12 * scale
     D, bases = np.inf, []
     for size in range(m + 1):
         if size + 1 > keep.size:
@@ -170,7 +169,12 @@ def dual_by_supports(R, slack):
             rhs[0] = 1.0
             w = np.linalg.solve(M, rhs)[..., 0]
             mixed = np.einsum("bk,bkj->bj", w, slack[supp])
-            ok = np.all(w >= -1e-12, axis=1) & np.all(mixed <= tol, axis=1)
+            # a mixture of |A| + 1 rows is feasible up to rounding: a
+            # negative weight or a constraint value beyond a few ulps is
+            # an extrapolation, which can read D below its exact value
+            ulps = 4.0 * np.finfo(float).eps * (size + 1)
+            ok = np.all(w >= -ulps, axis=1) & \
+                np.all(mixed <= ulps * scale, axis=1)
             if not np.any(ok):
                 continue
             values = np.einsum("bk,bk->b", w[ok], R[supp[ok]])

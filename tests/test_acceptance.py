@@ -265,7 +265,7 @@ def test_criterion_8_numerics():
     gam = rng.uniform(1e-6, 1, 10_000)
     eta = rng.uniform(0, 1, 10_000)
     dual_ok = bool(np.all(np.array(
-        [solvers.dual_step(np.array([l]), d, g, e)[0]
+        [solvers.dual_step((l,), (d,), g, e)[0]
          for l, d, g, e in zip(lam, dr, gam, eta)]) >= 0.0))
     ok = grad_ok and kl_ok and simplex_ok and dual_ok
     detail = (f"max_grad_err={worst:.2e}, kl={kl_ok}, "

@@ -658,6 +658,22 @@ def test_diverging_train_warns_nothing_and_exits_2(tmp_path, capsys):
     assert (tmp_path / "x" / "trace.csv").exists()
 
 
+def test_finite_train_with_huge_logits_warns_nothing(tmp_path, capsys):
+    # five steps of 1e308 leave finite weights whose logits differ by
+    # more than the largest float: the summary's softmax shift overflows
+    # to -inf, probability 0, its limit, and the run succeeds quietly
+    cfg = _write_config(tmp_path, body=SMALL_TASK.split("[solver]")[0]
+                        .replace("n_per_env = 500", "n_per_env = 50")
+                        + "[solver]\nalgorithm = mbdg-reg\n"
+                        "eta_primal = 1e308\nsteps = 5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--config", cfg, "--seed", "1", "--out",
+                         str(tmp_path / "x")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
 def test_failed_train_writes_the_exact_partial_trace(tmp_path, monkeypatch,
                                                      capsys):
     # G turns NaN after k transforms; mbdg-reg transforms one batch per

@@ -57,14 +57,14 @@ def test_solver_config_validation():
 
 def test_dual_step_exact_values():
     # constraint violated: 0.0 + 0.05 * (0.425 - 0.025) = 0.02
-    assert solvers.dual_step(np.array([0.0]), 0.425, 0.025, 0.05) == \
-        pytest.approx([0.02])
+    assert solvers.dual_step((0.0,), (0.425,), 0.025, 0.05) == \
+        pytest.approx((0.02,))
     # satisfied from positive lambda: 0.01 + 0.05*(0.005 - 0.025) = 0.009
-    assert solvers.dual_step(np.array([0.01]), 0.005, 0.025, 0.05) == \
-        pytest.approx([0.009])
+    assert solvers.dual_step((0.01,), (0.005,), 0.025, 0.05) == \
+        pytest.approx((0.009,))
     # projection clips at zero: 0.0005 + 0.05*(0 - 0.025) < 0
-    assert solvers.dual_step(np.array([0.0005]), 0.0, 0.025, 0.05) == \
-        pytest.approx([0.0])
+    assert solvers.dual_step((0.0005,), (0.0,), 0.025, 0.05) == \
+        pytest.approx((0.0,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -74,7 +74,7 @@ def test_dual_step_exact_values():
 # a step of 5.5e-18, below half an ulp of lambda = 1, rounds back to 1
 @example(1.0, 1.0, 0.9999999999999999)
 def test_dual_step_monotone_constraint_response(lam, dr, gamma):
-    out = float(solvers.dual_step(np.array([lam]), dr, gamma, 0.05)[0])
+    out = solvers.dual_step((lam,), (dr,), gamma, 0.05)[0]
     if dr > gamma and 0.05 * (dr - gamma) >= np.spacing(lam):
         assert out > lam
     elif dr > gamma:
@@ -89,14 +89,57 @@ def test_dual_step_monotone_constraint_response(lam, dr, gamma):
        st.floats(min_value=1e-6, max_value=1),
        st.floats(min_value=0, max_value=1))
 def test_dual_step_never_goes_negative(lam, dr, gamma, eta):
-    out = solvers.dual_step(np.array([lam]), dr, gamma, eta)
-    assert np.all(out >= 0.0)
+    out = solvers.dual_step((lam,), (dr,), gamma, eta)
+    assert np.all(np.array(out) >= 0.0)
 
 
 def test_dual_step_per_env_is_componentwise():
     lam = np.array([0.0, 1.0])
     out = solvers.dual_step(lam, np.array([0.3, 0.05]), 0.1, 0.5)
     assert out == pytest.approx([0.1, 0.975])
+
+
+@pytest.mark.parametrize("lam, distreg, eta", [
+    ((-0.0,), (0.0,), 0.0),  # -0.0 + 0.0 * (0 - gamma) is -0.0
+    ((0.5, 0.0), (float("nan"), 0.3), 0.05),
+    ((0.0, 0.7), (0.3, 0.0), 0.0),
+], ids=["minus-zero-sum", "nan-distreg", "eta-zero"])
+def test_dual_step_is_numpys_projected_ascent_bitwise(lam, distreg, eta):
+    want = np.maximum(np.array(lam) + eta * (np.array(distreg) - 0.025), 0.0)
+    out = solvers.dual_step(lam, distreg, 0.025, eta)
+    assert isinstance(out, tuple)
+    assert np.array(out).tobytes() == want.tobytes()
+
+
+# each margin gamma has lambda both rise and clip at zero in 200 steps
+@pytest.mark.parametrize("task, algorithm, dual_mode, gamma", [
+    ("concept", "mbdg", "single", 0.025),
+    ("concept", "mbdg-da", "single", 0.025),
+    ("covariate", "mbdg", "per-env", 0.1)])
+def test_trained_dual_replays_numpys_projected_ascent_bitwise(
+        task, algorithm, dual_mode, gamma):
+    # the trace's distReg, replayed through projected ascent on float64
+    # arrays, gives the trace's lambda bit for bit
+    if task == "concept":
+        spec, data = _concept(n=300)
+        G = datagen.concept_shift_transform(spec)
+    else:
+        G = tr.RotationModel((0, 1), (0.0, 2 * np.pi))
+        data = datagen.gen_covariate_shift(datagen.CovariateShiftSpec(
+            mean0=np.array([0.5, 0.0]), mean1=np.array([2.0, 0.0]),
+            model=G, train_envs={"a0": 0.0, "a30": np.pi / 6,
+                                 "a60": np.pi / 3}, n_per_env=300), 0)[:3]
+    config = _small_config(algorithm=algorithm, dual_mode=dual_mode,
+                           steps=200, gamma=gamma, eta_dual=0.5)
+    _, trace = solvers.train(config, data, G)
+    lam, replay, clipped = np.zeros(len(trace.lam[0])), [], 0
+    for d in trace.distreg:
+        ascent = lam + config.eta_dual * (np.array(d) - config.gamma)
+        clipped += int(np.count_nonzero(ascent < 0.0))
+        lam = np.maximum(ascent, 0.0)
+        replay.append(lam)
+    assert np.array(replay).tobytes() == np.array(trace.lam).tobytes()
+    assert np.array(trace.lam).max() > 0.0 and clipped > 0
 
 
 # -- Lagrangian and risks ----------------------------------------------------------
@@ -467,7 +510,7 @@ def _assert_matches_per_term_formulas(arch, plan, ce_rows, lam):
     ref_loss, ref_distreg, ref_g, ref_grad = _per_term_objective(
         arch, plan, ce_rows, pairs, lam, bound)
     assert loss == ref_loss
-    assert distreg.tobytes() == ref_distreg.tobytes()
+    assert np.array(distreg).tobytes() == ref_distreg.tobytes()
     assert plan.g.tobytes() == ref_g.tobytes()
     assert grad.tobytes() == ref_grad.tobytes()
 
@@ -546,7 +589,7 @@ def test_per_env_dual_mode_tracks_each_environment():
     config = _small_config(algorithm="mbdg", steps=10,
                            dual_mode="per-env")
     _, trace = solvers.train(config, data, G)
-    assert trace.lam[0].size == len(data)
+    assert len(trace.lam[0]) == len(data)
     header = trace.to_csv().splitlines()[0]
     assert "lambda_e0.8" in header and "distreg_e0.9" in header
 
@@ -655,9 +698,9 @@ def test_steps_that_plan_for_themselves_match_train(algorithm, dual_mode):
                             config.seed)
     batch_rng = np.random.default_rng([config.seed, 1])
     gen_rng = np.random.default_rng([config.seed, 2])
-    lam = np.full(len(data) if per_env else 1,
-                  config.weight if preset.dual == "fixed" else 0.0)
-    plan = solvers.StepPlan(preset, p, [config.batch_size] * lam.size)
+    lam = (config.weight if preset.dual == "fixed" else 0.0,) * (
+        len(data) if per_env else 1)
+    plan = solvers.StepPlan(preset, p, [config.batch_size] * len(lam))
     X_all = np.vstack([d.X for d in data])
     y_all = np.concatenate([d.y for d in data])
     ends = [0, len(data[0]), len(X_all)] if per_env else [0, len(X_all)]

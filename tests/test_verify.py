@@ -150,11 +150,9 @@ def _check_against_oracle(spec):
         bound = step * float(np.max(np.abs(slack).sum(axis=1)))
         assert D - D_grid <= bound + 1e-12
     if spec.n_envs > 1:
-        # the enumeration takes a mixture up to 1e-12 max|s| outside the
-        # constraints, so it may sit that far below a D near 0; an inf
-        # matches only an inf
+        # an inf matches only an inf
         want, _ = oracles.dual_by_supports(spec.R, slack)
-        assert D == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert D == pytest.approx(want, rel=1e-12)
     return D, lam
 
 
@@ -253,7 +251,7 @@ def test_exact_dual_of_a_smooth_41_by_41_grid_fits_in_20_mb():
         tracemalloc.stop()
     assert peak < 20e6
     want, _ = oracles.dual_by_supports(spec.R, spec.L - spec.gamma)
-    assert rep.D_star == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert rep.D_star == pytest.approx(want, rel=1e-12)
 
 
 def test_exact_dual_square_instance_witness():

@@ -4,7 +4,9 @@
 
 Runs `train` for every preset, in single and per-env dual mode, on
 perfbench's concept-shift and covariate-shift configs (the same task
-text, solver section and held-out environment), for seeds 0 and 3.  It
+text, solver section and held-out environment), for seeds 0 and 3, and
+on the concept task with `color_scale = -1.5` (`concept-scaled`), whose
+colour codes hold -0.0 entries.  It
 then repeats those runs with a one-unit hidden layer (`hidden1`) and with
 an odd batch size of 7 (`batch7`), the shapes where a bit-exact numpy
 shortcut is most likely to part from numpy.  For each run it prints the
@@ -40,7 +42,9 @@ import workloads as wl  # noqa: E402
 from invariantlab import cli  # noqa: E402
 
 TASKS = {"concept": (wl.CONCEPT_TASK, "e0.1"),
-         "covariate": (wl.COVARIATE_TASK, "a90")}
+         "covariate": (wl.COVARIATE_TASK, "a90"),
+         "concept-scaled": (wl.CONCEPT_TASK + "color_scale = -1.5\n",
+                            "e0.1")}
 SEEDS = (0, 3)
 DUAL_MODES = ("single", "per-env")
 # solver variants, as edits of perfbench's solver section; the first is
