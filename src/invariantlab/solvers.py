@@ -305,30 +305,6 @@ def primal_step(plan: StepPlan, lam: tuple, X, y, G, codes,
     return loss, distreg
 
 
-def empirical_lagrangian(p: pred.Predictor, lam, gamma: float, datasets,
-                         G, rng: np.random.Generator, bound: float) -> float:
-    """R_hat + (1/|E|) sum_e [L_hat^e - gamma] * lambda(e).
-
-    `lam` holds one dual weight shared by every environment, or one per
-    environment.  One clean forward of environment e serves its risk and
-    L_hat^e, the mean of `constraints.dist_reg` over its rows, each under
-    a fresh code from `rng`; the risk and distance are clamped at `bound`.
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if lam.size not in (1, len(datasets)):
-        raise ValueError("dual variable count does not match environments")
-    if lam.size == 1:
-        lam = np.full(len(datasets), lam[0])
-    risk = penalty = 0.0
-    for lam_e, d in zip(lam, datasets):
-        q = pred.predict_batch(p, d.X)
-        risk += pred.empirical_risk(q, d.y, bound) * len(d)
-        L_e = float(np.mean(cons.dist_reg(p, d.X, G, rng, bound, q)))
-        penalty += (L_e - gamma) * lam_e
-    n_total = sum(len(d) for d in datasets)
-    return float(risk / n_total + penalty / len(datasets))
-
-
 # -- the training loop --------------------------------------------------------
 
 # `train` draws each step's rows and G's codes this many steps at a time:

@@ -4,15 +4,17 @@ Everything here works on finite grids: a problem is a list of candidate
 parameter vectors with cached objective and constraint values.  Primal
 optima come from enumerating the grid, and dual optima from the dual's
 linear program, solved exactly: in closed form for one constraint, and
-by a simplex walk over its vertices for two or three.  Each dual
-solution carries a multiplier that certifies its value.  Perturbation
-curves, parameterization sandwiches, empirical-gap decay and saddle
-points are checked against these exact values; a check that fails
-raises `VerificationError`.  The Theorem 2 schedule check moves its
-dual weights with the trainer's own step, `solvers.dual_step`.
-`measure_g_invariance` measures a trained predictor instead: each
-example's mean `constraints.dist_reg` value over SAMPLES_PER_POINT
-fresh transforms of it.
+by a simplex walk over its vertices for two or more.  Each dual
+solution carries a multiplier whose Lagrangian minimum equals its value
+D, so D is a lower bound that the multiplier attains; that no larger
+value exists rests on the closed form or the walk's stopping rule, and
+on the tests' oracles.  Perturbation curves, parameterization
+sandwiches, empirical-gap decay and saddle points are checked against
+these exact values; a check that fails raises `VerificationError`.
+The Theorem 2 schedule check moves its dual weights with the trainer's
+own step, `solvers.dual_step`.  `measure_g_invariance` measures a
+trained predictor instead: each example's mean `constraints.dist_reg`
+value over SAMPLES_PER_POINT fresh transforms of it.
 
 A sampled problem's means and the one-constraint dual reduce in blocks,
 bit-identical to the one-shot forms: `_row_mean` and
@@ -124,25 +126,25 @@ def solve_dual(spec: ConstrainedProblemSpec, gamma: float):
     Its dual value equals the linear program min_{w in simplex}
     sum_i w_i R_i subject to sum_i w_i (L_i - gamma) <= 0, whose optimum
     mixes at most |A| + 1 grid points for its active constraints A.  One
-    constraint has a closed form; for two or three, a simplex walk over
+    constraint has a closed form; for two or more, a simplex walk over
     the vertices of the LP's dual takes memory linear in the grid.
     Returns (D, lambda); D is +inf when no mixture is feasible.  Raises
-    VerificationError unless min_i R_i + lambda . (L_i - gamma) equals
-    D within 1e-12.
+    VerificationError unless lambda's Lagrangian minimum,
+    min_i R_i + lambda . (L_i - gamma), equals D within 1e-12: D is then
+    a lower bound that lambda attains.  That it is the maximum rests on
+    the closed form or the walk's stopping rule.
     """
     _require_finite_margin(gamma)
-    if spec.n_envs > 3:
-        raise ValueError("the exact dual handles at most 3 environments")
     slack = spec.L - gamma
     if spec.n_envs == 1:
         D, lam = _dual_one_constraint(spec.R, slack[:, 0])
     else:
         D, lam = _dual_by_vertex_walk(spec.R, slack)
     if np.isfinite(D):
-        certified = float(np.min(spec.R + slack @ lam))
-        if not abs(certified - D) <= 1e-12:
+        attained = float(np.min(spec.R + slack @ lam))
+        if not abs(attained - D) <= 1e-12:
             raise VerificationError(
-                f"dual witness {lam} gives {certified}, not {D}")
+                f"dual witness {lam} gives {attained}, not {D}")
     return D, lam
 
 

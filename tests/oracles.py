@@ -1,7 +1,8 @@
 """The tests' oracles: a complex-step oracle for the gradient of the
 training objective, central finite differences, the one-constraint
-dual value by the full outer product of its pairs, the 2-3 constraint
-dual by enumerating the bases of its linear program, and a reader of
+dual value by the full outer product of its pairs, the dual for any
+number of constraints by enumerating the bases of its linear program
+(at a cost exponential in the number), and a reader of
 the `datagen` command's `datasets.txt`.
 
 The step objective is written again here in plain numpy for complex
@@ -136,7 +137,8 @@ def one_constraint_dual(R, s):
 
 
 def dual_by_supports(R, slack):
-    """The dual LP's optimum by enumerating its bases, for 2-3 constraints.
+    """The dual LP's optimum by enumerating its bases, for any number m
+    of constraints; the bases, and so the cost, grow exponentially in m.
 
     A basis is an active constraint set A and a support of |A| + 1 grid
     points: the mixture sums to one and zeroes the constraints in A.

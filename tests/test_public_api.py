@@ -4,9 +4,9 @@ A public function, class, method or module-level assignment counts as
 used when a `Name`, an `Attribute` or an identifier-shaped string
 constant (perfbench's tracer wraps functions by their names as strings)
 refers to it somewhere in `src/` or in `perfbench/*.py`, outside its own
-definition.  Matching is
-by name only, so dead code that shares its name with a used identifier
-passes.  Every name the tracer wraps must also still resolve.
+definition.  No name is exempt.  Matching is by name only, so dead
+code that shares its name with a used identifier passes.  Every name
+the tracer wraps must also still resolve.
 """
 
 import ast
@@ -18,13 +18,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "invariantlab"
-
-# kept without a runtime caller, each for the reason given
-ALLOWED = {
-    "solvers.empirical_lagrangian": "the planned per-checkpoint run "
-                                    "record is to call it (ROADMAP)",
-}
-
 
 def _definitions(tree):
     """(qualified name, node) of each public module function, class,
@@ -78,10 +71,7 @@ def unreferenced() -> list:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    missing = set(unreferenced())
-    assert sorted(missing - set(ALLOWED)) == []
-    # an entry whose name is gone or has gained a caller is stale
-    assert sorted(set(ALLOWED) - missing) == []
+    assert unreferenced() == []
 
 
 def _perfbench_tracer(monkeypatch):

@@ -142,71 +142,6 @@ def test_trained_dual_replays_numpys_projected_ascent_bitwise(
     assert np.array(trace.lam).max() > 0.0 and clipped > 0
 
 
-# -- Lagrangian and risks ----------------------------------------------------------
-
-# every code is a zero angle: G(x, e) = x
-IDENTITY = tr.RotationModel((0, 1), (0.0, 0.0))
-
-
-def test_empirical_lagrangian_reduces_to_risk_at_zero_dual():
-    spec, data = _concept()
-    G = datagen.concept_shift_transform(spec)
-    p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    lag = solvers.empirical_lagrangian(
-        p, [0.0], 0.025, data, G, np.random.default_rng(0), BOUND)
-    n = sum(len(d) for d in data)
-    risk = sum(pred.empirical_risk(pred.predict_batch(p, d.X), d.y, BOUND)
-               * len(d) for d in data) / n
-    assert lag == pytest.approx(risk, abs=1e-12)
-
-
-def test_empirical_lagrangian_identity_codes_subtract_margin():
-    # with identity codes every constraint value is 0, so the penalty is
-    # exactly -gamma * mean(lambda)
-    spec, data = _concept(n=100)
-    p = pred.init_predictor(pred.Architecture((5, 4, 2)), 1)
-    lag = solvers.empirical_lagrangian(
-        p, [2.0], 0.1, data, IDENTITY, np.random.default_rng(0), BOUND)
-    n = sum(len(d) for d in data)
-    risk = sum(pred.empirical_risk(pred.predict_batch(p, d.X), d.y, BOUND)
-               * len(d) for d in data) / n
-    assert lag == pytest.approx(risk - 0.1 * 2.0, abs=1e-10)
-
-
-def test_empirical_lagrangian_runs_one_clean_forward_per_env(monkeypatch):
-    # each environment's clean predictions serve its risk and its L_hat,
-    # so its one other forward is over the transformed rows
-    spec, data = _concept(n=50)
-    p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    G = datagen.concept_shift_transform(spec)
-    predict, rng, rows = pred.predict_batch, np.random.default_rng(0), []
-    risk = sum(pred.empirical_risk(predict(p, d.X), d.y, BOUND) * len(d)
-               for d in data) / sum(len(d) for d in data)
-    L = [float(np.mean(cons.dist_reg(p, d.X, G, rng, BOUND, predict(p, d.X))))
-         for d in data]
-
-    def predict_batch(p, X):
-        rows.append(len(X))
-        return predict(p, X)
-
-    monkeypatch.setattr(pred, "predict_batch", predict_batch)
-    lag = solvers.empirical_lagrangian(
-        p, [0.5], 0.1, data, G, np.random.default_rng(0), BOUND)
-    assert rows == [50] * (2 * len(data))
-    assert min(L) > 0.0
-    assert lag == pytest.approx(
-        risk + sum(0.5 * (v - 0.1) for v in L) / len(data), abs=1e-12)
-
-
-def test_empirical_lagrangian_checks_dual_count():
-    spec, data = _concept(n=50)
-    p = pred.init_predictor(pred.Architecture((5, 4, 2)), 0)
-    with pytest.raises(ValueError):
-        solvers.empirical_lagrangian(
-            p, [0.0, 0.0, 0.0], 0.1, data, IDENTITY,
-            np.random.default_rng(0), BOUND)
-
-
 # -- primal step -------------------------------------------------------------------
 
 def _primal_step(p, X, y, G, config):
