@@ -16,9 +16,9 @@ own step, `solvers.dual_step`.  `measure_g_invariance` measures a
 trained predictor instead: each example's mean `constraints.dist_reg`
 value over SAMPLES_PER_POINT fresh transforms of it.
 
-A sampled problem's means and the one-constraint dual reduce in blocks,
-bit-identical to the one-shot forms: `_row_mean` and
-`_dual_one_constraint` say why.
+A sampled problem's means reduce in blocks, and the one-constraint dual
+pairs only the rows near its hull's bridge, bit-identical to the
+one-shot forms: `_row_mean` and `_dual_one_constraint` say why.
 """
 
 from __future__ import annotations
@@ -151,27 +151,29 @@ def solve_dual(spec: ConstrainedProblemSpec, gamma: float):
 def _dual_one_constraint(R, s):
     """Closed-form dual for one constraint, s = L - gamma.
 
-    D is the best mixture of a point with s <= 0 and one with s > 0
-    that zeroes the constraint, or the best point with s <= 0.  lambda
-    is the midpoint of the interval of maximizers, ignoring rows whose
-    |s| is rounding noise, so ties do not pick an endpoint.
-
-    The pair values are taken PAIR_BLOCK rows with s <= 0 at a time, in
-    two reused buffers, not as one outer product: a minimum does not
-    depend on the order of its terms, so D is bit-identical, and on the
-    convex 1-d instance a buffer is 358 KB, which stays in a core's L2
-    where the 6.7 MB one-shot temporaries do not.
+    D is the least R of a row with s <= 0 or value (s_k R_i - s_i R_k) /
+    (s_k - s_i) of a pair i, k with s_i <= 0 < s_k, as numpy rounds it (of
+    a tie of +0.0 and -0.0, either).  Past PAIR_BLOCK passes' worth of
+    pairs only the rows `_near_bridge` keeps are paired, PAIR_BLOCK rows
+    with s <= 0 at a time in two reused buffers: linear memory, and
+    near-linear time unless every row is within rounding of one line.
+    lambda is the midpoint of the interval of maximizers, ignoring rows
+    whose |s| is rounding noise, so ties do not pick an endpoint.  Raises
+    ValueError where max|s| max|R| could overflow a pair's products.
     """
-    neg, pos = s <= 0.0, s > 0.0
-    if not np.any(neg):
+    pos, neg = s > 0.0, s <= 0.0
+    Rn = R[neg]
+    if not Rn.size:
         return np.inf, np.array([np.inf])
-    D = float(np.min(R[neg]))
-    if np.any(pos):
-        si, Ri = s[neg][:, None], R[neg][:, None]
-        sk, Rk = s[pos], R[pos]
-        # (sk Ri - si Rk) / (sk - si), a block of pairs at a time
-        num = np.empty((min(PAIR_BLOCK, len(si)), sk.size))
-        den = np.empty_like(num)
+    D = float(Rn.min())
+    scale = float(np.abs(s).max())
+    if Rn.size < R.size:
+        if not 2.0 * scale * max(float(np.abs(R).max()), 1.0) < np.inf:
+            raise ValueError(f"pair products overflow at max|s| = {scale}")
+        if Rn.size * (R.size - Rn.size) > PAIR_BLOCK * R.size:
+            neg, pos = _near_bridge(R, s, pos, scale) & np.array([neg, pos])
+        si, Ri, sk, Rk = s[neg][:, None], R[neg][:, None], s[pos], R[pos]
+        num, den = np.empty((2, min(PAIR_BLOCK, len(si)), sk.size))
         for start in range(0, len(si), PAIR_BLOCK):
             a, b = si[start:start + PAIR_BLOCK], Ri[start:start + PAIR_BLOCK]
             x, y = num[:len(a)], den[:len(a)]
@@ -179,13 +181,41 @@ def _dual_one_constraint(R, s):
                         np.multiply(a, Rk, out=y), out=x)
             np.divide(x, np.subtract(sk, a, out=y), out=x)
             D = min(D, float(np.min(x)))
-    eps = 1e-12 * float(np.max(np.abs(s)))
+    eps = 1e-12 * scale
     up, down = s > eps, s < -eps
     lo = max(0.0, float(np.max((D - R[up]) / s[up]))) if np.any(up) \
         else 0.0
     hi = float(np.min((R[down] - D) / -s[down])) if np.any(down) \
         else np.inf
     return D, np.array([lo if np.isinf(hi) else 0.5 * (lo + hi)])
+
+
+def _near_bridge(R, s, pos, scale):
+    """A mask of the rows that can be in a pair of least value.
+
+    Tangents from each side in turn reach the lower hull's edge across
+    s = 0 as the pair value v stops falling.  Against the line l = v +
+    g s through it, a pair's value is v + w_i h_i + w_k h_k, h = R - l(s),
+    w_i = s_k / (s_k - s_i) = 1 - w_k.  With k = h less 32 u (|R| + |v| +
+    |g s|), u = 2^-53, which bounds its rounding and h's, a pair that can
+    round to v or below has (k_i - T) / |s_i| <= (T - k_k) / s_k, T an
+    underflow bound; testing at 2 T + max(0, -min k) covers the test's
+    own rounding.  A poor line keeps more rows, and a NaN every row.
+    """
+    Rn, sn, Rp, sp = R[~pos], s[~pos], R[pos], s[pos]
+    b, v = int(np.argmin(Rp)), np.inf
+    while True:
+        a = int(np.argmax((Rp[b] - Rn) / (sp[b] - sn)))
+        t, v = v, float((sp[b] * Rn[a] - sn[a] * Rp[b]) / (sp[b] - sn[a]))
+        if not v < t:
+            break
+        b = int(np.argmin((Rp - Rn[a]) / (sp - sn[a])))
+    with np.errstate(all="ignore"):
+        gs = (Rp[b] - Rn[a]) / (sp[b] - sn[a]) * s
+        k = R - (v + gs) - 2.0 ** -48 * (np.abs(R) + abs(v) + np.abs(gs))
+        T = 2.0 ** -1070 * (1.0 + scale + 1.0 / sp.min())
+        r = (2.0 * T - min(float(k.min()), 0.0) - k) / np.abs(s)
+        return ~(r < -np.where(pos, r[~pos].max(), r[pos].max()))
 
 
 def _dual_by_vertex_walk(R, slack):

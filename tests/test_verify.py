@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,9 @@ def _check_against_oracle(spec):
         # an inf matches only an inf
         want, _ = oracles.dual_by_supports(spec.R, slack)
         assert D == pytest.approx(want, rel=1e-12)
+    else:
+        want = oracles.one_constraint_dual(spec.R, slack[:, 0])
+        assert np.float64(D).tobytes() == np.float64(want).tobytes()
     return D, lam
 
 
@@ -269,6 +273,109 @@ def test_one_constraint_dual_is_the_full_pair_minimum():
         D, _ = verify._dual_one_constraint(R, s)
         want = oracles.one_constraint_dual(R, s)
         assert np.float64(D).tobytes() == np.float64(want).tobytes()
+
+
+def _one_constraint_rows(rng, kind):
+    """(R, s) of a one-constraint spec of the given kind, 2-299 rows,
+    with s or R scaled by 10**-150 to 10**150.  R holds no -0.0: of a
+    tie between +0.0 and -0.0 the least pair value may be either."""
+    n = int(rng.integers(2, 300))
+    s = rng.uniform(-1.0, 1.0, n) * rng.uniform(0.1, 3.0)
+    R = rng.uniform(-2.0, 5.0, n)
+    if kind == "ties":
+        s, R = np.round(s * 8) / 8, np.round(R * 4) / 4 + 0.0
+    elif kind == "duplicated":
+        half = n // 2
+        s[:half], R[:half] = s[half:2 * half], R[half:2 * half]
+    elif kind == "zero-slack":
+        s[rng.integers(0, n, max(1, n // 8))] = 0.0
+        s[rng.integers(0, n, max(1, n // 8))] = -0.0
+        s[rng.integers(0, n, max(1, n // 8))] *= 1e-16
+    elif kind == "collinear":
+        s = rng.integers(-64, 65, n) / 64
+        R = 0.5 - 0.75 * s
+        if rng.random() < 0.5:
+            R += rng.integers(-2, 3, n) * np.spacing(R)
+    elif kind == "convex":
+        theta = np.sort(rng.uniform(-1.0, 1.0, n))
+        R = rng.uniform(0.5, 2.0) * (theta - rng.uniform(-0.5, 0.5)) ** 2
+        s = rng.choice([-1.0, 1.0]) * theta + rng.uniform(-0.3, 0.3)
+    elif kind == "one-sided":
+        s = np.abs(s) + 1e-3 if rng.random() < 0.5 else -np.abs(s)
+    if rng.random() < 0.5:
+        s = s * 10.0 ** rng.uniform(-150, 150)
+    else:
+        R = R * 10.0 ** rng.uniform(-150, 150)
+    order = rng.permutation(n)
+    return R[order], s[order]
+
+
+@pytest.mark.parametrize("kind", ["continuous", "ties", "duplicated",
+                                  "zero-slack", "collinear", "convex",
+                                  "one-sided"])
+def test_one_constraint_dual_has_the_pair_minimum_bytes(kind):
+    # 7 x 300 seeded specs; the larger ones, past PAIR_BLOCK passes'
+    # worth of pairs, pair only the rows near the bridge
+    for seed in range(300):
+        R, s = _one_constraint_rows(np.random.default_rng(seed), kind)
+        D, _ = verify._dual_one_constraint(R, s)
+        want = oracles.one_constraint_dual(R, s)
+        assert np.float64(D).tobytes() == np.float64(want).tobytes(), seed
+
+
+def test_one_constraint_dual_of_collinear_rows_scans_every_pair(
+        monkeypatch):
+    # every row is on one line, so every row stays a candidate, and the
+    # rows with s <= 0 fill several blocks
+    s = np.arange(-150, 101) / 64
+    R = 0.5 + 0.25 * s
+    kept = []
+    near_bridge = verify._near_bridge
+
+    def recorded(*args):
+        kept.append(near_bridge(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(verify, "_near_bridge", recorded)
+    D, _ = verify._dual_one_constraint(R, s)
+    assert len(kept) == 1 and kept[0].all()
+    assert np.count_nonzero(s <= 0.0) > 4 * verify.PAIR_BLOCK
+    want = oracles.one_constraint_dual(R, s)
+    assert np.float64(D).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("R, L", [([3.0, 2.0], [-1.7e308, 1.7e308]),
+                                  ([1e308, -1e308], [-2.0, 2.0])])
+def test_one_constraint_dual_names_an_overflow(R, L):
+    # the pair products overflow: these raised VerificationError, a
+    # failed certificate, after RuntimeWarnings (the true D is 2.5 and 0)
+    spec = verify.ConstrainedProblemSpec(np.zeros((2, 1)), R,
+                                         np.array(L)[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            verify.solve_dual(spec, 0.0)
+
+
+def test_one_constraint_dual_of_a_401_by_401_grid_fits_in_20_mb():
+    # min a^2 + 2 b^2 s.t. a + 2 b >= 1.5 has its optimum 0.75 at the
+    # grid point (0.5, 0.5); the full pair scan's buffers alone held
+    # 57 MB here, and it took 34 s
+    a, b = (v.ravel() for v in np.meshgrid(np.linspace(-1.0, 1.0, 401),
+                                           np.linspace(-1.0, 1.0, 401),
+                                           indexing="ij"))
+    spec = verify.ConstrainedProblemSpec(
+        np.column_stack([a, b]), a ** 2 + 2.0 * b ** 2,
+        (1.5 - a - 2.0 * b)[:, None], 0.0)
+    tracemalloc.start()
+    try:
+        rep = verify.gap_report(spec, spec.gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert rep.D_star == pytest.approx(0.75, abs=1e-12)
+    assert rep.P_star == 0.75
 
 
 def test_exact_dual_of_a_smooth_41_by_41_grid_fits_in_20_mb():

@@ -14,7 +14,11 @@ hashes of `trace.csv`, of `summary.txt` without its `wall_clock_seconds`
 line, and of `predictor.txt`.  It then runs
 `measure-invariance` on each task's mbdg predictor and hashes
 `invariance.csv` and the printed median.  Then it runs the five
-`verify` suites and hashes each one's output lines.  Last it hashes
+`verify` suites and hashes each one's output lines, and prints the
+one-constraint dual, `repr(D)` and the bytes of lambda, of the convex
+1-d instance at five margins, of 20 seeded 2000-row `random_spec`s
+and of perfbench's sandwich coarse specs (workload seed 1), and the
+`repr` of the empirical-gap suite's means.  Last it hashes
 `datagen`'s `datasets.txt` for each task and seed, and `compare`'s
 `comparison.csv` of perfbench's erm and mbdg concept configs for each
 seed.
@@ -38,8 +42,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
-from invariantlab import cli  # noqa: E402
+from invariantlab import cli, verify  # noqa: E402
 
 TASKS = {"concept": (wl.CONCEPT_TASK, "e0.1"),
          "covariate": (wl.COVARIATE_TASK, "a90"),
@@ -123,6 +128,28 @@ def verify_lines():
         yield f"verify/{suite} exit {code} {_sha(stdout.encode())}"
 
 
+def _dual_line(label, spec) -> str:
+    D, lam = verify.solve_dual(spec, spec.gamma)
+    return f"dual/{label} D {D!r} lam {lam.tobytes().hex()}"
+
+
+def dual_lines():
+    for gamma in (0.0, 0.05, 0.1, 0.3, 2.0):
+        yield _dual_line(f"convex-1d/gamma{gamma}",
+                         verify.convex_1d_instance(gamma))
+    for seed in range(20):
+        spec = verify.random_spec(np.random.default_rng(seed), 2000, 1)
+        yield _dual_line(f"random-spec/seed{seed}", spec)
+    _, convex = wl.draw_duality_specs(verify, 1, wl.DUALITY_SPECS)
+    for i, s in enumerate(convex):
+        coarse = verify.ConstrainedProblemSpec(
+            s.thetas[::10], s.R[::10], s.L[::10], s.gamma)
+        yield _dual_line(f"sandwich-coarse/{i}", coarse)
+    means = verify.empirical_gap_experiment(
+        cli.default_population(), [100, 400, 1600, 6400], trials=20, seed=2)
+    yield f"dual/empirical-gap means {means!r}"
+
+
 def datagen_lines(work: Path):
     for task, seed in itertools.product(TASKS, SEEDS):
         label = f"{task}/seed{seed}"
@@ -153,7 +180,7 @@ def main() -> int:
         work = Path(tmp)
         for line in itertools.chain(
                 train_lines(work), invariance_lines(work), verify_lines(),
-                datagen_lines(work), compare_lines(work)):
+                dual_lines(), datagen_lines(work), compare_lines(work)):
             print(line, flush=True)
     return 0
 
