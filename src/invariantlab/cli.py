@@ -14,11 +14,15 @@ defaults: ``[task]`` into `datagen.ConceptShiftSpec` or
 `datagen.CovariateShiftSpec` by its ``kind``, ``[transform]`` into
 `transforms.RotationModel`, ``[solver]`` into `solvers.SolverConfig` and
 ``[output]`` into `Output`.  Only ``[task]`` is required, and any
-other section is an error.  Exit codes: 0 success, 1 configuration or
-usage error (an unknown ``verify`` suite is one), 2 runtime failure
-(``train`` still writes the partial trace).  ``verify`` prints one
-PASS/FAIL line per check; a check that raises `verify.VerificationError`
-ends its suite with the one line ``FAIL <suite>: <message>``.
+other section is an error.  Every command that takes ``--config``
+accepts exactly the configs ``train`` accepts: a bad value in any
+section, or a holdout that names no environment or leaves none to
+train on, is a configuration error for each, used or not.  Exit
+codes: 0 success, 1 configuration or usage error (an unknown ``verify``
+suite is one), 2 runtime failure (``train`` still writes the partial
+trace).  ``verify`` prints one PASS/FAIL line per check; a check that
+raises `verify.VerificationError` ends its suite with the one line
+``FAIL <suite>: <message>``.
 """
 
 from __future__ import annotations
@@ -169,23 +173,26 @@ def _make_dir(output: Output) -> Path:
     return out
 
 
-def _set_up(args):
-    """Load the config and build the task: returns (config, [output]
-    settings, datasets, transformation model).  The caller makes the
-    out dir once every value it reads is checked, so that a config
-    error leaves no dir behind."""
-    cfg = load_config(args.config)
+def _set_up(path, args):
+    """Read and check the config at `path`, with the flags in `args`:
+    returns (config, [output] settings, datasets, transformation model,
+    task spec, holdout, training datasets, solver config).  Every config
+    command reads its configs here, so each accepts exactly the configs
+    `train` accepts.  The caller makes the out dir once every value it
+    reads is checked, so that a config error leaves no dir behind."""
+    cfg = load_config(path)
     output = _output(cfg, args)
-    data, G, _ = build_task(cfg, output.seed)
-    return cfg, output, data, G
-
-
-def _holdout(output: Output, data) -> str:
+    data, G, spec = build_task(cfg, output.seed)
     envs = sorted(d.env for d in data)
     holdout = output.holdout or envs[0]
     if holdout not in envs:
         raise ConfigError(f"invalid value for key holdout: {holdout!r}")
-    return holdout
+    train_data = [d for d in data if d.env != holdout]
+    if not train_data:
+        raise ConfigError("invalid value for key holdout: no training "
+                          "environments left")
+    return (cfg, output, data, G, spec, holdout, train_data,
+            build_solver_config(cfg, output.seed))
 
 
 # -- train --------------------------------------------------------------------
@@ -199,14 +206,9 @@ def _config_echo(cfg) -> list:
 
 
 def run_train(args) -> int:
-    cfg, output, data, G = _set_up(args)
+    cfg, output, data, G, _, holdout, train_data, scfg = _set_up(
+        args.config, args)
     seed = output.seed
-    holdout = _holdout(output, data)
-    scfg = build_solver_config(cfg, seed)
-    train_data = [d for d in data if d.env != holdout]
-    if not train_data:
-        raise ConfigError("invalid value for key holdout: no training "
-                          "environments left")
     out = _make_dir(output)
     t0 = time.perf_counter()
     try:
@@ -250,7 +252,7 @@ def run_train(args) -> int:
 # -- datagen ------------------------------------------------------------------
 
 def run_datagen(args) -> int:
-    _, output, data, _ = _set_up(args)
+    _, output, data, *_ = _set_up(args.config, args)
     (_make_dir(output) / "datasets.txt").write_text(datagen.dump_datasets(
         sorted(data, key=lambda d: d.env)))
     return 0
@@ -261,30 +263,24 @@ def run_datagen(args) -> int:
 def run_compare(args) -> int:
     if len(args.config) < 2:
         raise ConfigError("compare needs at least two --config paths")
-    configs = [load_config(path) for path in args.config]
-    outputs = [_output(c, args) for c in configs]
+    # every config is read and checked before any training starts
+    runs = [_set_up(path, args) for path in args.config]
     for key in ("seed", "dir"):
-        if len({getattr(o, key) for o in outputs}) > 1:
+        if len({getattr(output, key) for _, output, *_ in runs}) > 1:
             raise ConfigError(f"configs must share the value of key {key}")
-    seed = outputs[0].seed
-
-    # every config is read before any training starts
-    runs = [(path, build_solver_config(cfg, seed), *build_task(cfg, seed))
-            for path, cfg in zip(args.config, configs)]
     # the data must match: each parsed [task] value, and a covariate
     # task's [transform] plane; its angle_range changes only G
     tasks = [{"kind": type(spec), **vars(spec), "model": None,
-              "plane": getattr(G, "plane", None)} for *_, G, spec in runs]
+              "plane": getattr(G, "plane", None)}
+             for _, _, _, G, spec, *_ in runs]
     for task in tasks:
         key = next((k for k in tasks[0] if task[k] != tasks[0][k]), None)
         if key:
             raise ConfigError(f"configs must share the value of key {key}")
-    for output, (_, _, data, *_) in zip(outputs, runs):
-        _holdout(output, data)  # checked as train checks it, though unread
-    out = _make_dir(outputs[0])
-    algorithms = [scfg.algorithm for _, scfg, *_ in runs]
+    out = _make_dir(runs[0][1])
+    algorithms = [scfg.algorithm for *_, scfg in runs]
     rows = []
-    for path, scfg, data, G, _ in runs:
+    for path, (_, _, data, G, *_, scfg) in zip(args.config, runs):
         # the tasks match, so every config yields the same envs
         envs = sorted(d.env for d in data)
         accs = []
@@ -317,9 +313,8 @@ def run_compare(args) -> int:
 # -- measure-invariance -------------------------------------------------------
 
 def run_measure_invariance(args) -> int:
-    cfg, output, data, G = _set_up(args)
+    _, output, data, G, _, holdout, _, scfg = _set_up(args.config, args)
     out, seed = Path(output.dir), output.seed
-    holdout = _holdout(output, data)
     predictor_path = Path(args.predictor) if args.predictor \
         else out / "predictor.txt"
     if not predictor_path.exists():
@@ -335,10 +330,10 @@ def run_measure_invariance(args) -> int:
                              f"has {datagen.n_classes(data)} classes")
     except (OSError, ValueError, IndexError, pred.NonFiniteError) as e:
         raise ConfigError(f"invalid value for key predictor: {e}") from None
-    # the distance train uses, clamped at the config's loss bound
-    bound = build_solver_config(cfg, seed).loss_bound
     _make_dir(output)
-    values = verify_mod.measure_g_invariance(p, held, G, bound, seed=seed)
+    # the distance train uses, clamped at the config's loss bound
+    values = verify_mod.measure_g_invariance(p, held, G, scfg.loss_bound,
+                                             seed=seed)
     (out / "invariance.csv").write_text("example,distreg\n" + "".join(
         f"{i},{v:.17g}\n" for i, v in enumerate(values)))
     print(f"median={float(np.median(values))!r}")

@@ -31,10 +31,11 @@ class RotationModel:
         if len(self.plane) != 2 or self.plane[0] == self.plane[1]:
             raise ValueError("plane must name two distinct coordinates")
         # a finite width hi - lo needs finite ends, and `uniform` needs it
-        if len(self.angle_range) != 2 or not np.isfinite(
-                float(self.angle_range[1]) - float(self.angle_range[0])):
-            raise ValueError("angle_range must be two finite numbers "
-                             "with a finite width")
+        # finite and not negative
+        if len(self.angle_range) != 2 or not 0.0 <= float(
+                self.angle_range[1]) - float(self.angle_range[0]) < np.inf:
+            raise ValueError("angle_range must be two finite numbers, "
+                             "low first, with a finite width")
 
     def sample_codes(self, n: int, rng: np.random.Generator) -> np.ndarray:
         lo, hi = self.angle_range

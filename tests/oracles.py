@@ -124,7 +124,8 @@ def one_constraint_dual(R, s):
     """The dual value of min R s.t. s <= 0 over a finite grid: the least
     R of a row with s <= 0 or of a mixture of one such row i and one row
     k with s > 0 that zeroes s, (s_k R_i - s_i R_k) / (s_k - s_i), every
-    pair at once; inf when no row has s <= 0."""
+    pair at once; inf when no row has s <= 0.  Raises ValueError when a
+    pair value overflows, as min(D, nan) would keep D."""
     neg, pos = s <= 0.0, s > 0.0
     if not np.any(neg):
         return np.inf
@@ -132,7 +133,11 @@ def one_constraint_dual(R, s):
     if np.any(pos):
         si, Ri = s[neg][:, None], R[neg][:, None]
         sk, Rk = s[pos][None, :], R[pos][None, :]
-        D = min(D, float(np.min((sk * Ri - si * Rk) / (sk - si))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = (sk * Ri - si * Rk) / (sk - si)
+        if not np.all(np.isfinite(pairs)):
+            raise ValueError("pair values overflow")
+        D = min(D, float(np.min(pairs)))
     return D
 
 

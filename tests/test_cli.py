@@ -238,6 +238,9 @@ _PROBE_BASES = {"mbdg": SMALL_TASK.format(algorithm="mbdg"),
     ("covariate", "transform", "angle_range = 0", "angle_range"),
     # ends that are finite, a width that is not
     ("covariate", "transform", "angle_range = 1e308 -1e308", "angle_range"),
+    # a finite width that is negative: `uniform` raised, and train left
+    # an empty out dir behind
+    ("covariate", "transform", "angle_range = 1 0", "angle_range"),
 ])
 def test_config_fault_names_key(tmp_path, capsys, base, section, line, key):
     # the probe's line replaces the base's line for the same key
@@ -254,6 +257,7 @@ def test_config_fault_names_key(tmp_path, capsys, base, section, line, key):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
@@ -380,35 +384,42 @@ def test_unknown_section_is_config_error(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command,fault,message", [
     pytest.param(command, fault, message, id=f"{command}-{fault}")
-    for command in ("datagen", "train", "measure-invariance")
+    for command in ("datagen", "train", "compare", "measure-invariance")
     for fault, message in (
         ("task", "invalid value for key agreements: "),
         ("solver", "steps must be at least 1"),
-        ("holdout", "invalid value for key holdout: 'nope'"))
-    # datagen reads no [solver] and takes no --holdout
-    if command != "datagen" or fault == "task"])
+        ("holdout", "invalid value for key holdout: 'nope'"),
+        ("one-env", "invalid value for key holdout: no training "
+         "environments left"))])
 def test_config_value_error_makes_no_out_dir(tmp_path, capsys, command,
                                              fault, message):
-    # the out dir was made before the values were checked, and a config
-    # error left it behind, empty
+    # every config command accepts exactly the configs train accepts: the
+    # out dir was made before the values were checked, and a config error
+    # left it behind, empty; datagen wrote datasets.txt for a bad [solver]
+    # or holdout, and compare on one environment raised in solvers.train
     body = SMALL_TASK.format(algorithm="mbdg")
+    has_flag = command in ("train", "measure-invariance")  # --holdout
     if fault == "task":
         body = body.replace("e0.9:0.9", "e,9:0.9")
     elif fault == "solver":
         body = body.replace("steps = 40", "steps = 0")
-    argv = [command, "--config", _write_config(tmp_path, body=body),
-            "--out", str(tmp_path / "x")]
-    if fault == "holdout":
+    elif fault == "one-env":
+        body = body.replace(" e0.8:0.8 e0.1:0.1", "")
+    elif not has_flag:
+        body += "\n[output]\nholdout = nope\n"
+    path = _write_config(tmp_path, body=body)
+    argv = [command, "--config", path, "--out", str(tmp_path / "x")]
+    if command == "compare":
+        argv += ["--config", path]
+    if fault == "holdout" and has_flag:
         argv += ["--holdout", "nope"]
     if command == "measure-invariance":
-        # a usable predictor, so that the fault is the first error met
-        path = tmp_path / "predictor.txt"
-        path.write_text(pred.save_text(
-            pred.init_predictor(pred.Architecture((5, 4, 2)), 0)))
-        argv += ["--predictor", str(path)]
+        # no predictor: every config fault is reported before it
+        argv += ["--predictor", str(tmp_path / "predictor.txt")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 

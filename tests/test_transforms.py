@@ -61,7 +61,8 @@ def test_rotation_rejects_degenerate_plane_and_bad_dim():
     for plane in [(1, 1), (0,), (0, 1, 2)]:
         with pytest.raises(ValueError, match="plane"):
             tr.RotationModel(plane)
-    for angles in [(0.0,), (0.0, float("nan"))]:
+    # a reversed range has a finite width, and `uniform` rejects it
+    for angles in [(0.0,), (0.0, float("nan")), (1.0, 0.0)]:
         with pytest.raises(ValueError, match="angle_range"):
             tr.RotationModel((0, 1), angles)
     model = tr.RotationModel((0, 2), (0.0, 1.0))

@@ -348,13 +348,16 @@ def test_one_constraint_dual_of_collinear_rows_scans_every_pair(
                                   ([1e308, -1e308], [-2.0, 2.0])])
 def test_one_constraint_dual_names_an_overflow(R, L):
     # the pair products overflow: these raised VerificationError, a
-    # failed certificate, after RuntimeWarnings (the true D is 2.5 and 0)
+    # failed certificate, after RuntimeWarnings (the true D is 2.5 and
+    # 0), and the byte reference gave 3.0 and 1e308, as min(D, nan) is D
     spec = verify.ConstrainedProblemSpec(np.zeros((2, 1)), R,
                                          np.array(L)[:, None])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow"):
             verify.solve_dual(spec, 0.0)
+        with pytest.raises(ValueError, match="overflow"):
+            oracles.one_constraint_dual(spec.R, spec.L[:, 0])
 
 
 def test_one_constraint_dual_of_a_401_by_401_grid_fits_in_20_mb():

@@ -20,8 +20,9 @@ one-constraint dual, `repr(D)` and the bytes of lambda, of the convex
 and of perfbench's sandwich coarse specs (workload seed 1), and the
 `repr` of the empirical-gap suite's means.  Last it hashes
 `datagen`'s `datasets.txt` for each task and seed, and `compare`'s
-`comparison.csv` of perfbench's erm and mbdg concept configs for each
-seed.
+`comparison.csv` for each seed of perfbench's erm and mbdg concept
+configs and of perfbench's mbdg covariate config with mbda's narrowed
+to a quarter-turn `angle_range`, so that each config's G is its own.
 
 A refactor that must not change behaviour runs this before and after
 and diffs the two outputs; any differing line names the output that
@@ -163,13 +164,24 @@ def datagen_lines(work: Path):
 
 
 def compare_lines(work: Path):
-    configs = ["--config", str(work / "concept-single-erm.ini"),
-               "--config", str(work / "concept-single-mbdg.ini")]
-    for seed in SEEDS:
-        label = f"concept/seed{seed}"
+    # a second mbdg would be labelled by its path, which is temporary
+    narrow = work / "covariate-single-mbda-narrow.ini"
+    text = (work / "covariate-single-mbda.ini").read_text()
+    if "angle_range = 0 6.2831853\n" not in text:
+        raise ValueError("perfbench's covariate task has no full-turn "
+                         "angle_range")
+    narrow.write_text(text.replace("angle_range = 0 6.2831853\n",
+                                   "angle_range = 0 1.5707963\n"))
+    configs = {"concept": ["concept-single-erm.ini",
+                           "concept-single-mbdg.ini"],
+               "covariate": ["covariate-single-mbdg.ini", narrow.name]}
+    for (task, names), seed in itertools.product(configs.items(), SEEDS):
+        label = f"{task}/seed{seed}"
         out = work / "compare" / label
-        code, _ = _main(["compare", *configs, "--seed", str(seed),
-                         "--out", str(out)])
+        code, _ = _main(["compare",
+                         *(a for n in names for a in ("--config",
+                                                      str(work / n))),
+                         "--seed", str(seed), "--out", str(out)])
         yield f"{label} compare exit {code}"
         yield (f"{label} comparison.csv "
                f"{_sha((out / 'comparison.csv').read_bytes())}")
